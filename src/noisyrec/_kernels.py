@@ -1,62 +1,57 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorised with numpy.
 
-Set NOISYREC_DISABLE_NUMBA=1 to force the numpy path (useful for debugging
-and for the backend benchmark). Both paths compute the same quantities; the
-Monte-Carlo kernels draw from backend-local RNG streams, so per-replication
-draws are deterministic per backend but not bit-identical across backends.
+`factor_backward` adds each parameter's per-example contributions in batch
+order, so its gradient arrays equal a plain per-row loop bit for bit. The
+Monte-Carlo kernel draws from one seeded generator, so its replications are
+deterministic per seed.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("NOISYREC_DISABLE_NUMBA", "0") != "1"
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-ACTIVE_BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+# Read by the benchmark harness, which records it with every run.
+ACTIVE_BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # Factor-model batch forward / backward
 # ---------------------------------------------------------------------------
 
-def _factor_scores_np(u_idx, i_idx, user_emb, item_emb, user_bias, item_bias,
-                      global_bias):
+def factor_scores(u_idx, i_idx, user_emb, item_emb, user_bias, item_bias,
+                  global_bias):
     s = np.einsum("bd,bd->b", user_emb[u_idx], item_emb[i_idx])
     return s + user_bias[u_idx] + item_bias[i_idx] + global_bias
 
 
-def _factor_backward_np(u_idx, i_idx, user_emb, item_emb, coef):
+def factor_backward(u_idx, i_idx, user_emb, item_emb, coef):
     """Accumulate gradients of sum_b coef[b] * s_b over batch b.
 
-    Returns dense gradient arrays matching the parameter shapes.
+    Returns dense gradient arrays matching the parameter shapes. Each
+    `bincount` sums a bin's weights in batch order, as the per-row loop does.
     """
-    g_ue = np.zeros_like(user_emb)
-    g_ie = np.zeros_like(item_emb)
-    g_ub = np.zeros(user_emb.shape[0])
-    g_ib = np.zeros(item_emb.shape[0])
-    np.add.at(g_ue, u_idx, coef[:, None] * item_emb[i_idx])
-    np.add.at(g_ie, i_idx, coef[:, None] * user_emb[u_idx])
-    np.add.at(g_ub, u_idx, coef)
-    np.add.at(g_ib, i_idx, coef)
+    n, m = user_emb.shape[0], item_emb.shape[0]
+    w_ue = coef[:, None] * item_emb[i_idx]
+    w_ie = coef[:, None] * user_emb[u_idx]
+    g_ue = np.empty_like(user_emb)
+    g_ie = np.empty_like(item_emb)
+    for k in range(user_emb.shape[1]):
+        g_ue[:, k] = np.bincount(u_idx, w_ue[:, k], minlength=n)
+        g_ie[:, k] = np.bincount(i_idx, w_ie[:, k], minlength=m)
+    g_ub = np.bincount(u_idx, coef, minlength=n)
+    g_ib = np.bincount(i_idx, coef, minlength=m)
     return g_ue, g_ie, g_ub, g_ib, float(coef.sum())
 
 
-def _mc_dr_estimates_np(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1,
-                        chunk=4096):
+def mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1,
+                    chunk=4096):
     """Per-replication OME-DR estimates under joint (O, R | R*) resampling.
 
     p_true, p_hat, e_bar, s1, s0, q1 are flat per-cell arrays; s1/s0 are the
     surrogate losses at observed label 1/0 and q1 = P(r=1 | r*) per cell.
     """
-    rng = np.random.default_rng(seed)
+    n_reps = int(n_reps)
+    rng = np.random.default_rng(int(seed))
     n_cells = p_true.shape[0]
     out = np.empty(n_reps)
     done = 0
@@ -69,78 +64,3 @@ def _mc_dr_estimates_np(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1,
         out[done:done + m] = contrib.mean(axis=1)
         done += m
     return out
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _factor_scores_nb(u_idx, i_idx, user_emb, item_emb, user_bias,
-                          item_bias, global_bias):
-        n = u_idx.shape[0]
-        d = user_emb.shape[1]
-        out = np.empty(n)
-        for b in range(n):
-            u = u_idx[b]
-            i = i_idx[b]
-            s = global_bias + user_bias[u] + item_bias[i]
-            for k in range(d):
-                s += user_emb[u, k] * item_emb[i, k]
-            out[b] = s
-        return out
-
-    @njit(cache=True)
-    def _factor_backward_nb(u_idx, i_idx, user_emb, item_emb, coef):
-        n = u_idx.shape[0]
-        d = user_emb.shape[1]
-        g_ue = np.zeros_like(user_emb)
-        g_ie = np.zeros_like(item_emb)
-        g_ub = np.zeros(user_emb.shape[0])
-        g_ib = np.zeros(item_emb.shape[0])
-        g_b0 = 0.0
-        for b in range(n):
-            u = u_idx[b]
-            i = i_idx[b]
-            c = coef[b]
-            for k in range(d):
-                g_ue[u, k] += c * item_emb[i, k]
-                g_ie[i, k] += c * user_emb[u, k]
-            g_ub[u] += c
-            g_ib[i] += c
-            g_b0 += c
-        return g_ue, g_ie, g_ub, g_ib, g_b0
-
-    @njit(cache=True)
-    def _mc_dr_estimates_nb(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1):
-        np.random.seed(seed)
-        n_cells = p_true.shape[0]
-        out = np.empty(n_reps)
-        for rep in range(n_reps):
-            acc = 0.0
-            for c in range(n_cells):
-                o = 1.0 if np.random.random() < p_true[c] else 0.0
-                r = 1.0 if np.random.random() < q1[c] else 0.0
-                w = o / p_hat[c]
-                surro = s1[c] if r == 1.0 else s0[c]
-                acc += (1.0 - w) * e_bar[c] + w * surro
-            out[rep] = acc / n_cells
-        return out
-
-    def factor_scores(u_idx, i_idx, user_emb, item_emb, user_bias, item_bias,
-                      global_bias):
-        return _factor_scores_nb(u_idx, i_idx, user_emb, item_emb, user_bias,
-                                 item_bias, float(global_bias))
-
-    def factor_backward(u_idx, i_idx, user_emb, item_emb, coef):
-        return _factor_backward_nb(u_idx, i_idx, user_emb, item_emb, coef)
-
-    def mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1):
-        return _mc_dr_estimates_nb(int(n_reps), int(seed) & 0xFFFFFFFF,
-                                   p_true, p_hat, e_bar, s1, s0, q1)
-
-else:
-    factor_scores = _factor_scores_np
-    factor_backward = _factor_backward_np
-
-    def mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1):
-        return _mc_dr_estimates_np(int(n_reps), int(seed), p_true, p_hat,
-                                   e_bar, s1, s0, q1)

@@ -1,7 +1,8 @@
 """Command-line driver: benchmark generation, estimator evaluation,
 training, ingestion, and multi-seed sweeps.
 
-Exit codes: 0 success, 2 validation failure, 3 runtime/divergence failure.
+Exit codes: 0 success, 2 validation failure or missing input file,
+3 runtime/divergence failure.
 Reports are CSV with a leading comment line carrying the manifest hash, so
 golden files diff cleanly.
 """
@@ -25,6 +26,7 @@ from .data import (
     PropensityMatrix,
     RatingDataset,
     ValidationError,
+    check_triple_index,
     load_dataset_triples,
     make_rng,
     save_dataset_triples,
@@ -331,6 +333,7 @@ def cmd_ingest(args) -> int:
                 ratings.append(float(parts[2]))
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from exc
+            check_triple_index(lineno, users[-1], items[-1])
     if not users:
         raise ValidationError("empty triples file")
     n_users = max(users) + 1
@@ -461,7 +464,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDivergence, RuntimeError, OSError) as exc:

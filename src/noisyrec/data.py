@@ -186,6 +186,19 @@ def save_dataset_triples(path, dataset: RatingDataset) -> None:
             fh.write(f"{u}\t{i}\t{int(dataset.observed_ratings[u, i])}\n")
 
 
+def check_triple_index(lineno: int, u: int, i: int, n_users: int | None = None,
+                       n_items: int | None = None) -> None:
+    """Reject a negative index, which numpy would wrap to the far end, and
+    one past an explicit universe size."""
+    for name, idx, size in (("user", u, n_users), ("item", i, n_items)):
+        if idx < 0:
+            raise ValidationError(f"line {lineno}: negative {name} index {idx}")
+        if size is not None and idx >= size:
+            raise ValidationError(
+                f"line {lineno}: {name} index {idx} is past the {size} "
+                f"{name}s of the universe")
+
+
 def load_dataset_triples(path, n_users: int | None = None,
                          n_items: int | None = None) -> RatingDataset:
     """Read the triple text format; universe size defaults to max index + 1."""
@@ -206,6 +219,7 @@ def load_dataset_triples(path, n_users: int | None = None,
                 raise ValidationError(f"line {lineno}: {exc}") from exc
             if r not in (0, 1):
                 raise ValidationError(f"line {lineno}: rating must be 0 or 1")
+            check_triple_index(lineno, u, i, n_users, n_items)
             users.append(u)
             items.append(i)
             ratings.append(r)

@@ -8,7 +8,6 @@ values depend on, so the rule is fixed here rather than left to the sort.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import ValidationError
 
@@ -22,9 +21,27 @@ def auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("need at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given their mean rank, as
+    scipy.stats.rankdata(x, method="average"); all NaN if x holds a NaN.
+    Every rank is a half-integer, so sums of ranks are exact."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new_group = np.concatenate(([True], xs[1:] != xs[:-1]))
+    bounds = np.append(np.flatnonzero(new_group), x.size)
+    # a group spanning sorted positions [start, end) has mean rank
+    # (start + 1 + end) / 2
+    group_rank = 0.5 * (bounds[:-1] + bounds[1:] + 1)
+    ranks = np.empty(x.size)
+    ranks[order] = group_rank[np.cumsum(new_group) - 1]
+    return ranks
 
 
 def _topk_order(scores: np.ndarray, k: int) -> np.ndarray:

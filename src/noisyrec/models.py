@@ -319,6 +319,23 @@ def propensity_objective(model: PropensityModel, observed_mask) -> float:
     return float(-np.mean(o * np.log(p) + (1.0 - o) * np.log(1.0 - p)))
 
 
+def _propensity_objective_finite(model: PropensityModel) -> bool:
+    """O(n + m) test equal to np.isfinite(propensity_objective(model, o)).
+
+    The clipped objective is non-finite exactly when some score a_u + b_i is
+    NaN, where a = w_user + beta_user and b = w_item + gamma_item: when a or
+    b holds a NaN, or one holds +inf and the other -inf. A NaN in either
+    makes both of its extremes NaN; max(a) + min(b) is NaN for a +inf/-inf
+    pair and min(a) + max(b) for a -inf/+inf pair. The mean over an empty
+    universe is NaN too.
+    """
+    a = model.w_user + model.beta_user
+    b = model.w_item + model.gamma_item
+    if a.size == 0 or b.size == 0:
+        return False
+    return not (np.isnan(a.max() + b.min()) or np.isnan(a.min() + b.max()))
+
+
 def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityModel:
     """Fit the logistic propensity model by (mini-batch or full-batch) SGD.
 
@@ -356,8 +373,7 @@ def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityMod
                 opt.step(model.params(),
                          {"w_user": g_u, "beta_user": g_u,
                           "w_item": g_i, "gamma_item": g_i})
-        loss_val = propensity_objective(model, o_full)
-        if not np.isfinite(loss_val):
+        if not _propensity_objective_finite(model):
             raise TrainingDivergence(
                 f"propensity training diverged at epoch {epoch}")
     return model

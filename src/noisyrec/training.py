@@ -186,6 +186,26 @@ def pretrain_noisy_model(dataset: RatingDataset, method: str,
 # Alternating training
 # ---------------------------------------------------------------------------
 
+def _stable_extremes(values: np.ndarray, k: int):
+    """The first and the last k entries of np.argsort(values, kind="stable"),
+    in that order, without sorting every cell.
+
+    np.partition finds the k-th smallest and the k-th largest value; only the
+    cells at or beyond each boundary are then stable-sorted. Those cells form
+    a prefix (a suffix) of the full stable order, and they are taken in
+    ascending index order, so ties keep the row-major rule. NaN sorts last in
+    both sorts; the negated comparisons keep NaN cells as candidates.
+    """
+    n = values.shape[0]
+    k = min(k, n)
+    part = np.partition(values, (k - 1, n - k))
+    lo = np.flatnonzero(~(values > part[k - 1]))
+    hi = np.flatnonzero(~(values < part[n - k]))
+    lo = lo[np.argsort(values[lo], kind="stable")[:k]]
+    hi = hi[np.argsort(values[hi], kind="stable")[-k:]]
+    return lo, hi
+
+
 def _refresh_rho(q: np.ndarray, lo_pair, hi_pair, k_extreme,
                  predictions: np.ndarray) -> tuple[ErrorParams, bool]:
     """Re-estimate the flip rates from the noisy-rate model at the current
@@ -195,11 +215,10 @@ def _refresh_rho(q: np.ndarray, lo_pair, hi_pair, k_extreme,
         rho01 = 1.0 - float(q[hi_pair])
         rho10 = float(q[lo_pair])
     else:
-        flat_pred = predictions.ravel()
-        order = np.argsort(flat_pred, kind="stable")
+        lo, hi = _stable_extremes(predictions.ravel(), k_extreme)
         q_flat = q.ravel()
-        rho10 = float(np.mean(q_flat[order[:k_extreme]]))
-        rho01 = 1.0 - float(np.mean(q_flat[order[-k_extreme:]]))
+        rho10 = float(np.mean(q_flat[lo]))
+        rho01 = 1.0 - float(np.mean(q_flat[hi]))
     return clamp_error_params(rho01, rho10)
 
 

@@ -114,6 +114,11 @@ class TestEstimate:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
 
+    def test_missing_instance_exit_2(self, tmp_path):
+        code = main(["estimate", "--instance", str(tmp_path / "missing"),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+
     def test_unknown_estimator_row_level_error(self, instance_dir, tmp_path):
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
@@ -204,6 +209,15 @@ class TestIngest:
         raw.write_text("")
         assert main(["ingest", "--triples", str(raw),
                      "--out", str(tmp_path / "o.tsv")]) == 2
+
+
+    def test_negative_index_exit_2(self, tmp_path):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("-1 2 0\n0 0 1\n1 1 1\n")
+        out = tmp_path / "o.tsv"
+        assert main(["ingest", "--triples", str(raw), "--threshold", "0.5",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestSweep:

@@ -109,6 +109,20 @@ class TestTriplesFormat:
         with pytest.raises(ValidationError, match="line 2"):
             load_dataset_triples(path)
 
+    def test_negative_index_rejected(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\t0\t1\n-1\t2\t0\n")
+        with pytest.raises(ValidationError, match="line 2: negative user"):
+            load_dataset_triples(path)
+
+    @pytest.mark.parametrize("name", ["user", "item"])
+    def test_index_past_explicit_universe_rejected(self, tmp_path, name):
+        path = tmp_path / "bad.tsv"
+        line = "6\t0\t1" if name == "user" else "0\t9\t1"
+        path.write_text(f"0\t0\t1\n{line}\n")
+        with pytest.raises(ValidationError, match=f"line 2: {name} index"):
+            load_dataset_triples(path, n_users=6, n_items=9)
+
     def test_non_binary_rating_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("0\t0\t5\n")

@@ -83,6 +83,18 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 auc_brute(list(scores), list(labels)))
 
+    def test_heavy_ties_equal_scipy_rank_sum_exactly(self):
+        from scipy.stats import rankdata
+        rng = make_rng(2)
+        scores = rng.integers(0, 5, size=20_000) / 4.0
+        labels = (rng.random(20_000) < 0.3).astype(int)
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        ranks = rankdata(scores, method="average")
+        want = ((float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0)
+                / (n_pos * n_neg))
+        assert auc(scores, labels) == want
+
     def test_monotone_transform_invariance(self):
         rng = make_rng(1)
         scores = rng.random(20)

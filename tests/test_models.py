@@ -8,6 +8,8 @@ from noisyrec.models import (
     Optimizer,
     PropensityModel,
     SgdConfig,
+    TrainingDivergence,
+    _propensity_objective_finite,
     imputation_objective,
     load_model,
     new_imputation_model,
@@ -261,6 +263,41 @@ class TestPropensityTraining:
             model = train_propensity(d, cfg)
             losses.append(propensity_objective(model, d.observed_mask))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("batch_size", [0, 7])
+    def test_nan_learning_rate_diverges_at_epoch_0(self, batch_size):
+        d = RatingDataset(4, 5, np.eye(4, 5), np.zeros((4, 5)))
+        cfg = SgdConfig(learning_rate=float("nan"), batch_size=batch_size,
+                        max_epochs=3)
+        with pytest.raises(TrainingDivergence,
+                           match="^propensity training diverged at epoch 0$"):
+            train_propensity(d, cfg)
+
+    @pytest.mark.parametrize("user,item,finite", [
+        ({}, {}, True),
+        ({"w_user": (1, np.nan)}, {}, False),
+        ({}, {"gamma_item": (0, np.nan)}, False),
+        ({"beta_user": (0, np.inf)}, {"w_item": (2, -np.inf)}, False),
+        ({"w_user": (2, -np.inf)}, {"gamma_item": (1, np.inf)}, False),
+        ({"w_user": (0, np.inf)}, {"w_item": (1, np.inf)}, True),
+        ({"beta_user": (1, -np.inf)}, {"gamma_item": (0, -np.inf)}, True),
+        ({"w_user": (0, np.inf), "beta_user": (0, -np.inf)}, {}, False),
+        ({"w_user": (0, 1e308), "beta_user": (0, 1e308)},
+         {"w_item": (0, -1e308), "gamma_item": (0, -1e308)}, False),
+    ])
+    def test_finiteness_test_matches_dense_objective(self, user, item,
+                                                     finite):
+        rng = make_rng(12)
+        model = PropensityModel(rng.normal(size=3), rng.normal(size=4),
+                                rng.normal(size=3), rng.normal(size=4))
+        for name, (idx, value) in {**user, **item}.items():
+            getattr(model, name)[idx] = value
+        o = (rng.random((3, 4)) < 0.5).astype(np.int8)
+        with np.errstate(all="ignore"):
+            dense = bool(np.isfinite(propensity_objective(model, o)))
+            fast = _propensity_objective_finite(model)
+        assert dense is finite
+        assert fast is finite
 
     def test_minibatch_mode_runs(self):
         rng = make_rng(9)
