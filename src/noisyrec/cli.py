@@ -22,11 +22,11 @@ import numpy as np
 from .data import (
     ErrorParams,
     ImputationMatrix,
-    PredictionMatrix,
     PropensityMatrix,
     RatingDataset,
     ValidationError,
     check_triple_index,
+    dataset_from_triples,
     load_dataset_triples,
     make_rng,
     save_dataset_triples,
@@ -179,25 +179,27 @@ def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
     return identify_error_params(q, k_extreme=k)
 
 
-def cmd_estimate(args) -> int:
-    inst = load_instance(args.instance)
+def _estimator_rows(inst, propensities, rho_hat, names) -> list:
+    """One [name, value, target, relative_error] row per estimator name.
+
+    The propensity floor is lowered to the smallest given propensity, so the
+    chosen propensities are used as they are.
+    """
     loss = LossKind.squared()
-    dataset = inst.to_dataset()
     target = true_inaccuracy(inst.prediction, inst.true_ratings, loss)
-    p_arr = inst.p_true if args.propensities == "true" else inst.p_hat
+    p_arr = inst.p_true if propensities == "true" else inst.p_hat
     p_mat = None
     if p_arr is not None:
         floor = min(float(np.min(p_arr)), inst.spec.propensity_floor)
         p_mat = PropensityMatrix(p_arr, floor=floor)
     inputs = EstimatorInputs(
-        dataset=dataset,
+        dataset=inst.to_dataset(),
         predictions=inst.prediction,
         loss=loss,
         p_hat=p_mat,
         e_bar=_default_imputation(inst, loss),
-        rho_hat=_resolve_rho(inst, args.rho_mode, args.rho, args.seed),
+        rho_hat=rho_hat,
     )
-    names = args.estimators.split(",")
     rows = []
     for name in names:
         fn = ESTIMATORS.get(name.strip())
@@ -210,6 +212,14 @@ def cmd_estimate(args) -> int:
                          f"{relative_error(target, value):.10g}"])
         except ValidationError as exc:
             rows.append([name, "error", "", str(exc)])
+    return rows
+
+
+def cmd_estimate(args) -> int:
+    inst = load_instance(args.instance)
+    names = args.estimators.split(",")
+    rho_hat = _resolve_rho(inst, args.rho_mode, args.rho, args.seed)
+    rows = _estimator_rows(inst, args.propensities, rho_hat, names)
     _write_report(args.out, ["estimator", "value", "target", "relative_error"],
                   rows, {"instance": inst.spec.manifest(),
                          "estimators": names, "rho_mode": args.rho_mode})
@@ -292,12 +302,10 @@ def cmd_train(args) -> int:
                                  d=alt_cfg.embedding_dim, p_hat=p_hat)
         model, _, trace = alternating_denoise_train(dataset, p_hat, q, alt_cfg)
         trace.write_csv(out / "trace.csv")
-    elif args.method in ("naive", "eib", "ips", "dr"):
+    else:  # train_noisy_factor_model rejects an unknown method
         model = train_noisy_factor_model(dataset, args.method, sgd,
                                          d=int(cfg.get("embedding_dim", 8)),
                                          p_hat=p_hat)
-    else:
-        raise ValidationError(f"unknown training method {args.method!r}")
 
     save_model(out / "checkpoint.npz", model)
     pred = model.predict_all()
@@ -334,16 +342,8 @@ def cmd_ingest(args) -> int:
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from exc
             check_triple_index(lineno, users[-1], items[-1])
-    if not users:
-        raise ValidationError("empty triples file")
-    n_users = max(users) + 1
-    n_items = max(items) + 1
-    mask = np.zeros((n_users, n_items), dtype=np.int8)
-    obs = np.zeros((n_users, n_items), dtype=np.int8)
     binary = [1 if r >= args.threshold else 0 for r in ratings]
-    mask[users, items] = 1
-    obs[users, items] = binary
-    dataset = RatingDataset(n_users, n_items, mask, obs)
+    dataset = dataset_from_triples(users, items, binary)
     save_dataset_triples(args.out, dataset)
     print(f"wrote {dataset.n_observed} binarized triples to {args.out}")
     return 0
@@ -354,30 +354,9 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_one(spec_cfg, seed, names, propensities):
-    spec = _spec_from_config(spec_cfg, seed)
-    inst = sample_instance(spec)
-    loss = LossKind.squared()
-    target = true_inaccuracy(inst.prediction, inst.true_ratings, loss)
-    p_arr = inst.p_true if propensities == "true" else inst.p_hat
-    floor = min(float(np.min(p_arr)), inst.spec.propensity_floor)
-    inputs = EstimatorInputs(
-        dataset=inst.to_dataset(), predictions=inst.prediction, loss=loss,
-        p_hat=PropensityMatrix(p_arr, floor=floor),
-        e_bar=_default_imputation(inst, loss),
-        rho_hat=inst.spec.rho)
-    rows = []
-    for name in names:
-        fn = ESTIMATORS.get(name)
-        if fn is None:
-            rows.append([seed, name, "error", "", f"unknown {name!r}"])
-            continue
-        try:
-            value = fn(inputs)
-            rows.append([seed, name, f"{value:.10g}", f"{target:.10g}",
-                         f"{relative_error(target, value):.10g}"])
-        except ValidationError as exc:
-            rows.append([seed, name, "error", "", str(exc)])
-    return rows
+    inst = sample_instance(_spec_from_config(spec_cfg, seed))
+    rows = _estimator_rows(inst, propensities, inst.spec.rho, names)
+    return [[seed] + row for row in rows]
 
 
 def cmd_sweep(args) -> int:

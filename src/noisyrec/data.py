@@ -8,7 +8,8 @@ nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,12 +224,24 @@ def load_dataset_triples(path, n_users: int | None = None,
             users.append(u)
             items.append(i)
             ratings.append(r)
+    return dataset_from_triples(users, items, ratings, n_users, n_items)
+
+
+def dataset_from_triples(users, items, ratings, n_users: int | None = None,
+                         n_items: int | None = None) -> RatingDataset:
+    """Dense dataset from parallel lists of checked triples; the universe
+    size defaults to max index + 1. A repeated (user, item) pair is rejected,
+    since keeping either rating would drop the other silently."""
     if not users:
-        raise ValidationError("empty dataset file")
+        raise ValidationError("no triples")
     n_users = n_users if n_users is not None else max(users) + 1
     n_items = n_items if n_items is not None else max(items) + 1
     mask = np.zeros((n_users, n_items), dtype=np.int8)
     obs = np.zeros((n_users, n_items), dtype=np.int8)
     mask[users, items] = 1
+    if int(mask.sum()) != len(users):
+        counts = Counter(zip(users, items))
+        u, i = next(pair for pair, c in counts.items() if c > 1)
+        raise ValidationError(f"duplicate pair (user {u}, item {i})")
     obs[users, items] = ratings
     return RatingDataset(n_users, n_items, mask, obs)

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import _kernels
 from .data import (
-    DEFAULT_PROPENSITY_FLOOR,
     ErrorParams,
     ImputationMatrix,
     PredictionMatrix,
@@ -56,11 +55,6 @@ def _require(inputs: EstimatorInputs, *, p_hat=False, e_bar=False, rho=False):
         raise ValidationError("imputed errors required")
     if rho and inputs.rho_hat is None:
         raise ValidationError("error-rate estimates required")
-
-
-def _clip_propensities(p: PropensityMatrix) -> np.ndarray:
-    # clip at the matrix's configured floor rather than reject
-    return np.clip(p.p_hat, p.floor, 1.0)
 
 
 def _observed_loss(inputs: EstimatorInputs) -> np.ndarray:
@@ -102,7 +96,7 @@ def estimate_ips(inputs: EstimatorInputs) -> float:
     """Observed losses inversely weighted by the learned propensities."""
     _require(inputs, p_hat=True)
     o = inputs.dataset.observed_mask.astype(np.float64)
-    p = _clip_propensities(inputs.p_hat)
+    p = inputs.p_hat.p_hat
     e = _observed_loss(inputs)
     return float(np.mean(o * e / p))
 
@@ -111,7 +105,7 @@ def estimate_dr(inputs: EstimatorInputs) -> float:
     """Doubly robust combination of imputed errors and propensity weights."""
     _require(inputs, p_hat=True, e_bar=True)
     o = inputs.dataset.observed_mask.astype(np.float64)
-    p = _clip_propensities(inputs.p_hat)
+    p = inputs.p_hat.p_hat
     e = _observed_loss(inputs)
     e_hat = inputs.e_bar.e_bar
     # same association as the noise-corrected variant so that the rho=(0,0)
@@ -142,7 +136,7 @@ def estimate_ome_ips(inputs: EstimatorInputs) -> float:
     """Propensity-weighted surrogate losses on the observed cells."""
     _require(inputs, p_hat=True, rho=True)
     pos, neg, _ = _surrogate_terms(inputs)
-    p = _clip_propensities(inputs.p_hat)
+    p = inputs.p_hat.p_hat
     contrib = pos / p + neg / p
     return float(np.mean(contrib))
 
@@ -151,7 +145,7 @@ def estimate_ome_dr(inputs: EstimatorInputs) -> float:
     """Doubly robust estimator on the surrogate loss."""
     _require(inputs, p_hat=True, e_bar=True, rho=True)
     pos, neg, o = _surrogate_terms(inputs)
-    p = _clip_propensities(inputs.p_hat)
+    p = inputs.p_hat.p_hat
     contrib = (1.0 - o / p) * inputs.e_bar.e_bar + pos / p + neg / p
     return float(np.mean(contrib))
 
@@ -185,8 +179,8 @@ def bias_ome_dr_oracle(
     """
     r_star = np.asarray(true_ratings, dtype=np.float64)
     l1, l0 = loss_curves(loss, predictions.r_hat)
-    p = _clip_propensities(p_true)
-    ph = _clip_propensities(p_hat)
+    p = p_true.p_hat
+    ph = p_hat.p_hat
     denom_hat = rho_hat.denom
     w11 = (1.0 - rho_true.rho01 - rho_hat.rho10) / denom_hat
     w01 = (rho_true.rho01 - rho_hat.rho01) / denom_hat
@@ -230,8 +224,8 @@ def monte_carlo_ome_dr(
     return _kernels.mc_dr_estimates(
         n_reps,
         seed,
-        _clip_propensities(p_true).ravel(),
-        _clip_propensities(p_hat).ravel(),
+        p_true.p_hat.ravel(),
+        p_hat.p_hat.ravel(),
         e_bar.e_bar.ravel().astype(np.float64),
         s1.ravel(),
         s0.ravel(),

@@ -9,7 +9,7 @@ verifiable; Adam is offered as a config variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class SgdConfig:
     optimizer: str = "sgd"  # "sgd" or "adam"
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
+        # negated so that NaN, which fails every comparison, is rejected
+        if not (self.learning_rate >= 0 and self.weight_decay >= 0):
             raise ValidationError("learning rate / weight decay must be >= 0")
         if self.batch_size < 0 or self.max_epochs < 0:
             raise ValidationError("batch size / epochs must be >= 0")
@@ -166,11 +167,6 @@ class PropensityModel:
             np.clip(self.predict_all(), floor, 1.0 - 1e-6), floor)
 
 
-def predict_all(model):
-    """Dense per-pair outputs of any model."""
-    return model.predict_all()
-
-
 # ---------------------------------------------------------------------------
 # Optimizers
 # ---------------------------------------------------------------------------
@@ -212,13 +208,26 @@ class Optimizer:
         return updates
 
 
-def _apply_factor_step(model: FactorModel, grads, g_b0, config, opt: Optimizer):
-    """One optimizer step; L2 decay applies to embeddings only, not biases."""
+def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
+                    opt: Optimizer, error: str) -> None:
+    """One optimizer step on a batch whose objective has d/d(score) = coef
+    per example; L2 decay applies to embeddings only, not biases.
+
+    Raises TrainingDivergence(error) on a non-finite coef, and
+    TrainingDivergence when the step leaves the global bias non-finite.
+    """
+    if not np.all(np.isfinite(coef)):
+        raise TrainingDivergence(error)
+    g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
+        u_idx, i_idx, model.user_emb, model.item_emb, coef)
     wd = config.weight_decay
     if wd > 0.0:
-        grads["user_emb"] = grads["user_emb"] + wd * model.user_emb
-        grads["item_emb"] = grads["item_emb"] + wd * model.item_emb
-    scalar = opt.step(model.params(), grads, {"global_bias": g_b0})
+        g_ue = g_ue + wd * model.user_emb
+        g_ie = g_ie + wd * model.item_emb
+    scalar = opt.step(model.params(),
+                      {"user_emb": g_ue, "item_emb": g_ie,
+                       "user_bias": g_ub, "item_bias": g_ib},
+                      {"global_bias": g_b0})
     model.global_bias += scalar.get("global_bias", 0.0)
     if not np.isfinite(model.global_bias):
         raise TrainingDivergence("non-finite global bias after update")
@@ -260,8 +269,7 @@ def surrogate_grad_coefs(model: FactorModel, u_idx, i_idx, o, r, p_hat,
                          rho: ErrorParams, loss: LossKind):
     """d(objective)/d(score) per batch example (imputed term carries no
     prediction-model gradient)."""
-    s = model.scores(u_idx, i_idx)
-    f = np.clip(sigmoid(s), EPS_OUT, 1.0 - EPS_OUT)
+    f = model.forward(u_idx, i_idx)
     _, dval = _surrogate_coefs(f, r, loss, rho)
     return (o / p_hat) * dval * f * (1.0 - f) / u_idx.shape[0]
 
@@ -271,13 +279,8 @@ def sgd_step_surrogate(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
                        opt: Optimizer) -> FactorModel:
     """One gradient step on the mini-batch corrected-DR objective."""
     coef = surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho, loss)
-    if not np.all(np.isfinite(coef)):
-        raise TrainingDivergence("non-finite gradient in prediction step")
-    g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
-        u_idx, i_idx, model.user_emb, model.item_emb, coef)
-    grads = {"user_emb": g_ue, "item_emb": g_ie,
-             "user_bias": g_ub, "item_bias": g_ib}
-    _apply_factor_step(model, grads, g_b0, config, opt)
+    factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
+                    "non-finite gradient in prediction step")
     return model
 
 
@@ -302,13 +305,8 @@ def sgd_step_imputation(model: FactorModel, u_idx, i_idx, o, r, p_hat, pred,
     target, _ = _surrogate_coefs(pred, r, loss, rho)
     e_bar = model.scores(u_idx, i_idx)
     coef = -2.0 * o * (target - e_bar) / p_hat / u_idx.shape[0]
-    if not np.all(np.isfinite(coef)):
-        raise TrainingDivergence("non-finite gradient in imputation step")
-    g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
-        u_idx, i_idx, model.user_emb, model.item_emb, coef)
-    grads = {"user_emb": g_ue, "item_emb": g_ie,
-             "user_bias": g_ub, "item_bias": g_ib}
-    _apply_factor_step(model, grads, g_b0, config, opt)
+    factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
+                    "non-finite gradient in imputation step")
     return model
 
 

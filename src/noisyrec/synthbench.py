@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,7 @@ from .data import (
     ValidationError,
     make_rng,
 )
-from .models import FactorModel, Optimizer, SgdConfig, TrainingDivergence
-from . import _kernels
+from .models import FactorModel, Optimizer, SgdConfig, factor_sgd_step
 
 GAMMA_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 PRED_KINDS = ("ROTATE", "SKEW", "CRS", "ONE", "THREE", "FIVE")
@@ -137,19 +136,8 @@ def complete_ratings_mf(triples, n_users, n_items, d, config: SgdConfig
             u, i = u_all[idx], i_all[idx]
             pred = model.scores(u, i)
             coef = 2.0 * (pred - y_all[idx]) / idx.shape[0]
-            if not np.all(np.isfinite(coef)):
-                raise TrainingDivergence(
-                    f"rating completion diverged at epoch {epoch}")
-            g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
-                u, i, model.user_emb, model.item_emb, coef)
-            if config.weight_decay > 0.0:
-                g_ue = g_ue + config.weight_decay * model.user_emb
-                g_ie = g_ie + config.weight_decay * model.item_emb
-            scalar = opt.step(model.params(),
-                              {"user_emb": g_ue, "item_emb": g_ie,
-                               "user_bias": g_ub, "item_bias": g_ib},
-                              {"global_bias": g_b0})
-            model.global_bias += scalar.get("global_bias", 0.0)
+            factor_sgd_step(model, u, i, coef, config, opt,
+                            f"rating completion diverged at epoch {epoch}")
     return model.predict_all()
 
 
@@ -292,17 +280,11 @@ _MATRIX_FILES = {
 def save_instance(out_dir, inst: BenchmarkInstance) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        "gamma": inst.gamma,
-        "prediction": inst.prediction.r_hat,
-        "p_true": inst.p_true,
-        "p_hat": inst.p_hat,
-        "observed_mask": inst.observed_mask,
-        "true_ratings": inst.true_ratings,
-        "observed_ratings": inst.observed_ratings,
-    }
     for key, fname in _MATRIX_FILES.items():
-        np.savetxt(out / fname, arrays[key], fmt="%.17g", delimiter=",")
+        arr = getattr(inst, key)
+        if key == "prediction":
+            arr = arr.r_hat
+        np.savetxt(out / fname, arr, fmt="%.17g", delimiter=",")
     manifest = inst.spec.manifest()
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

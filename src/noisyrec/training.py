@@ -12,25 +12,22 @@ import numpy as np
 
 from .data import (
     ErrorParams,
-    PropensityMatrix,
     RatingDataset,
     ValidationError,
     make_rng,
 )
-from .losses import LossKind, loss_curves
+from .losses import LossKind
 from .models import (
     FactorModel,
     Optimizer,
     SgdConfig,
-    TrainingDivergence,
+    factor_sgd_step,
     new_imputation_model,
     sgd_step_imputation,
     sgd_step_surrogate,
-    sigmoid,
     surrogate_objective,
 )
 from .noise import NoisyRateModel, clamp_error_params
-from . import _kernels
 
 PRETRAIN_METHODS = ("naive", "ips", "dr")
 TRAIN_METHODS = PRETRAIN_METHODS + ("eib",)
@@ -45,13 +42,9 @@ class AltTrainConfig:
     k_extreme: int = 1
     embedding_dim: int = 8
     pretrain_method: str = "ips"
-    refresh_noisy_model: bool = False  # h stays frozen by default
     loss: LossKind = field(default_factory=LossKind.squared)
     sgd_prediction: SgdConfig = field(default_factory=SgdConfig)
     sgd_imputation: SgdConfig = field(default_factory=SgdConfig)
-    sgd_propensity: SgdConfig = field(
-        default_factory=lambda: SgdConfig(learning_rate=0.5, batch_size=0,
-                                          weight_decay=0.0, max_epochs=100))
     sgd_pretrain: SgdConfig = field(default_factory=SgdConfig)
 
     def __post_init__(self):
@@ -98,12 +91,10 @@ class TrainTrace:
 # Pretraining the noisy-rate model
 # ---------------------------------------------------------------------------
 
-def _xent_grads(pred, target):
-    """Value and d/dpred of -t log f - (1-t) log(1-f) with soft targets."""
+def _xent_grad(pred, target):
+    """d/dpred of -t log f - (1-t) log(1-f) with soft targets."""
     f = np.clip(pred, 1e-9, 1.0 - 1e-9)
-    val = -target * np.log(f) - (1.0 - target) * np.log(1.0 - f)
-    grad = -target / f + (1.0 - target) / (1.0 - f)
-    return val, grad
+    return -target / f + (1.0 - target) / (1.0 - f)
 
 
 def train_noisy_factor_model(dataset: RatingDataset, method: str,
@@ -144,33 +135,23 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
             u, i = u_grid[idx], i_grid[idx]
             ob, rb = o_flat[idx], r_flat[idx]
             f = model.forward(u, i)
-            _, g_obs = _xent_grads(f, rb)
+            g_obs = _xent_grad(f, rb)
             if method == "naive":
                 weight = ob * n_pairs / n_obs
                 dldf = weight * g_obs
             elif method == "ips":
                 dldf = ob / p_flat[idx] * g_obs
             elif method == "eib":
-                _, g_imp = _xent_grads(f, r_bar)
+                g_imp = _xent_grad(f, r_bar)
                 dldf = ob * g_obs + (1.0 - ob) * g_imp
             else:  # dr with constant-rate imputation target
-                _, g_imp = _xent_grads(f, r_bar)
+                g_imp = _xent_grad(f, r_bar)
                 w = ob / p_flat[idx]
                 dldf = g_imp + w * (g_obs - g_imp)
             coef = dldf * f * (1.0 - f) / idx.shape[0]
-            if not np.all(np.isfinite(coef)):
-                raise TrainingDivergence(
-                    f"noisy-rate pretraining diverged at epoch {epoch}")
-            g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
-                u, i, model.user_emb, model.item_emb, coef)
-            if config.weight_decay > 0.0:
-                g_ue = g_ue + config.weight_decay * model.user_emb
-                g_ie = g_ie + config.weight_decay * model.item_emb
-            scalar = opt.step(model.params(),
-                              {"user_emb": g_ue, "item_emb": g_ie,
-                               "user_bias": g_ub, "item_bias": g_ib},
-                              {"global_bias": g_b0})
-            model.global_bias += scalar.get("global_bias", 0.0)
+            factor_sgd_step(
+                model, u, i, coef, config, opt,
+                f"noisy-rate pretraining diverged at epoch {epoch}")
     return model
 
 
@@ -206,26 +187,21 @@ def _stable_extremes(values: np.ndarray, k: int):
     return lo, hi
 
 
-def _refresh_rho(q: np.ndarray, lo_pair, hi_pair, k_extreme,
+def _refresh_rho(q: np.ndarray, k_extreme,
                  predictions: np.ndarray) -> tuple[ErrorParams, bool]:
     """Re-estimate the flip rates from the noisy-rate model at the current
-    extreme pairs of the prediction model. For k > 1 the k most extreme
-    prediction cells are used and the noisy-rate values there averaged."""
+    extreme cells of the prediction model: the row-major-first argmin and
+    argmax for k = 1, else the mean over the k most extreme cells."""
+    flat = predictions.ravel()
+    q_flat = q.ravel()
     if k_extreme == 1:
-        rho01 = 1.0 - float(q[hi_pair])
-        rho10 = float(q[lo_pair])
+        rho10 = float(q_flat[np.argmin(flat)])
+        rho01 = 1.0 - float(q_flat[np.argmax(flat)])
     else:
-        lo, hi = _stable_extremes(predictions.ravel(), k_extreme)
-        q_flat = q.ravel()
+        lo, hi = _stable_extremes(flat, k_extreme)
         rho10 = float(np.mean(q_flat[lo]))
         rho01 = 1.0 - float(np.mean(q_flat[hi]))
     return clamp_error_params(rho01, rho10)
-
-
-def _extreme_pairs_full(predictions: np.ndarray):
-    lo = np.unravel_index(int(np.argmin(predictions)), predictions.shape)
-    hi = np.unravel_index(int(np.argmax(predictions)), predictions.shape)
-    return lo, hi
 
 
 def alternating_denoise_train(
@@ -277,7 +253,6 @@ def alternating_denoise_train(
 
     for loop in range(config.outer_loops):
         # prediction phase
-        lo_pair = hi_pair = (0, 0)
         for _ in range(config.steps_prediction):
             idx = rng.choice(n_pairs, size=batch_p, replace=False)
             u, i = u_grid[idx], i_grid[idx]
@@ -286,11 +261,9 @@ def alternating_denoise_train(
                                p_flat[idx], e_bar_b, rho, config.loss,
                                config.sgd_prediction, pred_opt)
         dense_pred = pred_model.predict_all()
-        lo_pair, hi_pair = _extreme_pairs_full(dense_pred)
 
         # imputation phase: refresh rho first, then step the imputation model
-        rho, clamped = _refresh_rho(q, lo_pair, hi_pair, config.k_extreme,
-                                    dense_pred)
+        rho, clamped = _refresh_rho(q, config.k_extreme, dense_pred)
         for _ in range(config.steps_imputation):
             idx = obs_idx[rng.choice(obs_idx.size, size=batch_i,
                                      replace=False)]

@@ -191,6 +191,14 @@ class TestTrain:
         assert code == 0
         assert (out / "eval.csv").exists()
 
+    @pytest.mark.parametrize("key", ["learning_rate", "weight_decay"])
+    def test_nan_sgd_option_exit_2(self, instance_dir, tmp_path, key):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"sgd.{key} = nan\n")
+        code = main(["train", "--data", str(instance_dir), "--method", "naive",
+                     "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+
 
 class TestIngest:
     def test_binarization_threshold(self, tmp_path):
@@ -219,6 +227,15 @@ class TestIngest:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_duplicate_pair_exit_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("0 0 5\n0 0 1\n1 1 4\n")
+        out = tmp_path / "o.tsv"
+        assert main(["ingest", "--triples", str(raw), "--threshold", "3",
+                     "--out", str(out)]) == 2
+        assert "duplicate pair (user 0, item 0)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_report(self, tmp_path):
@@ -242,3 +259,12 @@ class TestSweep:
         main(["sweep", "--spec", str(spec), "--n-seeds", "3",
               "--propensities", "true", "--jobs", "2", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_unknown_estimator_row_matches_estimate(self, tmp_path):
+        spec = write_spec(tmp_path / "spec.cfg")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--spec", str(spec), "--n-seeds", "1",
+                     "--estimators", "naive,snips", "--out", str(out)]) == 0
+        _, _, rows = read_report(out)
+        assert rows[1] == ["0", "snips", "error", "",
+                           "unknown estimator 'snips'"]

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +12,7 @@ from noisyrec.data import (
     PropensityMatrix,
     RatingDataset,
     ValidationError,
+    dataset_from_triples,
     load_dataset_triples,
     make_rng,
     save_dataset_triples,
@@ -128,3 +132,51 @@ class TestTriplesFormat:
         path.write_text("0\t0\t5\n")
         with pytest.raises(ValidationError, match="0 or 1"):
             load_dataset_triples(path)
+
+    def test_duplicate_pair_rejected(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("1\t1\t1\n0\t0\t1\n0\t0\t0\n")
+        with pytest.raises(ValidationError,
+                           match=r"duplicate pair \(user 0, item 0\)"):
+            load_dataset_triples(path)
+
+    def test_dataset_from_triples_sizes_universe(self):
+        d = dataset_from_triples([0, 2], [1, 0], [1, 0])
+        assert d.shape == (3, 2)
+        assert np.array_equal(d.observed_mask, [[0, 1], [0, 0], [1, 0]])
+        assert np.array_equal(d.observed_ratings, [[0, 1], [0, 0], [0, 0]])
+        assert dataset_from_triples([0], [0], [1], 2, 4).shape == (2, 4)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "noisyrec"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements and never read as a name."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items()
+                  if name not in read)
+
+
+class TestImports:
+    def test_checker_flags_unused_and_keeps_used(self):
+        source = ("from __future__ import annotations\n"
+                  "import os.path\nimport numpy as np\n"
+                  "from a import b, c as d\nnp.zeros(d)\n")
+        assert unused_imports(source) == ["line 2: os", "line 4: b"]
+
+    @pytest.mark.parametrize(
+        "path", sorted(p.name for p in SRC.glob("*.py")
+                       if p.name != "__init__.py"))
+    def test_no_unused_imports(self, path):
+        # __init__.py is skipped: its imports are the package's re-exports
+        assert unused_imports((SRC / path).read_text()) == []

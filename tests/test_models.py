@@ -267,8 +267,10 @@ class TestPropensityTraining:
     @pytest.mark.parametrize("batch_size", [0, 7])
     def test_nan_learning_rate_diverges_at_epoch_0(self, batch_size):
         d = RatingDataset(4, 5, np.eye(4, 5), np.zeros((4, 5)))
-        cfg = SgdConfig(learning_rate=float("nan"), batch_size=batch_size,
-                        max_epochs=3)
+        cfg = SgdConfig(batch_size=batch_size, max_epochs=3)
+        # the constructor rejects NaN; set it afterwards to reach the
+        # divergence check
+        cfg.learning_rate = float("nan")
         with pytest.raises(TrainingDivergence,
                            match="^propensity training diverged at epoch 0$"):
             train_propensity(d, cfg)
@@ -365,6 +367,11 @@ class TestSgdConfig:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValidationError):
             SgdConfig(learning_rate=-0.1)
+
+    @pytest.mark.parametrize("key", ["learning_rate", "weight_decay"])
+    def test_rejects_nan(self, key):
+        with pytest.raises(ValidationError):
+            SgdConfig(**{key: float("nan")})
 
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from noisyrec.data import ErrorParams, ValidationError, make_rng
-from noisyrec.models import SgdConfig
+from noisyrec.models import SgdConfig, TrainingDivergence
 from noisyrec.synthbench import (
     GAMMA_LEVELS,
     BenchmarkSpec,
@@ -75,6 +75,14 @@ class TestCompleteRatings:
         scores = complete_ratings_mf(triples, 8, 6, d=2, config=cfg)
         rmse = float(np.sqrt(np.mean((scores - target) ** 2)))
         assert rmse <= 0.05
+
+    def test_overflowing_step_diverges(self):
+        # one full-batch step at lr 1e308 sends the global bias to +inf
+        cfg = SgdConfig(learning_rate=1e308, batch_size=0, weight_decay=0.0,
+                        max_epochs=1, seed=0)
+        triples = [(0, 0, 4.0), (0, 1, 5.0), (1, 0, 3.0)]
+        with pytest.raises(TrainingDivergence), np.errstate(over="ignore"):
+            complete_ratings_mf(triples, 2, 2, d=2, config=cfg)
 
     def test_zero_epochs_near_zero_scores(self):
         cfg = SgdConfig(max_epochs=0, seed=0)

@@ -3,7 +3,13 @@ import csv
 import numpy as np
 import pytest
 
-from noisyrec.data import ErrorParams, RatingDataset, ValidationError, make_rng
+from noisyrec.data import (
+    ErrorParams,
+    PredictionMatrix,
+    RatingDataset,
+    ValidationError,
+    make_rng,
+)
 from noisyrec.losses import LossKind
 from noisyrec.metrics import auc
 from noisyrec.models import (
@@ -24,7 +30,7 @@ from noisyrec.training import (
     pretrain_noisy_model,
     train_noisy_factor_model,
 )
-from noisyrec.noise import clamp_error_params
+from noisyrec.noise import clamp_error_params, find_extreme_pairs
 
 
 def additive_truth(seed, n=80, m=80, scale=1.0):
@@ -293,8 +299,18 @@ class TestExtremeSelection:
             # the boundary value at both ends is shared with unselected cells
             srt = np.sort(pred.ravel())
             assert srt[k - 1] == srt[k] and srt[-k] == srt[-k - 1]
-        got = _refresh_rho(q, None, None, k, pred)
+        got = _refresh_rho(q, k, pred)
         assert got == refresh_rho_reference(q, k, pred)
+
+    def test_refresh_rho_k1_takes_row_major_first_ties(self):
+        q = make_rng(33).uniform(0.05, 0.45, size=(4, 5))
+        pred = np.full((4, 5), 0.5)
+        pred[1, 3] = pred[2, 0] = 0.1  # tied minimum
+        pred[0, 4] = pred[3, 2] = 0.9  # tied maximum
+        lo, hi = find_extreme_pairs(PredictionMatrix(pred))
+        assert (lo, hi) == ((1, 3), (0, 4))
+        got = _refresh_rho(q, 1, pred)
+        assert got == clamp_error_params(1.0 - q[0, 4], q[1, 3])
 
     @pytest.mark.parametrize("case", ["ties", "all_equal", "k_1", "k_half"])
     def test_selection_equals_stable_argsort(self, case):
