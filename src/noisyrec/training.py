@@ -78,13 +78,14 @@ class TrainTrace:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["loop", "rho01_hat", "rho10_hat", "objective", "val_metric"])
+            writer.writerow(["loop", "rho01_hat", "rho10_hat", "objective",
+                             "val_metric", "rho_clamped"])
             for r in self.records:
                 writer.writerow([r.loop, f"{r.rho01_hat:.10g}",
                                  f"{r.rho10_hat:.10g}",
                                  f"{r.objective:.10g}",
-                                 f"{r.val_metric:.10g}"])
+                                 f"{r.val_metric:.10g}",
+                                 int(r.rho_clamped)])
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,17 @@ class TestSynth:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_nan_score_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("0.1,nan,0.3\n0.4,0.5,0.6\n")
+        spec = write_spec(tmp_path / "spec.cfg", n_users=2, n_items=3,
+                          scores=scores)
+        out = tmp_path / "x"
+        code = main(["synth", "--spec", str(spec), "--out", str(out)])
+        assert code == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def instance_dir(tmp_path):
@@ -171,8 +182,9 @@ class TestTrain:
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["loop", "rho01_hat", "rho10_hat", "objective",
-                           "val_metric"]
+                           "val_metric", "rho_clamped"]
         assert len(rows) == 4
+        assert all(row[5] in ("0", "1") for row in rows[1:])
 
     def test_train_from_triples_file(self, tmp_path):
         rng = np.random.default_rng(0)

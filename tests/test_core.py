@@ -1,9 +1,10 @@
 import ast
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from noisyrec.data import (
     EPS_RHO,
@@ -139,6 +140,32 @@ class TestTriplesFormat:
         with pytest.raises(ValidationError,
                            match=r"duplicate pair \(user 0, item 0\)"):
             load_dataset_triples(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_triples_roundtrip_property(self, data):
+        n = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(1, 8))
+        cells = data.draw(st.lists(st.integers(0, n * m - 1), min_size=1,
+                                   unique=True))
+        ratings = data.draw(st.lists(st.integers(0, 1), min_size=len(cells),
+                                     max_size=len(cells)))
+        users = [c // m for c in cells]
+        items = [c % m for c in cells]
+        mask = np.zeros((n, m), dtype=np.int8)
+        obs = np.zeros((n, m), dtype=np.int8)
+        mask[users, items] = 1
+        obs[users, items] = ratings
+        built = dataset_from_triples(users, items, ratings, n, m)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.tsv"
+            path.write_text("".join(f"{u}\t{i}\t{r}\n"
+                                    for u, i, r in zip(users, items, ratings)))
+            loaded = load_dataset_triples(path, n_users=n, n_items=m)
+        for d in (built, loaded):
+            assert d.shape == (n, m)
+            assert np.array_equal(d.observed_mask, mask)
+            assert np.array_equal(d.observed_ratings, obs)
 
     def test_dataset_from_triples_sizes_universe(self):
         d = dataset_from_triples([0, 2], [1, 0], [1, 0])

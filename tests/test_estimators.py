@@ -1,7 +1,10 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisyrec.data import (
+    DEFAULT_PROPENSITY_FLOOR,
     ErrorParams,
     ImputationMatrix,
     PredictionMatrix,
@@ -186,6 +189,30 @@ class TestDegenerations:
         e_obs = np.where(d.observed_ratings == 1,
                          (pred.r_hat - 1.0) ** 2, pred.r_hat ** 2)
         inputs = make_inputs(d, pred, p=p, e_bar=e_obs, rho=rho0)
+        assert estimate_ome_eib(inputs) == estimate_eib(inputs)
+        assert estimate_ome_ips(inputs) == estimate_ips(inputs)
+        assert estimate_ome_dr(inputs) == estimate_dr(inputs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_noiseless_ome_family_matches_plain_family_property(self, data):
+        shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        mask = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1)))
+        labels = data.draw(hnp.arrays(np.int8, shape,
+                                      elements=st.integers(0, 1)))
+        pred = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            0.0, 1.0, exclude_min=True, exclude_max=True)))
+        p = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            DEFAULT_PROPENSITY_FLOOR, 1.0)))
+        e_bar = data.draw(hnp.arrays(np.float64, shape,
+                                     elements=st.floats(-1e3, 1e3)))
+        loss = data.draw(st.sampled_from(
+            [LossKind.squared(), LossKind.cross_entropy()]))
+        inputs = EstimatorInputs(
+            dataset=RatingDataset(shape[0], shape[1], mask, labels),
+            predictions=PredictionMatrix(pred), loss=loss,
+            p_hat=PropensityMatrix(p), e_bar=ImputationMatrix(e_bar),
+            rho_hat=ErrorParams(0.0, 0.0))
         assert estimate_ome_eib(inputs) == estimate_eib(inputs)
         assert estimate_ome_ips(inputs) == estimate_ips(inputs)
         assert estimate_ome_dr(inputs) == estimate_dr(inputs)

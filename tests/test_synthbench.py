@@ -23,6 +23,15 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             BenchmarkSpec(10, 10, 0.2, 0.1, gamma_proportions=(0.3,) * 5)
 
+    @pytest.mark.parametrize("props", [(0.25, 0.25, 0.25, 0.25),
+                                       (np.nan, 0.25, 0.25, 0.25, 0.25),
+                                       (0.5, -0.1, 0.2, 0.2, 0.2)])
+    def test_malformed_proportions_rejected(self, props):
+        with pytest.raises(ValidationError, match="gamma_proportions"):
+            BenchmarkSpec(10, 10, 0.2, 0.1, gamma_proportions=props)
+        with pytest.raises(ValidationError, match="gamma_proportions"):
+            build_gamma(props, make_rng(0).random((4, 4)))
+
     def test_alpha_range(self):
         with pytest.raises(ValidationError):
             BenchmarkSpec(10, 10, 0.2, 0.1, alpha=0.0)
@@ -61,6 +70,87 @@ class TestBuildGamma:
         perm = make_rng(3).permutation(10)
         gamma_p, _ = build_gamma((0.2,) * 5, scores[perm])
         assert np.array_equal(gamma_p, gamma[perm])
+
+    def test_nan_score_rejected(self):
+        scores = np.array([[0.1, np.nan, 0.3], [0.4, 0.5, 0.6]])
+        with pytest.raises(ValidationError, match="NaN"):
+            build_gamma((0.2,) * 5, scores)
+        spec = BenchmarkSpec(2, 3, 0.2, 0.1, seed=0)
+        with pytest.raises(ValidationError, match="NaN"):
+            sample_instance(spec, score_matrix=scores)
+
+    def test_infinite_scores_ordered(self):
+        gamma, five = build_gamma((0.2,) * 5,
+                                  [[np.inf, 0.0, -np.inf, 1.0, -1.0]])
+        assert np.array_equal(five, [[5, 3, 1, 4, 2]])
+        assert np.array_equal(gamma, [[0.9, 0.5, 0.1, 0.7, 0.3]])
+
+
+def _argsort_gamma(proportions, score_matrix):
+    """Reference: full stable argsort, then the levels in rank blocks."""
+    scores = np.asarray(score_matrix, dtype=np.float64)
+    flat = scores.ravel()
+    n = flat.size
+    order = np.argsort(flat, kind="stable")
+    bounds = np.round(np.cumsum(proportions) * n).astype(int)
+    level_idx = np.empty(n, dtype=np.int64)
+    start = 0
+    for lvl, stop in enumerate(bounds):
+        level_idx[order[start:stop]] = lvl
+        start = stop
+    level_idx[order[start:]] = len(GAMMA_LEVELS) - 1
+    gamma = np.asarray(GAMMA_LEVELS)[level_idx].reshape(scores.shape)
+    five_scale = (level_idx + 1).reshape(scores.shape)
+    return gamma, five_scale
+
+
+def _assert_same_levels(proportions, scores):
+    gamma, five = build_gamma(proportions, scores)
+    ref_gamma, ref_five = _argsort_gamma(proportions, scores)
+    for got, want in ((gamma, ref_gamma), (five, ref_five)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBuildGammaReference:
+    """build_gamma places each cut by partition; the argsort reference
+    ranks every cell. Both must give the same bytes, ties included."""
+
+    FIXED_PROPORTIONS = ((0.2,) * 5, (0, 0.5, 0, 0.5, 0), (1, 0, 0, 0, 0),
+                         (0, 0, 0, 0, 1), (0.5, 0, 0, 0, 0.5),
+                         (0.1, 0.2, 0.3, 0.25, 0.15))
+
+    @staticmethod
+    def _scores(rng, case, shape):
+        if case == 0:   # integers: heavy ties across every cut
+            return rng.integers(-3, 4, size=shape).astype(np.float64)
+        if case == 1:   # signed zeros tie with each other
+            return rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape)
+        if case == 2:
+            return rng.choice([-np.inf, np.inf, -0.0, 0.0, 2.5], size=shape)
+        if case == 3:
+            return rng.integers(0, 2, size=shape)
+        return rng.normal(size=shape)
+
+    def test_fuzz_equals_argsort(self):
+        rng = make_rng(11)
+        for t in range(1200):
+            n, m = rng.integers(1, 40, size=2)
+            shape = ((1, 1), (1, m), (n, 1), (n, m))[t % 4]
+            scores = self._scores(rng, t % 5, shape)
+            if t % 3 == 0:
+                props = self.FIXED_PROPORTIONS[
+                    rng.integers(len(self.FIXED_PROPORTIONS))]
+            else:
+                w = rng.random(5) * (rng.random(5) < 0.7)
+                props = tuple(w / w.sum()) if w.sum() > 0 else (0.2,) * 5
+            _assert_same_levels(props, scores)
+
+    def test_large_matrix_equals_argsort(self):
+        rng = make_rng(12)
+        scores = rng.normal(size=(2000, 2000))
+        scores[:50] = np.round(scores[:50], 1)  # tied values near each cut
+        _assert_same_levels((0.2,) * 5, scores)
 
 
 class TestCompleteRatings:

@@ -333,7 +333,9 @@ class TestTrace:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["loop", "rho01_hat", "rho10_hat", "objective",
-                           "val_metric"]
+                           "val_metric", "rho_clamped"]
         assert rows[1][0] == "0"
+        assert rows[1][5] == "0"
         assert float(rows[2][1]) == pytest.approx(0.19)
+        assert rows[2][5] == "1"
         assert len(rows) == 3
