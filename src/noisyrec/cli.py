@@ -159,6 +159,12 @@ def _default_imputation(inst, loss: LossKind) -> ImputationMatrix:
     return ImputationMatrix(r_bar * l1 + (1.0 - r_bar) * l0)
 
 
+def _as_given(p_arr, floor) -> PropensityMatrix:
+    """The propensities as they are: the floor is lowered to their smallest
+    entry, so nothing is clipped, and each entry must lie in (0, 1]."""
+    return PropensityMatrix(p_arr, floor=min(float(np.min(p_arr)), floor))
+
+
 def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
     if mode == "true":
         return inst.spec.rho
@@ -169,7 +175,8 @@ def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
         return ErrorParams(r01, r10)
     # estimated: pretrain a noisy-rate model and read off the extremes
     dataset = inst.to_dataset()
-    p_arr = inst.p_hat if inst.p_hat is not None else inst.p_true
+    p_arr = _as_given(inst.p_hat if inst.p_hat is not None else inst.p_true,
+                      inst.spec.propensity_floor).p_hat
     q = pretrain_noisy_model(
         dataset, "ips",
         SgdConfig(learning_rate=0.1, batch_size=8192, max_epochs=30,
@@ -180,23 +187,17 @@ def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
 
 
 def _estimator_rows(inst, propensities, rho_hat, names) -> list:
-    """One [name, value, target, relative_error] row per estimator name.
-
-    The propensity floor is lowered to the smallest given propensity, so the
-    chosen propensities are used as they are.
-    """
+    """One [name, value, target, relative_error] row per estimator name, with
+    the chosen propensities used as given."""
     loss = LossKind.squared()
     target = true_inaccuracy(inst.prediction, inst.true_ratings, loss)
     p_arr = inst.p_true if propensities == "true" else inst.p_hat
-    p_mat = None
-    if p_arr is not None:
-        floor = min(float(np.min(p_arr)), inst.spec.propensity_floor)
-        p_mat = PropensityMatrix(p_arr, floor=floor)
     inputs = EstimatorInputs(
         dataset=inst.to_dataset(),
         predictions=inst.prediction,
         loss=loss,
-        p_hat=p_mat,
+        p_hat=None if p_arr is None else _as_given(
+            p_arr, inst.spec.propensity_floor),
         e_bar=_default_imputation(inst, loss),
         rho_hat=rho_hat,
     )
@@ -292,14 +293,11 @@ def cmd_train(args) -> int:
             steps_prediction=int(cfg.get("steps_prediction", 10)),
             steps_imputation=int(cfg.get("steps_imputation", 10)),
             embedding_dim=int(cfg.get("embedding_dim", 8)),
-            pretrain_method=cfg.get("pretrain_method", "ips"),
             sgd_prediction=sgd,
             sgd_imputation=sgd,
-            sgd_pretrain=sgd,
         )
-        q = pretrain_noisy_model(dataset, alt_cfg.pretrain_method,
-                                 alt_cfg.sgd_pretrain,
-                                 d=alt_cfg.embedding_dim, p_hat=p_hat)
+        q = pretrain_noisy_model(dataset, cfg.get("pretrain_method", "ips"),
+                                 sgd, d=alt_cfg.embedding_dim, p_hat=p_hat)
         model, _, trace = alternating_denoise_train(dataset, p_hat, q, alt_cfg)
         trace.write_csv(out / "trace.csv")
     else:  # train_noisy_factor_model rejects an unknown method

@@ -59,7 +59,7 @@ class ErrorParams:
 
 @dataclass(frozen=True)
 class PropensityMatrix:
-    """Per-pair observation probabilities, floored at `floor`."""
+    """Per-pair observation probabilities in (0, 1], floored at `floor`."""
 
     p_hat: np.ndarray
     floor: float = DEFAULT_PROPENSITY_FLOOR
@@ -69,9 +69,12 @@ class PropensityMatrix:
         object.__setattr__(self, "p_hat", p)
         if p.ndim != 2:
             raise ValidationError("propensity matrix must be 2-D")
-        if np.any(p < self.floor) or np.any(p > 1.0):
+        # negated so that NaN, which makes min and max NaN, is rejected
+        lo, hi = (p.min(), p.max()) if p.size else (1.0, 1.0)
+        if not (lo > 0.0 and lo >= self.floor and hi <= 1.0):
             raise ValidationError(
-                f"propensities must lie in [{self.floor:g}, 1]"
+                f"propensities must lie in (0, 1] and not below the floor "
+                f"{self.floor:g}"
             )
 
     @classmethod

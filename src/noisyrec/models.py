@@ -36,7 +36,6 @@ class SgdConfig:
     batch_size: int = 4096
     weight_decay: float = 1e-5
     max_epochs: int = 50
-    patience: int = 5
     seed: int = 0
     optimizer: str = "sgd"  # "sgd" or "adam"
 
@@ -127,40 +126,27 @@ def new_imputation_model(n_users, n_items, d, rng, init_scale=0.01):
 
 @dataclass
 class PropensityModel:
-    """One-hot logistic regression: sigma(w_u + w_i + beta_u + gamma_i).
+    """One-hot logistic regression: sigma(a_u + b_i), with one logit a_u per
+    user and one logit b_i per item."""
 
-    The per-user weight and per-user intercept carry identical gradients;
-    both are kept to mirror the weight-vector-plus-intercepts parameterization.
-    """
-
-    w_user: np.ndarray
-    w_item: np.ndarray
-    beta_user: np.ndarray
-    gamma_item: np.ndarray
+    user_logit: np.ndarray
+    item_logit: np.ndarray
 
     @classmethod
     def init(cls, n_users, n_items):
-        return cls(np.zeros(n_users), np.zeros(n_items),
-                   np.zeros(n_users), np.zeros(n_items))
+        return cls(np.zeros(n_users), np.zeros(n_items))
 
     def copy(self):
-        return PropensityModel(self.w_user.copy(), self.w_item.copy(),
-                               self.beta_user.copy(), self.gamma_item.copy())
+        return PropensityModel(self.user_logit.copy(), self.item_logit.copy())
 
     def scores(self, u_idx, i_idx):
-        return (self.w_user[u_idx] + self.beta_user[u_idx]
-                + self.w_item[i_idx] + self.gamma_item[i_idx])
+        return self.user_logit[u_idx] + self.item_logit[i_idx]
 
     def predict_all(self):
-        s = ((self.w_user + self.beta_user)[:, None]
-             + (self.w_item + self.gamma_item)[None, :])
-        return sigmoid(s)
+        return sigmoid(self.user_logit[:, None] + self.item_logit[None, :])
 
     def params(self):
-        return {
-            "w_user": self.w_user, "w_item": self.w_item,
-            "beta_user": self.beta_user, "gamma_item": self.gamma_item,
-        }
+        return {"user_logit": self.user_logit, "item_logit": self.item_logit}
 
     def export(self, floor=DEFAULT_PROPENSITY_FLOOR) -> PropensityMatrix:
         return PropensityMatrix(
@@ -172,17 +158,19 @@ class PropensityModel:
 # ---------------------------------------------------------------------------
 
 class Optimizer:
-    """SGD or Adam over a named-parameter dict; scalars handled separately."""
+    """SGD or Adam over a named-parameter dict; scalars handled separately.
+    Steps use lr_scale * config.learning_rate."""
 
-    def __init__(self, config: SgdConfig):
+    def __init__(self, config: SgdConfig, lr_scale: float = 1.0):
         self.config = config
+        self.lr = lr_scale * config.learning_rate
         self._m = {}
         self._v = {}
         self._t = 0
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
 
     def step(self, params: dict, grads: dict, scalar_grads: dict | None = None):
-        lr = self.config.learning_rate
+        lr = self.lr
         if self.config.optimizer == "sgd":
             for name, g in grads.items():
                 params[name] -= lr * g
@@ -321,14 +309,13 @@ def _propensity_objective_finite(model: PropensityModel) -> bool:
     """O(n + m) test equal to np.isfinite(propensity_objective(model, o)).
 
     The clipped objective is non-finite exactly when some score a_u + b_i is
-    NaN, where a = w_user + beta_user and b = w_item + gamma_item: when a or
-    b holds a NaN, or one holds +inf and the other -inf. A NaN in either
-    makes both of its extremes NaN; max(a) + min(b) is NaN for a +inf/-inf
-    pair and min(a) + max(b) for a -inf/+inf pair. The mean over an empty
-    universe is NaN too.
+    NaN, where a = user_logit and b = item_logit: when a or b holds a NaN, or
+    one holds +inf and the other -inf. A NaN in either makes both of its
+    extremes NaN; max(a) + min(b) is NaN for a +inf/-inf pair and
+    min(a) + max(b) for a -inf/+inf pair. The mean over an empty universe is
+    NaN too.
     """
-    a = model.w_user + model.beta_user
-    b = model.w_item + model.gamma_item
+    a, b = model.user_logit, model.item_logit
     if a.size == 0 or b.size == 0:
         return False
     return not (np.isnan(a.max() + b.min()) or np.isnan(a.min() + b.max()))
@@ -339,6 +326,14 @@ def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityMod
 
     batch_size = 0 or >= the universe size selects full-batch mode, in which
     the loss is non-increasing per epoch for moderate learning rates.
+
+    Each logit steps at twice config.learning_rate, so that a rate means
+    what it means for the weight-plus-intercept form
+    sigma(w_u + beta_u + w_i + gamma_i) of Schnabel et al. (2016): there w_u
+    and beta_u share one gradient and each takes a step, which moves
+    a_u = w_u + beta_u twice as far. Doubling is exact in floating point, so
+    the two forms give the same full-batch p_hat bit for bit, under sgd and
+    adam alike.
     """
     n, m = dataset.shape
     model = PropensityModel.init(n, m)
@@ -346,31 +341,22 @@ def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityMod
     n_pairs = n * m
     full_batch = config.batch_size == 0 or config.batch_size >= n_pairs
     rng = make_rng(config.seed)
-    opt = Optimizer(config)
-    u_grid, i_grid = np.divmod(np.arange(n_pairs), m)
+    opt = Optimizer(config, lr_scale=2.0)
     for epoch in range(config.max_epochs):
         if full_batch:
-            p = model.predict_all()
-            coef = (p - o_full) / n_pairs
-            g_u = coef.sum(axis=1)
-            g_i = coef.sum(axis=0)
-            opt.step(model.params(),
-                     {"w_user": g_u, "beta_user": g_u,
-                      "w_item": g_i, "gamma_item": g_i})
+            coef = (model.predict_all() - o_full) / n_pairs
+            opt.step(model.params(), {"user_logit": coef.sum(axis=1),
+                                      "item_logit": coef.sum(axis=0)})
         else:
             order = rng.permutation(n_pairs)
             for start in range(0, n_pairs, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                u, i = u_grid[idx], i_grid[idx]
+                u, i = np.divmod(idx, m)
                 p = sigmoid(model.scores(u, i))
                 coef = (p - o_full[u, i]) / idx.shape[0]
-                g_u = np.zeros(n)
-                g_i = np.zeros(m)
-                np.add.at(g_u, u, coef)
-                np.add.at(g_i, i, coef)
                 opt.step(model.params(),
-                         {"w_user": g_u, "beta_user": g_u,
-                          "w_item": g_i, "gamma_item": g_i})
+                         {"user_logit": np.bincount(u, coef, minlength=n),
+                          "item_logit": np.bincount(i, coef, minlength=m)})
         if not _propensity_objective_finite(model):
             raise TrainingDivergence(
                 f"propensity training diverged at epoch {epoch}")
@@ -381,7 +367,7 @@ def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityMod
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_model(path, model) -> None:
@@ -408,6 +394,5 @@ def load_model(path):
                 data["user_bias"], data["item_bias"],
                 float(data["global_bias"]), bool(int(data["linear_output"])))
         if kind == "propensity":
-            return PropensityModel(data["w_user"], data["w_item"],
-                                   data["beta_user"], data["gamma_item"])
+            return PropensityModel(data["user_logit"], data["item_logit"])
     raise ValidationError(f"unknown checkpoint kind {kind!r}")

@@ -41,11 +41,9 @@ class AltTrainConfig:
     outer_loops: int = 30
     k_extreme: int = 1
     embedding_dim: int = 8
-    pretrain_method: str = "ips"
     loss: LossKind = field(default_factory=LossKind.squared)
     sgd_prediction: SgdConfig = field(default_factory=SgdConfig)
     sgd_imputation: SgdConfig = field(default_factory=SgdConfig)
-    sgd_pretrain: SgdConfig = field(default_factory=SgdConfig)
 
     def __post_init__(self):
         if min(self.steps_prediction, self.steps_imputation,
@@ -53,9 +51,6 @@ class AltTrainConfig:
             raise ValidationError("step counts and k_extreme must be >= 1")
         if self.outer_loops < 0:
             raise ValidationError("outer_loops must be >= 0")
-        if self.pretrain_method not in PRETRAIN_METHODS:
-            raise ValidationError(
-                f"pretrain_method must be one of {PRETRAIN_METHODS}")
 
 
 @dataclass
@@ -124,7 +119,6 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
         raise ValidationError("no observed pairs")
     r_bar = float((o * r).sum() / n_obs)
     n_pairs = n * m
-    u_grid, i_grid = np.divmod(np.arange(n_pairs), m)
     o_flat = o.ravel().astype(np.float64)
     r_flat = r.ravel()
     p_flat = None if p_hat is None else np.asarray(p_hat).ravel()
@@ -133,7 +127,7 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
         order = rng.permutation(n_pairs)
         for start in range(0, n_pairs, batch):
             idx = order[start:start + batch]
-            u, i = u_grid[idx], i_grid[idx]
+            u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
             f = model.forward(u, i)
             g_obs = _xent_grad(f, rb)
@@ -160,6 +154,9 @@ def pretrain_noisy_model(dataset: RatingDataset, method: str,
                          config: SgdConfig, d: int = 8,
                          p_hat: np.ndarray | None = None) -> NoisyRateModel:
     """Pretrained estimator of P(r=1 | x) over the full universe."""
+    if method not in PRETRAIN_METHODS:
+        raise ValidationError(
+            f"pretrain method must be one of {PRETRAIN_METHODS}")
     model = train_noisy_factor_model(dataset, method, config, d, p_hat)
     return NoisyRateModel(model.predict_all())
 
@@ -238,13 +235,12 @@ def alternating_denoise_train(
     r_flat = dataset.observed_ratings.ravel().astype(np.float64)
     p_flat = p_hat.ravel()
     n_pairs = n * m
-    u_grid, i_grid = np.divmod(np.arange(n_pairs), m)
     obs_idx = np.flatnonzero(o_flat)
 
     # held-out slice of the observed set for the validation objective
     n_val = max(1, obs_idx.size // 10)
     val_idx = rng.permutation(obs_idx)[:n_val]
-    vu, vi = u_grid[val_idx], i_grid[val_idx]
+    vu, vi = np.divmod(val_idx, m)
 
     rho = config.rho_init
     trace = TrainTrace()
@@ -256,7 +252,7 @@ def alternating_denoise_train(
         # prediction phase
         for _ in range(config.steps_prediction):
             idx = rng.choice(n_pairs, size=batch_p, replace=False)
-            u, i = u_grid[idx], i_grid[idx]
+            u, i = np.divmod(idx, m)
             e_bar_b = imp_model.scores(u, i)
             sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
                                p_flat[idx], e_bar_b, rho, config.loss,
@@ -268,7 +264,7 @@ def alternating_denoise_train(
         for _ in range(config.steps_imputation):
             idx = obs_idx[rng.choice(obs_idx.size, size=batch_i,
                                      replace=False)]
-            u, i = u_grid[idx], i_grid[idx]
+            u, i = np.divmod(idx, m)
             pred_b = pred_model.forward(u, i)
             sgd_step_imputation(imp_model, u, i, o_flat[idx], r_flat[idx],
                                 p_flat[idx], pred_b, rho, config.loss,

@@ -410,26 +410,18 @@ def test_criterion_08_gradient_oracles():
         assert err <= 1e-4, f"draw {draw}: imputation grad err {err:.2e}"
         worst["imputation"] = max(worst["imputation"], err)
 
-        prop = PropensityModel.init(n, m)
-        prop.w_user = rng.normal(size=n)
-        prop.w_item = rng.normal(size=m)
-        prop.beta_user = rng.normal(size=n)
-        prop.gamma_item = rng.normal(size=m)
+        prop = PropensityModel(rng.normal(size=n), rng.normal(size=m))
         o_full = (rng.random((n, m)) < 0.5).astype(np.float64)
         coef_p = (prop.predict_all() - o_full) / (n * m)
-        analytic = np.concatenate([coef_p.sum(axis=1), coef_p.sum(axis=0),
-                                   coef_p.sum(axis=1), coef_p.sum(axis=0)])
-        theta0 = np.concatenate([prop.w_user, prop.w_item, prop.beta_user,
-                                 prop.gamma_item]).copy()
+        analytic = np.concatenate([coef_p.sum(axis=1), coef_p.sum(axis=0)])
+        theta0 = np.concatenate([prop.user_logit, prop.item_logit])
         numeric = np.empty_like(theta0)
         h = 1e-5
         for j in range(theta0.size):
             for sign in (h, -2 * h):
                 theta0[j] += sign
-                prop.w_user = theta0[:n]
-                prop.w_item = theta0[n:n + m]
-                prop.beta_user = theta0[n + m:2 * n + m]
-                prop.gamma_item = theta0[2 * n + m:]
+                prop.user_logit = theta0[:n]
+                prop.item_logit = theta0[n:]
                 if sign > 0:
                     hi = propensity_objective(prop, o_full)
                 else:

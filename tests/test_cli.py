@@ -130,6 +130,22 @@ class TestEstimate:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("rho_mode", ["true", "estimated"])
+    @pytest.mark.parametrize("bad", [0.0, float("nan")])
+    def test_zero_or_nan_propensity_exit_2(self, instance_dir, tmp_path,
+                                           capsys, bad, rho_mode):
+        path = instance_dir / "p_hat.csv"
+        p = np.loadtxt(path, delimiter=",", ndmin=2)
+        p[3, 4] = bad
+        np.savetxt(path, p, fmt="%.17g", delimiter=",")
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--estimators", "naive,ips,ome_dr", "--rho-mode", rho_mode,
+                     "--propensities", "perturbed", "--out", str(out)])
+        assert code == 2
+        assert "propensities must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_estimator_row_level_error(self, instance_dir, tmp_path):
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
@@ -210,6 +226,15 @@ class TestTrain:
         code = main(["train", "--data", str(instance_dir), "--method", "naive",
                      "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
+
+
+    def test_unknown_sgd_option_exit_2(self, instance_dir, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("sgd.patience = 3\n")
+        code = main(["train", "--data", str(instance_dir), "--method", "naive",
+                     "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "unknown sgd option 'patience'" in capsys.readouterr().err
 
 
 class TestIngest:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisyrec.data import (
+    DEFAULT_PROPENSITY_FLOOR,
     EPS_RHO,
     ErrorParams,
     PredictionMatrix,
@@ -78,6 +79,17 @@ class TestMatrices:
             PropensityMatrix(np.full((2, 2), 0.01))
         clipped = PropensityMatrix.clipped(np.full((2, 2), 0.01))
         assert np.all(clipped.p_hat == 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.0, -0.1, 1.0 + 1e-9])
+    def test_propensity_outside_unit_interval_rejected(self, bad):
+        p = np.full((3, 4), 0.5)
+        p[1, 2] = bad
+        # the estimate/sweep policy: lower the floor to the smallest entry
+        floor = min(float(np.min(p)), DEFAULT_PROPENSITY_FLOOR)
+        with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+            PropensityMatrix(p, floor=floor)
+        with pytest.raises(ValidationError):
+            PropensityMatrix(p, floor=0.0)
 
     def test_prediction_open_interval(self):
         with pytest.raises(ValidationError):
@@ -207,3 +219,40 @@ class TestImports:
     def test_no_unused_imports(self, path):
         # __init__.py is skipped: its imports are the package's re-exports
         assert unused_imports((SRC / path).read_text()) == []
+
+
+def unread_fields(sources, class_names) -> dict:
+    """Per named dataclass, its fields that no source reads as an attribute
+    outside the class's own __post_init__. Matching is by attribute name."""
+    trees = [ast.parse(source) for source in sources]
+    fields = {}
+    skip = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in class_names:
+                fields[node.name] = [
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)]
+                skip.update(id(sub) for stmt in node.body
+                            if isinstance(stmt, ast.FunctionDef)
+                            and stmt.name == "__post_init__"
+                            for sub in ast.walk(stmt))
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in skip}
+    return {cls: [name for name in names if name not in read]
+            for cls, names in fields.items()}
+
+
+class TestConfigFields:
+    def test_checker_ignores_post_init_reads(self):
+        source = ("class C:\n    a: int = 0\n    b: int = 0\n"
+                  "    c: int = 0\n\n    def __post_init__(self):\n"
+                  "        assert self.b\n\n\n"
+                  "def f(cfg):\n    cfg.c = cfg.a\n")
+        assert unread_fields([source], {"C"}) == {"C": ["b", "c"]}
+
+    def test_every_config_field_is_read(self):
+        sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+        assert unread_fields(sources, {"SgdConfig", "AltTrainConfig"}) == {
+            "SgdConfig": [], "AltTrainConfig": []}

@@ -17,6 +17,7 @@ from noisyrec.models import (
     save_model,
     sgd_step_imputation,
     sgd_step_surrogate,
+    sigmoid,
     surrogate_grad_coefs,
     surrogate_objective,
     train_propensity,
@@ -275,25 +276,28 @@ class TestPropensityTraining:
                            match="^propensity training diverged at epoch 0$"):
             train_propensity(d, cfg)
 
+    # user and item map a user_logit / item_logit index to the value set there
     @pytest.mark.parametrize("user,item,finite", [
         ({}, {}, True),
-        ({"w_user": (1, np.nan)}, {}, False),
-        ({}, {"gamma_item": (0, np.nan)}, False),
-        ({"beta_user": (0, np.inf)}, {"w_item": (2, -np.inf)}, False),
-        ({"w_user": (2, -np.inf)}, {"gamma_item": (1, np.inf)}, False),
-        ({"w_user": (0, np.inf)}, {"w_item": (1, np.inf)}, True),
-        ({"beta_user": (1, -np.inf)}, {"gamma_item": (0, -np.inf)}, True),
-        ({"w_user": (0, np.inf), "beta_user": (0, -np.inf)}, {}, False),
-        ({"w_user": (0, 1e308), "beta_user": (0, 1e308)},
-         {"w_item": (0, -1e308), "gamma_item": (0, -1e308)}, False),
+        ({1: np.nan}, {}, False),
+        ({}, {0: np.nan}, False),
+        ({0: np.inf}, {2: -np.inf}, False),
+        ({2: -np.inf}, {1: np.inf}, False),
+        ({0: np.inf}, {1: np.inf}, True),
+        ({1: -np.inf}, {0: -np.inf}, True),
+        ({0: np.inf, 1: -np.inf}, {3: -np.inf}, False),
+        ({2: np.nan}, {0: np.inf}, False),
+        ({0: np.inf, 1: -np.inf}, {}, True),
+        ({0: 1e308}, {1: 1e308}, True),
     ])
     def test_finiteness_test_matches_dense_objective(self, user, item,
                                                      finite):
         rng = make_rng(12)
-        model = PropensityModel(rng.normal(size=3), rng.normal(size=4),
-                                rng.normal(size=3), rng.normal(size=4))
-        for name, (idx, value) in {**user, **item}.items():
-            getattr(model, name)[idx] = value
+        model = PropensityModel(rng.normal(size=3), rng.normal(size=4))
+        for idx, value in user.items():
+            model.user_logit[idx] = value
+        for idx, value in item.items():
+            model.item_logit[idx] = value
         o = (rng.random((3, 4)) < 0.5).astype(np.int8)
         with np.errstate(all="ignore"):
             dense = bool(np.isfinite(propensity_objective(model, o)))
@@ -309,6 +313,89 @@ class TestPropensityTraining:
                         max_epochs=30)
         model = train_propensity(d, cfg)
         assert abs(float(model.predict_all().mean()) - o.mean()) < 0.1
+
+
+def two_copy_propensity(dataset, config):
+    """Reference: the weight-plus-intercept propensity trainer, with a weight
+    and an intercept per user (w_user, beta_user) and per item (w_item,
+    gamma_item), each stepped at config.learning_rate. Returns p_hat."""
+    n, m = dataset.shape
+    params = {"w_user": np.zeros(n), "w_item": np.zeros(m),
+              "beta_user": np.zeros(n), "gamma_item": np.zeros(m)}
+
+    def scores(u, i):
+        return (params["w_user"][u] + params["beta_user"][u]
+                + params["w_item"][i] + params["gamma_item"][i])
+
+    def predict_all():
+        return sigmoid((params["w_user"] + params["beta_user"])[:, None]
+                       + (params["w_item"] + params["gamma_item"])[None, :])
+
+    o_full = np.asarray(dataset.observed_mask, dtype=np.float64)
+    n_pairs = n * m
+    full_batch = config.batch_size == 0 or config.batch_size >= n_pairs
+    rng = make_rng(config.seed)
+    opt = Optimizer(config)
+    u_grid, i_grid = np.divmod(np.arange(n_pairs), m)
+    for _ in range(config.max_epochs):
+        if full_batch:
+            coef = (predict_all() - o_full) / n_pairs
+            g_u, g_i = coef.sum(axis=1), coef.sum(axis=0)
+            opt.step(params, {"w_user": g_u, "beta_user": g_u,
+                              "w_item": g_i, "gamma_item": g_i})
+            continue
+        order = rng.permutation(n_pairs)
+        for start in range(0, n_pairs, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            u, i = u_grid[idx], i_grid[idx]
+            coef = (sigmoid(scores(u, i)) - o_full[u, i]) / idx.shape[0]
+            g_u = np.zeros(n)
+            g_i = np.zeros(m)
+            np.add.at(g_u, u, coef)
+            np.add.at(g_i, i, coef)
+            opt.step(params, {"w_user": g_u, "beta_user": g_u,
+                              "w_item": g_i, "gamma_item": g_i})
+    return predict_all()
+
+
+class TestTwoCopyReference:
+    """One logit per user and per item at twice the rate fits the same
+    propensities as a weight plus an intercept per user and per item."""
+
+    @staticmethod
+    def _dataset(n, m, seed):
+        rng = make_rng(seed)
+        o = (rng.random((n, m)) < rng.uniform(0.1, 0.9, size=(n, 1)))
+        return RatingDataset(n, m, o.astype(np.int8), np.zeros((n, m)))
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("n,m,lr,batch_size", [
+        (60, 45, 0.1, 0), (60, 45, 1.0, 0), (7, 3, 0.5, 0),
+        (7, 3, 1.0, 4096), (300, 200, 0.5, 0), (500, 500, 0.5, 0),
+    ])
+    def test_full_batch_byte_equal(self, optimizer, n, m, lr, batch_size):
+        d = self._dataset(n, m, n + m)
+        cfg = SgdConfig(learning_rate=lr, batch_size=batch_size,
+                        weight_decay=0.0, max_epochs=40, seed=5,
+                        optimizer=optimizer)
+        got = train_propensity(d, cfg).predict_all()
+        want = two_copy_propensity(d, cfg)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("n,m,lr,batch_size", [
+        (60, 45, 0.1, 64), (60, 45, 1.0, 500), (7, 3, 0.5, 4),
+    ])
+    def test_mini_batch_close(self, optimizer, n, m, lr, batch_size):
+        # the two forms add the score terms in a different order, so the
+        # last bits may differ
+        d = self._dataset(n, m, n * m)
+        cfg = SgdConfig(learning_rate=lr, batch_size=batch_size,
+                        weight_decay=0.0, max_epochs=8, seed=6,
+                        optimizer=optimizer)
+        got = train_propensity(d, cfg).predict_all()
+        np.testing.assert_allclose(got, two_copy_propensity(d, cfg),
+                                   rtol=1e-12, atol=0)
 
 
 class TestDeterminism:
@@ -330,7 +417,7 @@ class TestDeterminism:
     def test_adam_differs_from_sgd(self):
         a = self._train_once("sgd")
         b = self._train_once("adam")
-        assert not np.allclose(a.w_user, b.w_user)
+        assert not np.allclose(a.user_logit, b.user_logit)
 
 
 class TestCheckpoints:
@@ -352,11 +439,23 @@ class TestCheckpoints:
 
     def test_propensity_roundtrip(self, tmp_path):
         model = PropensityModel.init(4, 5)
-        model.w_user += make_rng(14).normal(size=4)
+        model.user_logit += make_rng(14).normal(size=4)
+        model.item_logit += make_rng(15).normal(size=5)
         path = tmp_path / "prop.npz"
         save_model(path, model)
         back = load_model(path)
-        assert np.array_equal(back.w_user, model.w_user)
+        assert np.array_equal(back.user_logit, model.user_logit)
+        assert np.array_equal(back.item_logit, model.item_logit)
+
+    def test_version_1_propensity_rejected(self, tmp_path):
+        # the version-1 layout: a weight and an intercept per user and item
+        path = tmp_path / "prop_v1.npz"
+        np.savez(path, kind="propensity", version=1,
+                 w_user=np.zeros(4), w_item=np.zeros(5),
+                 beta_user=np.zeros(4), gamma_item=np.zeros(5))
+        with pytest.raises(ValidationError,
+                           match="unsupported checkpoint version"):
+            load_model(path)
 
     def test_unknown_object_rejected(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -115,6 +115,12 @@ class TestPretraining:
             out = model.predict_all()
             assert np.all((out > 0) & (out < 1))
 
+    @pytest.mark.parametrize("method", ["eib2", "eib"])
+    def test_rejects_bad_pretrain_method(self, method):
+        d = RatingDataset(2, 2, np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValidationError, match="pretrain method"):
+            pretrain_noisy_model(d, method, SgdConfig(), 2)
+
     def test_unknown_method_rejected(self):
         d = RatingDataset(2, 2, np.ones((2, 2)), np.ones((2, 2)))
         with pytest.raises(ValidationError):
@@ -130,10 +136,6 @@ class TestAltTrainConfig:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValidationError):
             AltTrainConfig(rho_init=ErrorParams(0, 0), steps_prediction=0)
-
-    def test_rejects_bad_pretrain_method(self):
-        with pytest.raises(ValidationError):
-            AltTrainConfig(rho_init=ErrorParams(0, 0), pretrain_method="eib2")
 
 
 def alt_config(seed, outer_loops=30, k_extreme=400):
