@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -75,18 +76,32 @@ def parse_config_file(path) -> dict:
             parts = key.split(".")
             for part in parts[:-1]:
                 node = node.setdefault(part, {})
+                if not isinstance(node, dict):
+                    raise ValidationError(
+                        f"{path}:{lineno}: {part!r} is a value, not a section")
             node[parts[-1]] = value
     return out
 
 
-def _coerce(value, like):
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return value
+def _convert(key: str, value, kind):
+    """A config value or flag as kind (int, float, str, or tuple for
+    comma-separated floats); anything else is a ValidationError naming key."""
+    if isinstance(value, str):
+        try:
+            if kind is tuple:
+                return tuple(float(v) for v in value.split(","))
+            return kind(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{key}: cannot read {value!r} as {kind.__name__}")
+
+
+def _rates(key: str, value) -> ErrorParams:
+    """A "rho01,rho10" value as flip rates."""
+    rates = _convert(key, value, tuple)
+    if len(rates) != 2:
+        raise ValidationError(f"{key}: expected rho01,rho10, got {value!r}")
+    return ErrorParams(*rates)
 
 
 def _manifest_hash(payload: dict) -> str:
@@ -107,7 +122,7 @@ def _write_report(path, header, rows, manifest: dict) -> None:
 # synth
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {f.name: f for f in dataclasses.fields(BenchmarkSpec)}
+_SPEC_TYPES = typing.get_type_hints(BenchmarkSpec)
 
 
 def _spec_from_config(cfg: dict, seed_override=None) -> BenchmarkSpec:
@@ -115,16 +130,9 @@ def _spec_from_config(cfg: dict, seed_override=None) -> BenchmarkSpec:
     for key, value in cfg.items():
         if key == "scores":
             continue
-        if key not in _SPEC_KEYS:
+        if key not in _SPEC_TYPES:
             raise ValidationError(f"unknown spec field {key!r}")
-        if key == "gamma_proportions":
-            kwargs[key] = tuple(float(v) for v in value.split(","))
-        elif key in ("n_users", "n_items", "seed"):
-            kwargs[key] = int(value)
-        elif key in ("rho01", "rho10", "p_base", "alpha", "propensity_floor"):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        kwargs[key] = _convert(key, value, _SPEC_TYPES[key])
     if seed_override is not None:
         kwargs["seed"] = seed_override
     if "n_users" not in kwargs or "n_items" not in kwargs:
@@ -171,8 +179,7 @@ def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
     if mode == "given":
         if given is None:
             raise ValidationError("--rho required with rho-mode=given")
-        r01, r10 = (float(v) for v in given.split(","))
-        return ErrorParams(r01, r10)
+        return _rates("--rho", given)
     # estimated: pretrain a noisy-rate model and read off the extremes
     dataset = inst.to_dataset()
     p_arr = _as_given(inst.p_hat if inst.p_hat is not None else inst.p_true,
@@ -232,12 +239,14 @@ def cmd_estimate(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _apply_sgd_overrides(cfg: SgdConfig, section: dict) -> SgdConfig:
+def _apply_sgd_overrides(cfg: SgdConfig, section) -> SgdConfig:
+    if not isinstance(section, dict):
+        raise ValidationError("sgd options are set as sgd.<option> = value")
     values = dataclasses.asdict(cfg)
     for key, value in section.items():
         if key not in values:
             raise ValidationError(f"unknown sgd option {key!r}")
-        values[key] = _coerce(value, values[key])
+        values[key] = _convert(f"sgd.{key}", value, type(values[key]))
     return SgdConfig(**values)
 
 
@@ -247,7 +256,7 @@ def _load_training_data(path, seed):
     path = Path(path)
     if path.is_dir():
         inst = load_instance(path)
-        return inst.to_dataset(), np.asarray(inst.true_ratings), None
+        return inst.to_dataset(), np.asarray(inst.true_ratings)
     dataset = load_dataset_triples(path)
     rng = make_rng(seed)
     users, items = dataset.observed_pairs()
@@ -259,7 +268,7 @@ def _load_training_data(path, seed):
     train = RatingDataset(dataset.n_users, dataset.n_items, train_mask,
                           dataset.observed_ratings)
     labels = np.where(test_mask == 1, dataset.observed_ratings, -1)
-    return train, labels, test_mask
+    return train, labels
 
 
 def _evaluate(pred: np.ndarray, labels: np.ndarray, k: int):
@@ -271,43 +280,48 @@ def _evaluate(pred: np.ndarray, labels: np.ndarray, k: int):
 
 def cmd_train(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
+
+    def option(key, default, kind=int):
+        return _convert(key, cfg.pop(key, default), kind)
+
     sgd = _apply_sgd_overrides(
         SgdConfig(learning_rate=0.1, batch_size=4096, max_epochs=30,
                   seed=args.seed),
-        cfg.get("sgd", {}))
-    dataset, labels, _ = _load_training_data(args.data, args.seed)
+        cfg.pop("sgd", {}))
+    alt_cfg = AltTrainConfig(
+        rho_init=_rates("rho_init", cfg.pop("rho_init", "0.1,0.1")),
+        outer_loops=option("outer_loops", "30"),
+        steps_prediction=option("steps_prediction", "10"),
+        steps_imputation=option("steps_imputation", "10"),
+        embedding_dim=option("embedding_dim", "8"),
+        sgd_prediction=sgd,
+        sgd_imputation=sgd,
+    )
+    pretrain_method = option("pretrain_method", "ips", str)
+    propensity_epochs = option("propensity_epochs", "100")
+    k = option("k", "5")
+    if cfg:  # every key read above was popped
+        raise ValidationError(f"unknown train option {min(cfg)!r}")
+    dataset, labels = _load_training_data(args.data, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     prop = train_propensity(
         dataset, SgdConfig(learning_rate=0.5, batch_size=0, weight_decay=0.0,
-                           max_epochs=int(cfg.get("propensity_epochs", 100)),
-                           seed=args.seed))
+                           max_epochs=propensity_epochs, seed=args.seed))
     p_hat = prop.export().p_hat
 
+    d = alt_cfg.embedding_dim
     if args.method == "ome_alt":
-        alt_cfg = AltTrainConfig(
-            rho_init=ErrorParams(
-                *(float(v) for v in cfg.get("rho_init", "0.1,0.1").split(","))),
-            outer_loops=int(cfg.get("outer_loops", 30)),
-            steps_prediction=int(cfg.get("steps_prediction", 10)),
-            steps_imputation=int(cfg.get("steps_imputation", 10)),
-            embedding_dim=int(cfg.get("embedding_dim", 8)),
-            sgd_prediction=sgd,
-            sgd_imputation=sgd,
-        )
-        q = pretrain_noisy_model(dataset, cfg.get("pretrain_method", "ips"),
-                                 sgd, d=alt_cfg.embedding_dim, p_hat=p_hat)
+        q = pretrain_noisy_model(dataset, pretrain_method, sgd, d, p_hat)
         model, _, trace = alternating_denoise_train(dataset, p_hat, q, alt_cfg)
         trace.write_csv(out / "trace.csv")
     else:  # train_noisy_factor_model rejects an unknown method
-        model = train_noisy_factor_model(dataset, args.method, sgd,
-                                         d=int(cfg.get("embedding_dim", 8)),
+        model = train_noisy_factor_model(dataset, args.method, sgd, d=d,
                                          p_hat=p_hat)
 
     save_model(out / "checkpoint.npz", model)
     pred = model.predict_all()
-    k = int(cfg.get("k", 5))
     a, ndcg, rec = _evaluate(pred, labels, k)
     _write_report(out / "eval.csv",
                   ["metric", "value"],

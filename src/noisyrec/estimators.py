@@ -6,9 +6,14 @@ noise-corrected counterparts built on the surrogate loss, the closed-form
 bias oracle for the corrected doubly-robust estimator, and the relative
 error used by the benchmark.
 
-All estimators reduce with a row-major np.mean over a per-cell contribution
-matrix, so results are deterministic and the degeneration identities hold
-bitwise.
+The six EIB/IPS/DR estimators are one doubly-robust mean,
+mean((1 - o/p) e_bar + o l / p) over all cells (`_dr_mean`): EIB takes p = 1,
+IPS drops the e_bar term, and the OME family takes for l the surrogate loss
+where the plain family takes the loss at the observed label. The plain
+family is therefore the corrected one at rho_hat = (0, 0), bit for bit,
+because the surrogate at zero flip rates is the loss itself. Every estimator
+reduces with a row-major np.mean (np.sum for the naive mean) over a per-cell
+contribution matrix, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .data import (
     RatingDataset,
     ValidationError,
 )
-from .losses import LossKind, loss_curves, surrogate_curves
+from .losses import LossKind, label_loss, loss_curves, surrogate_curves
 
 
 @dataclass(frozen=True)
@@ -48,19 +53,25 @@ class EstimatorInputs:
             raise ValidationError("imputation matrix shape mismatch")
 
 
-def _require(inputs: EstimatorInputs, *, p_hat=False, e_bar=False, rho=False):
-    if p_hat and inputs.p_hat is None:
+def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
+             corrected: bool) -> float:
+    """mean((1 - o/p) e_bar + o l / p) over all cells, where l is the loss
+    at the observed label, or the surrogate loss when corrected; p = 1
+    unless weighted, and the e_bar term is dropped unless imputed."""
+    if weighted and inputs.p_hat is None:
         raise ValidationError("propensities required")
-    if e_bar and inputs.e_bar is None:
+    if imputed and inputs.e_bar is None:
         raise ValidationError("imputed errors required")
-    if rho and inputs.rho_hat is None:
+    if corrected and inputs.rho_hat is None:
         raise ValidationError("error-rate estimates required")
-
-
-def _observed_loss(inputs: EstimatorInputs) -> np.ndarray:
-    """Per-cell loss against the observed label (meaningful where o=1)."""
-    l1, l0 = loss_curves(inputs.loss, inputs.predictions.r_hat)
-    return np.where(inputs.dataset.observed_ratings == 1, l1, l0)
+    o = inputs.dataset.observed_mask.astype(np.float64)
+    p = inputs.p_hat.p_hat if weighted else 1.0
+    contrib = o * label_loss(inputs.loss, inputs.predictions.r_hat,
+                             inputs.dataset.observed_ratings,
+                             inputs.rho_hat if corrected else None) / p
+    if imputed:
+        contrib = (1.0 - o / p) * inputs.e_bar.e_bar + contrib
+    return float(np.mean(contrib))
 
 
 def true_inaccuracy(predictions: PredictionMatrix,
@@ -69,8 +80,7 @@ def true_inaccuracy(predictions: PredictionMatrix,
     """Mean loss against the noise-free preferences over all pairs."""
     if true_ratings is None:
         raise ValidationError("true ratings required")
-    l1, l0 = loss_curves(loss, predictions.r_hat)
-    return float(np.mean(np.where(np.asarray(true_ratings) == 1, l1, l0)))
+    return float(np.mean(label_loss(loss, predictions.r_hat, true_ratings)))
 
 
 def estimate_naive(inputs: EstimatorInputs) -> float:
@@ -79,75 +89,40 @@ def estimate_naive(inputs: EstimatorInputs) -> float:
     n_obs = int(o.sum())
     if n_obs == 0:
         raise ValidationError("no observed pairs")
-    e = _observed_loss(inputs)
+    e = label_loss(inputs.loss, inputs.predictions.r_hat,
+                   inputs.dataset.observed_ratings)
     return float(np.sum(o * e) / n_obs)
 
 
 def estimate_eib(inputs: EstimatorInputs) -> float:
     """Observed losses plus imputed errors on the unobserved cells."""
-    _require(inputs, e_bar=True)
-    o = inputs.dataset.observed_mask.astype(np.float64)
-    e = _observed_loss(inputs)
-    contrib = o * e + (1.0 - o) * inputs.e_bar.e_bar
-    return float(np.mean(contrib))
+    return _dr_mean(inputs, weighted=False, imputed=True, corrected=False)
 
 
 def estimate_ips(inputs: EstimatorInputs) -> float:
     """Observed losses inversely weighted by the learned propensities."""
-    _require(inputs, p_hat=True)
-    o = inputs.dataset.observed_mask.astype(np.float64)
-    p = inputs.p_hat.p_hat
-    e = _observed_loss(inputs)
-    return float(np.mean(o * e / p))
+    return _dr_mean(inputs, weighted=True, imputed=False, corrected=False)
 
 
 def estimate_dr(inputs: EstimatorInputs) -> float:
     """Doubly robust combination of imputed errors and propensity weights."""
-    _require(inputs, p_hat=True, e_bar=True)
-    o = inputs.dataset.observed_mask.astype(np.float64)
-    p = inputs.p_hat.p_hat
-    e = _observed_loss(inputs)
-    e_hat = inputs.e_bar.e_bar
-    # same association as the noise-corrected variant so that the rho=(0,0)
-    # reduction is exact rather than merely within rounding
-    contrib = (1.0 - o / p) * e_hat + o * e / p
-    return float(np.mean(contrib))
-
-
-def _surrogate_terms(inputs: EstimatorInputs):
-    """Per-cell (o*r*l~1, o*(1-r)*l~0) numerators of the corrected family."""
-    s1, s0 = surrogate_curves(inputs.loss, inputs.predictions.r_hat,
-                              inputs.rho_hat)
-    o = inputs.dataset.observed_mask.astype(np.float64)
-    r = inputs.dataset.observed_ratings.astype(np.float64)
-    return o * r * s1, o * (1.0 - r) * s0, o
+    return _dr_mean(inputs, weighted=True, imputed=True, corrected=False)
 
 
 def estimate_ome_eib(inputs: EstimatorInputs) -> float:
     """Imputation estimator on the surrogate loss: unobserved cells take the
     imputed error, observed cells the noise-corrected loss."""
-    _require(inputs, e_bar=True, rho=True)
-    pos, neg, o = _surrogate_terms(inputs)
-    contrib = (1.0 - o) * inputs.e_bar.e_bar + pos + neg
-    return float(np.mean(contrib))
+    return _dr_mean(inputs, weighted=False, imputed=True, corrected=True)
 
 
 def estimate_ome_ips(inputs: EstimatorInputs) -> float:
     """Propensity-weighted surrogate losses on the observed cells."""
-    _require(inputs, p_hat=True, rho=True)
-    pos, neg, _ = _surrogate_terms(inputs)
-    p = inputs.p_hat.p_hat
-    contrib = pos / p + neg / p
-    return float(np.mean(contrib))
+    return _dr_mean(inputs, weighted=True, imputed=False, corrected=True)
 
 
 def estimate_ome_dr(inputs: EstimatorInputs) -> float:
     """Doubly robust estimator on the surrogate loss."""
-    _require(inputs, p_hat=True, e_bar=True, rho=True)
-    pos, neg, o = _surrogate_terms(inputs)
-    p = inputs.p_hat.p_hat
-    contrib = (1.0 - o / p) * inputs.e_bar.e_bar + pos / p + neg / p
-    return float(np.mean(contrib))
+    return _dr_mean(inputs, weighted=True, imputed=True, corrected=True)
 
 
 ESTIMATORS = {

@@ -62,10 +62,30 @@ def loss_curve_grads(kind: LossKind, pred: np.ndarray) -> tuple[np.ndarray, np.n
     return g1, g0
 
 
+def _flip(c1, c0, rho: ErrorParams):
+    """The 2x2 flip correction of a pair of curves (c(., 1), c(., 0)): the
+    surrogate loss from the loss curves, its derivative from theirs."""
+    denom = rho.denom
+    return (((1.0 - rho.rho10) * c1 - rho.rho01 * c0) / denom,
+            ((1.0 - rho.rho01) * c0 - rho.rho10 * c1) / denom)
+
+
+def _at_label(curves, label, rho: ErrorParams | None):
+    """The pair of curves at each label, flip-corrected when rho is given."""
+    c1, c0 = curves if rho is None else _flip(*curves, rho)
+    return np.where(np.asarray(label) == 1, c1, c0)
+
+
+def label_loss(kind: LossKind, pred: np.ndarray, label,
+               rho: ErrorParams | None = None) -> np.ndarray:
+    """Elementwise l(pred, label), or the noise-corrected l~(pred, label)
+    when the flip rates rho are given."""
+    return _at_label(loss_curves(kind, pred), label, rho)
+
+
 def point_loss(kind: LossKind, pred: float, label: int) -> float:
     """l(pred, label) for a single prediction."""
-    l1, l0 = loss_curves(kind, np.float64(pred))
-    return float(l1 if label == 1 else l0)
+    return float(label_loss(kind, np.float64(pred), label))
 
 
 def surrogate_curves(
@@ -79,15 +99,10 @@ def surrogate_curves(
         l~(f, 1) = [(1 - rho10) l(f, 1) - rho01 l(f, 0)] / (1 - rho01 - rho10)
         l~(f, 0) = [(1 - rho01) l(f, 0) - rho10 l(f, 1)] / (1 - rho01 - rho10)
     """
-    l1, l0 = loss_curves(kind, pred)
-    denom = rho.denom
-    s1 = ((1.0 - rho.rho10) * l1 - rho.rho01 * l0) / denom
-    s0 = ((1.0 - rho.rho01) * l0 - rho.rho10 * l1) / denom
-    return s1, s0
+    return _flip(*loss_curves(kind, pred), rho)
 
 
 def surrogate_loss(kind: LossKind, pred: float, observed_label: int,
                    rho: ErrorParams) -> float:
     """Noise-corrected loss for one prediction and one observed label."""
-    s1, s0 = surrogate_curves(kind, np.float64(pred), rho)
-    return float(s1 if observed_label == 1 else s0)
+    return float(label_loss(kind, np.float64(pred), observed_label, rho))

@@ -23,7 +23,7 @@ from .data import (
     ValidationError,
     make_rng,
 )
-from .losses import LossKind, loss_curve_grads, surrogate_curves
+from .losses import LossKind, _at_label, label_loss, loss_curve_grads
 
 
 class TrainingDivergence(RuntimeError):
@@ -228,14 +228,8 @@ def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
 def _surrogate_coefs(pred, r, loss: LossKind, rho: ErrorParams):
     """Per-example surrogate loss and d(surrogate)/d(pred) at the observed
     label r."""
-    s1, s0 = surrogate_curves(loss, pred, rho)
-    g1, g0 = loss_curve_grads(loss, pred)
-    denom = rho.denom
-    ds1 = ((1.0 - rho.rho10) * g1 - rho.rho01 * g0) / denom
-    ds0 = ((1.0 - rho.rho01) * g0 - rho.rho10 * g1) / denom
-    val = np.where(r == 1, s1, s0)
-    grad = np.where(r == 1, ds1, ds0)
-    return val, grad
+    return (label_loss(loss, pred, r, rho),
+            _at_label(loss_curve_grads(loss, pred), r, rho))
 
 
 def surrogate_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,

@@ -167,7 +167,7 @@ def pretrain_noisy_model(dataset: RatingDataset, method: str,
 
 def _stable_extremes(values: np.ndarray, k: int):
     """The first and the last k entries of np.argsort(values, kind="stable"),
-    in that order, without sorting every cell.
+    in that order, for 1 <= k <= n/2, without sorting every cell.
 
     np.partition finds the k-th smallest and the k-th largest value; only the
     cells at or beyond each boundary are then stable-sorted. Those cells form
@@ -176,7 +176,6 @@ def _stable_extremes(values: np.ndarray, k: int):
     both sorts; the negated comparisons keep NaN cells as candidates.
     """
     n = values.shape[0]
-    k = min(k, n)
     part = np.partition(values, (k - 1, n - k))
     lo = np.flatnonzero(~(values > part[k - 1]))
     hi = np.flatnonzero(~(values < part[n - k]))
@@ -224,6 +223,8 @@ def alternating_denoise_train(
     q = noisy_model.q
     if q.shape != dataset.shape:
         raise ValidationError("noisy-rate shape mismatch")
+    if config.k_extreme > n * m // 2:
+        raise ValidationError("k_extreme must be in [1, n_pairs/2]")
 
     rng = make_rng(config.sgd_prediction.seed)
     pred_model = FactorModel.init(n, m, config.embedding_dim, rng)

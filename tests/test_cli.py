@@ -41,6 +41,12 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match=":1"):
             parse_config_file(cfg)
 
+    def test_field_of_a_value_rejected(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sgd = 3\nsgd.seed = 1\n")
+        with pytest.raises(ValidationError, match=":2: 'sgd' is a value"):
+            parse_config_file(cfg)
+
 
 class TestSynth:
     def test_generates_instance_files(self, tmp_path):
@@ -87,6 +93,16 @@ class TestSynth:
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_users", "abc"), ("n_items", "2.5"), ("rho01", "x"),
+        ("gamma_proportions", "0.5,a")])
+    def test_malformed_number_exit_2(self, tmp_path, capsys, field, value):
+        spec = write_spec(tmp_path / "spec.cfg", **{field: value})
+        code = main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{field}: cannot read {value!r}" in capsys.readouterr().err
+
 
 @pytest.fixture
 def instance_dir(tmp_path):
@@ -124,6 +140,15 @@ class TestEstimate:
                      "--rho-mode", "given",
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("rho", ["0.1", "a,b", "0.1,0.1,0.1"])
+    def test_malformed_rho_exit_2(self, instance_dir, tmp_path, capsys, rho):
+        out = tmp_path / "r.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--rho-mode", "given", "--rho", rho, "--out", str(out)])
+        assert code == 2
+        assert "--rho" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_instance_exit_2(self, tmp_path):
         code = main(["estimate", "--instance", str(tmp_path / "missing"),
@@ -235,6 +260,34 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
         assert "unknown sgd option 'patience'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, key", [
+        ("sgd.batch_size = abc", "sgd.batch_size"),
+        ("sgd.max_epochs = 2.5", "sgd.max_epochs"),
+        ("outer_loops = 2.5", "outer_loops"),
+        ("rho_init = 0.1", "rho_init"),
+        ("k = five", "k"),
+        ("k.top = 3", "k"),
+        ("sgd = 3", "sgd")])
+    def test_malformed_option_exit_2(self, instance_dir, tmp_path, capsys,
+                                     line, key):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"{line}\npropensity_epochs = 1\n")
+        code = main(["train", "--data", str(instance_dir),
+                     "--method", "ome_alt", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_unknown_option_exit_2(self, instance_dir, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("top_k = 3\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(instance_dir), "--method", "naive",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "unknown train option 'top_k'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIngest:

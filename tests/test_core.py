@@ -1,5 +1,7 @@
 import ast
+import importlib
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -256,3 +258,51 @@ class TestConfigFields:
         sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
         assert unread_fields(sources, {"SgdConfig", "AltTrainConfig"}) == {
             "SgdConfig": [], "AltTrainConfig": []}
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    """The benchmark's tracer module, executed from its source; nothing is
+    written next to it (no bytecode cache)."""
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def unresolved_targets(targets) -> list[str]:
+    """The traced names that noisyrec does not define where the tracer looks
+    them up: a callable module attribute, or a method in its class's own
+    namespace."""
+    missing = []
+    for mod_name, attr, *_ in targets:
+        owner = importlib.import_module(f"noisyrec.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(owner, cls_name, object))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{mod_name}.{attr}")
+    return missing
+
+
+class TestTracedNames:
+    def test_checker_flags_missing_names(self):
+        targets = [("models", "FactorModel.predict_all"),
+                   ("models", "FactorModel.no_such_method"),
+                   ("models", "NoSuchClass.predict_all"),
+                   ("estimators", "estimate_ome_dr"),
+                   ("estimators", "estimate_gone"),
+                   ("estimators", "ESTIMATORS")]
+        assert unresolved_targets(targets) == [
+            "models.FactorModel.no_such_method",
+            "models.NoSuchClass.predict_all", "estimators.estimate_gone",
+            "estimators.ESTIMATORS"]
+
+    def test_every_traced_name_resolves(self):
+        targets = load_tracer().TARGETS
+        assert ("models", "FactorModel.predict_all") in {
+            t[:2] for t in targets}
+        assert unresolved_targets(targets) == []

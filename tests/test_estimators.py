@@ -28,7 +28,7 @@ from noisyrec.estimators import (
     relative_error,
     true_inaccuracy,
 )
-from noisyrec.losses import LossKind
+from noisyrec.losses import LossKind, loss_curves
 
 SQ = LossKind.squared()
 
@@ -235,6 +235,118 @@ class TestDegenerations:
             d2, PredictionMatrix(pred.r_hat[perm]), p=p[perm],
             e_bar=e_bar[perm], rho=rho))
         assert permuted == pytest.approx(base, abs=1e-14)
+
+
+# Reference bodies: each DR-family estimator written out on its own, with the
+# association of terms that the shared doubly-robust mean must keep, so that
+# the library equals them bit for bit.
+
+def ref_observed_loss(inputs):
+    l1, l0 = loss_curves(inputs.loss, inputs.predictions.r_hat)
+    return np.where(inputs.dataset.observed_ratings == 1, l1, l0)
+
+
+def ref_surrogate_terms(inputs):
+    l1, l0 = loss_curves(inputs.loss, inputs.predictions.r_hat)
+    rho = inputs.rho_hat
+    s1 = ((1.0 - rho.rho10) * l1 - rho.rho01 * l0) / rho.denom
+    s0 = ((1.0 - rho.rho01) * l0 - rho.rho10 * l1) / rho.denom
+    o = inputs.dataset.observed_mask.astype(np.float64)
+    r = inputs.dataset.observed_ratings.astype(np.float64)
+    return o * r * s1, o * (1.0 - r) * s0, o
+
+
+def ref_naive(inputs):
+    o = inputs.dataset.observed_mask
+    n_obs = int(o.sum())
+    if n_obs == 0:
+        raise ValidationError("no observed pairs")
+    return float(np.sum(o * ref_observed_loss(inputs)) / n_obs)
+
+
+def ref_eib(inputs):
+    o = inputs.dataset.observed_mask.astype(np.float64)
+    e = ref_observed_loss(inputs)
+    return float(np.mean(o * e + (1.0 - o) * inputs.e_bar.e_bar))
+
+
+def ref_ips(inputs):
+    o = inputs.dataset.observed_mask.astype(np.float64)
+    e = ref_observed_loss(inputs)
+    return float(np.mean(o * e / inputs.p_hat.p_hat))
+
+
+def ref_dr(inputs):
+    o = inputs.dataset.observed_mask.astype(np.float64)
+    p = inputs.p_hat.p_hat
+    e = ref_observed_loss(inputs)
+    return float(np.mean((1.0 - o / p) * inputs.e_bar.e_bar + o * e / p))
+
+
+def ref_ome_eib(inputs):
+    pos, neg, o = ref_surrogate_terms(inputs)
+    return float(np.mean((1.0 - o) * inputs.e_bar.e_bar + pos + neg))
+
+
+def ref_ome_ips(inputs):
+    pos, neg, _ = ref_surrogate_terms(inputs)
+    p = inputs.p_hat.p_hat
+    return float(np.mean(pos / p + neg / p))
+
+
+def ref_ome_dr(inputs):
+    pos, neg, o = ref_surrogate_terms(inputs)
+    p = inputs.p_hat.p_hat
+    return float(np.mean((1.0 - o / p) * inputs.e_bar.e_bar + pos / p
+                         + neg / p))
+
+
+REFERENCES = {"naive": ref_naive, "eib": ref_eib, "ips": ref_ips,
+              "dr": ref_dr, "ome_eib": ref_ome_eib, "ome_ips": ref_ome_ips,
+              "ome_dr": ref_ome_dr}
+
+
+def outcome(fn, inputs):
+    try:
+        return fn(inputs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestReferenceBodies:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_estimators_equal_reference_bitwise(self, data):
+        shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        mask = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1)))
+        labels = data.draw(hnp.arrays(np.int8, shape,
+                                      elements=st.integers(0, 1)))
+        pred = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            0.0, 1.0, exclude_min=True, exclude_max=True)))
+        p = data.draw(st.one_of(
+            st.just(np.ones(shape)),
+            hnp.arrays(np.float64, shape, elements=st.floats(
+                DEFAULT_PROPENSITY_FLOOR, 1.0))))
+        e_bar = data.draw(st.one_of(
+            st.just(np.zeros(shape)),
+            hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))))
+        rho = data.draw(st.one_of(
+            st.just(ErrorParams(0.0, 0.0)),
+            st.tuples(st.floats(0.0, 0.45), st.floats(0.0, 0.45)).map(
+                lambda t: ErrorParams(*t))))
+        loss = data.draw(st.sampled_from(
+            [LossKind.squared(), LossKind.cross_entropy()]))
+        inputs = EstimatorInputs(
+            dataset=RatingDataset(shape[0], shape[1], mask, labels),
+            predictions=PredictionMatrix(pred), loss=loss,
+            p_hat=PropensityMatrix(p), e_bar=ImputationMatrix(e_bar),
+            rho_hat=rho)
+        for name, ref in REFERENCES.items():
+            got = outcome(ESTIMATORS[name], inputs)
+            assert got == outcome(ref, inputs), name
+
+    def test_reference_table_covers_every_estimator(self):
+        assert REFERENCES.keys() == ESTIMATORS.keys()
 
 
 class TestMonteCarloUnbiasedness:

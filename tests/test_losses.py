@@ -1,10 +1,12 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisyrec.data import ErrorParams, ValidationError
+from noisyrec.models import _surrogate_coefs
 from noisyrec.losses import (
     LossKind,
     loss_curve_grads,
@@ -124,3 +126,41 @@ class TestGradients:
             l1m, l0m = loss_curves(kind, np.float64(pred - h))
             assert float(g1) == pytest.approx((l1p - l1m) / (2 * h), rel=1e-4)
             assert float(g0) == pytest.approx((l0p - l0m) / (2 * h), rel=1e-4)
+
+
+def ref_flip(c1, c0, rho):
+    """The 2x2 flip correction written out."""
+    return (((1.0 - rho.rho10) * c1 - rho.rho01 * c0) / rho.denom,
+            ((1.0 - rho.rho01) * c0 - rho.rho10 * c1) / rho.denom)
+
+
+any_rho = st.one_of(st.just(ErrorParams(0.0, 0.0)), valid_rho)
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestReferenceBodies:
+    """The loss-at-label helpers equal each caller's own arithmetic bit for
+    bit: a scalar pick between the two curves, or np.where over them."""
+
+    @settings(max_examples=300)
+    @given(open_unit, st.integers(0, 1), any_rho, st.sampled_from([SQ, XE]))
+    def test_point_and_surrogate_loss(self, pred, label, rho, kind):
+        l1, l0 = loss_curves(kind, np.float64(pred))
+        assert point_loss(kind, pred, label) == float(l1 if label == 1
+                                                      else l0)
+        s1, s0 = ref_flip(l1, l0, rho)
+        assert surrogate_loss(kind, pred, label, rho) == float(
+            s1 if label == 1 else s0)
+
+    @settings(max_examples=200)
+    @given(st.data(), any_rho, st.sampled_from([SQ, XE]))
+    def test_surrogate_value_and_gradient(self, data, rho, kind):
+        n = data.draw(st.integers(1, 20))
+        pred = data.draw(hnp.arrays(np.float64, n, elements=open_unit))
+        r = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from(
+            [0.0, 1.0])))
+        val, grad = _surrogate_coefs(pred, r, kind, rho)
+        s1, s0 = ref_flip(*loss_curves(kind, pred), rho)
+        ds1, ds0 = ref_flip(*loss_curve_grads(kind, pred), rho)
+        assert np.array_equal(val, np.where(r == 1, s1, s0))
+        assert np.array_equal(grad, np.where(r == 1, ds1, ds0))

@@ -30,7 +30,11 @@ from noisyrec.training import (
     pretrain_noisy_model,
     train_noisy_factor_model,
 )
-from noisyrec.noise import clamp_error_params, find_extreme_pairs
+from noisyrec.noise import (
+    NoisyRateModel,
+    clamp_error_params,
+    find_extreme_pairs,
+)
 
 
 def additive_truth(seed, n=80, m=80, scale=1.0):
@@ -160,6 +164,22 @@ class TestAlternatingTraining:
         # untrained models stay near their small-init state
         assert np.allclose(pred.predict_all(), 0.5, atol=0.01)
         assert np.allclose(imp.predict_all(), 0.0, atol=0.01)
+
+    @pytest.mark.parametrize("k_extreme, ok", [(150, True), (151, False),
+                                               (10**6, False)])
+    def test_k_extreme_at_most_half_the_pairs(self, k_extreme, ok):
+        # past n*m/2 the low and high sets overlap: rho_hat would be
+        # (1 - mean(q), mean(q)) whatever the predictions
+        d, p = separable_instance(0, 0.1, 0.1, n=20, m=15)
+        h = NoisyRateModel(np.full((20, 15), 0.45))
+        config = alt_config(0, outer_loops=0, k_extreme=k_extreme)
+        if ok:
+            _, _, trace = alternating_denoise_train(d, p, h, config)
+            assert trace.records == []
+        else:
+            with pytest.raises(ValidationError,
+                               match=r"k_extreme must be in \[1, n_pairs/2\]"):
+                alternating_denoise_train(d, p, h, config)
 
     def test_one_record_per_loop_and_valid_rho(self):
         d, p = separable_instance(1, 0.2, 0.1, n=40, m=40)
