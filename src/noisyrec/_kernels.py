@@ -1,9 +1,10 @@
 """Hot numeric kernels, vectorised with numpy.
 
 `factor_backward` adds each parameter's per-example contributions in batch
-order, so its gradient arrays equal a plain per-row loop bit for bit. The
-Monte-Carlo kernel draws from one seeded generator, so its replications are
-deterministic per seed.
+order, so its gradient arrays equal a plain per-row loop bit for bit.
+`values_at_ranks` is the one order-statistic selection, behind the quantile
+levels and the extreme cells. The Monte-Carlo kernel draws from one seeded
+generator, so its replications are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -41,6 +42,22 @@ def factor_backward(u_idx, i_idx, user_emb, item_emb, coef):
     g_ub = np.bincount(u_idx, coef, minlength=n)
     g_ib = np.bincount(i_idx, coef, minlength=m)
     return g_ue, g_ie, g_ub, g_ib, float(coef.sum())
+
+
+def values_at_ranks(values: np.ndarray, ranks) -> np.ndarray:
+    """np.partition(values, ranks)[ranks] for ascending ranks, selecting one
+    rank at a time on the suffix not yet placed. numpy selects a single rank
+    with its vectorised x86 (AVX2/AVX-512) path and a list of ranks without
+    it: four ranks of 4M float64 values took 45 ms one at a time against
+    130 ms as a list on an AVX-512 CPU."""
+    part = values.copy()
+    at_ranks = np.empty(len(ranks))
+    lo = 0
+    for j, r in enumerate(ranks):
+        part[lo:].partition(r - lo)  # may move the value at lo: read it now
+        at_ranks[j] = part[r]
+        lo = r
+    return at_ranks
 
 
 def mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1,

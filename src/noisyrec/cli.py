@@ -338,6 +338,8 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    if not np.isfinite(args.threshold):  # NaN would binarize all to 0
+        raise ValidationError(f"--threshold must be finite: {args.threshold}")
     users, items, ratings = [], [], []
     with open(args.triples) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -354,6 +356,9 @@ def cmd_ingest(args) -> int:
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from exc
             check_triple_index(lineno, users[-1], items[-1])
+            if not np.isfinite(ratings[-1]):
+                raise ValidationError(
+                    f"line {lineno}: rating {parts[2]} is not finite")
     binary = [1 if r >= args.threshold else 0 for r in ratings]
     dataset = dataset_from_triples(users, items, binary)
     save_dataset_triples(args.out, dataset)

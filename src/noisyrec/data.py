@@ -94,7 +94,7 @@ class PredictionMatrix:
         object.__setattr__(self, "r_hat", r)
         if r.ndim != 2:
             raise ValidationError("prediction matrix must be 2-D")
-        if np.any(r <= 0.0) or np.any(r >= 1.0):
+        if not (np.all(r > 0.0) and np.all(r < 1.0)):  # negated: NaN fails
             raise ValidationError("predictions must lie strictly inside (0, 1)")
 
 

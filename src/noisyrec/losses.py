@@ -83,6 +83,12 @@ def label_loss(kind: LossKind, pred: np.ndarray, label,
     return _at_label(loss_curves(kind, pred), label, rho)
 
 
+def label_loss_grad(kind: LossKind, pred: np.ndarray, label,
+                    rho: ErrorParams | None = None) -> np.ndarray:
+    """Elementwise d/dpred of label_loss(kind, pred, label, rho)."""
+    return _at_label(loss_curve_grads(kind, pred), label, rho)
+
+
 def point_loss(kind: LossKind, pred: float, label: int) -> float:
     """l(pred, label) for a single prediction."""
     return float(label_loss(kind, np.float64(pred), label))

@@ -23,7 +23,7 @@ from .data import (
     ValidationError,
     make_rng,
 )
-from .losses import LossKind, _at_label, label_loss, loss_curve_grads
+from .losses import LossKind, label_loss, label_loss_grad
 
 
 class TrainingDivergence(RuntimeError):
@@ -225,20 +225,13 @@ def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
 # Objectives and analytic gradients
 # ---------------------------------------------------------------------------
 
-def _surrogate_coefs(pred, r, loss: LossKind, rho: ErrorParams):
-    """Per-example surrogate loss and d(surrogate)/d(pred) at the observed
-    label r."""
-    return (label_loss(loss, pred, r, rho),
-            _at_label(loss_curve_grads(loss, pred), r, rho))
-
-
 def surrogate_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
                         rho: ErrorParams, loss: LossKind,
                         weight_decay: float = 0.0) -> float:
     """Mini-batch corrected-DR objective: mean over the batch of
     (1 - o/p) e_bar + (o/p) l~(f, r), plus L2 on the embeddings."""
     f = model.forward(u_idx, i_idx)
-    val, _ = _surrogate_coefs(f, r, loss, rho)
+    val = label_loss(loss, f, r, rho)
     w = o / p_hat
     obj = float(np.mean((1.0 - w) * e_bar + w * val))
     if weight_decay > 0.0:
@@ -252,7 +245,7 @@ def surrogate_grad_coefs(model: FactorModel, u_idx, i_idx, o, r, p_hat,
     """d(objective)/d(score) per batch example (imputed term carries no
     prediction-model gradient)."""
     f = model.forward(u_idx, i_idx)
-    _, dval = _surrogate_coefs(f, r, loss, rho)
+    dval = label_loss_grad(loss, f, r, rho)
     return (o / p_hat) * dval * f * (1.0 - f) / u_idx.shape[0]
 
 
@@ -271,7 +264,7 @@ def imputation_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat,
                          weight_decay: float = 0.0) -> float:
     """Mini-batch imputation loss: mean of o (e~ - e_bar)^2 / p over an
     observed-set batch; e~ is the surrogate loss of the (frozen) predictions."""
-    target, _ = _surrogate_coefs(pred, r, loss, rho)
+    target = label_loss(loss, pred, r, rho)
     e_bar = model.scores(u_idx, i_idx)
     obj = float(np.mean(o * (target - e_bar) ** 2 / p_hat))
     if weight_decay > 0.0:
@@ -284,7 +277,7 @@ def sgd_step_imputation(model: FactorModel, u_idx, i_idx, o, r, p_hat, pred,
                         rho: ErrorParams, loss: LossKind, config: SgdConfig,
                         opt: Optimizer) -> FactorModel:
     """One gradient step on the imputation loss; predictions stay fixed."""
-    target, _ = _surrogate_coefs(pred, r, loss, rho)
+    target = label_loss(loss, pred, r, rho)
     e_bar = model.scores(u_idx, i_idx)
     coef = -2.0 * o * (target - e_bar) / p_hat / u_idx.shape[0]
     factor_sgd_step(model, u_idx, i_idx, coef, config, opt,

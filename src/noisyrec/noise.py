@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .data import EPS_RHO, ErrorParams, PredictionMatrix, ValidationError
 
 
@@ -32,8 +33,35 @@ class NoisyRateModel:
         object.__setattr__(self, "q", q)
         if q.ndim != 2:
             raise ValidationError("noisy-rate matrix must be 2-D")
-        if np.any(q <= 0.0) or np.any(q >= 1.0):
+        if not (np.all(q > 0.0) and np.all(q < 1.0)):  # negated: NaN fails
             raise ValidationError("noisy-rate entries must lie in (0, 1)")
+
+
+def check_k_extreme(k_extreme: int, n_pairs: int) -> None:
+    """Past n_pairs/2 the k lowest and the k highest cells overlap."""
+    if not (1 <= k_extreme <= n_pairs // 2):
+        raise ValidationError("k_extreme must be in [1, n_pairs/2]")
+
+
+def extreme_cells(values, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the k lowest and the k highest cells of `values`,
+    each by ascending value, ties by index, for 1 <= k <= n/2.
+
+    At each end v is the k-th value: all cells strictly beyond v, then the
+    row-major-first cells equal to v. This is build_gamma's cut rule, so
+    k = 1 gives np.argmin and np.argmax. NaN raises ValidationError."""
+    flat = np.ravel(values)
+    check_k_extreme(k, flat.size)
+    if np.isnan(flat.max()):
+        raise ValidationError("values to rank hold NaN")
+    ends = []
+    at_ranks = _kernels.values_at_ranks(flat, (k - 1, flat.size - k))
+    for v, beyond in zip(at_ranks, (np.less, np.greater)):
+        cells = np.flatnonzero(beyond(flat, v))
+        ties = np.flatnonzero(flat == v)[:k - cells.size]
+        cells = np.concatenate((cells, ties))
+        ends.append(cells[np.argsort(flat[cells], kind="stable")])
+    return ends[0], ends[1]
 
 
 def find_extreme_pairs(
@@ -41,9 +69,8 @@ def find_extreme_pairs(
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """Row-major-first argmin and argmax of the prediction matrix."""
     r = predictions.r_hat
-    lo = np.unravel_index(int(np.argmin(r)), r.shape)
-    hi = np.unravel_index(int(np.argmax(r)), r.shape)
-    return (int(lo[0]), int(lo[1])), (int(hi[0]), int(hi[1]))
+    lo, hi = extreme_cells(r, 1)
+    return divmod(int(lo[0]), r.shape[1]), divmod(int(hi[0]), r.shape[1])
 
 
 def clamp_error_params(rho01: float, rho10: float) -> tuple[ErrorParams, bool]:
@@ -66,27 +93,28 @@ def clamp_error_params(rho01: float, rho10: float) -> tuple[ErrorParams, bool]:
     return ErrorParams(r01, r10), clamped
 
 
-def identify_error_params(q: NoisyRateModel, k_extreme: int = 1) -> ErrorParams:
-    """Estimate the flip rates from the k most extreme noisy-rate entries.
+def rates_at_extremes(q, k_extreme: int, by) -> tuple[ErrorParams, bool]:
+    """Flip rates read from q at the extreme cells of `by`, of q's shape:
+    rho10 = mean of q over the k lowest cells, rho01 = 1 - mean over the k
+    highest, clamped. Returns (params, clamped flag)."""
+    lo, hi = extreme_cells(by, k_extreme)
+    q = np.ravel(q)
+    return clamp_error_params(1.0 - float(np.mean(q[hi])),
+                              float(np.mean(q[lo])))
 
-    rho01 = 1 - mean of the k largest entries, rho10 = mean of the k
-    smallest; ties resolve to the smallest row-major index (immaterial for
-    the means). k = 1 mirrors the single argmin/argmax identification;
-    larger k (e.g. 0.1% of the universe) is recommended when q is itself
-    estimated, since single-entry extremes are high-variance.
-    """
-    flat = q.q.ravel()
-    n = flat.size
-    if not (1 <= k_extreme <= n // 2):
-        raise ValidationError("k_extreme must be in [1, n_pairs/2]")
-    srt = np.sort(flat)
-    rho10 = float(np.mean(srt[:k_extreme]))
-    rho01 = 1.0 - float(np.mean(srt[-k_extreme:]))
-    if srt[-1] - srt[0] < 1e-12:
+
+def identify_error_params(q: NoisyRateModel, k_extreme: int = 1) -> ErrorParams:
+    """Estimate the flip rates from the k most extreme noisy-rate entries:
+    rho01 = 1 - mean of the k largest, rho10 = mean of the k smallest, as
+    `extreme_cells` selects them (which tied entries is immaterial to the
+    means). k = 1 is the single argmin/argmax identification; larger k
+    (e.g. 0.1% of the universe) is recommended when q is itself estimated,
+    since single-entry extremes are high-variance."""
+    params, _ = rates_at_extremes(q.q, k_extreme, q.q)
+    if np.ptp(q.q) < 1e-12:
         warnings.warn(
             "noisy-rate matrix has no separation between extremes; "
             "identified error rates are unreliable",
             NoSeparationWarning,
         )
-    params, _ = clamp_error_params(rho01, rho10)
     return params

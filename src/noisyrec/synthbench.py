@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .data import (
     DEFAULT_PROPENSITY_FLOOR,
     ErrorParams,
@@ -100,22 +101,6 @@ class BenchmarkInstance:
             self.observed_mask, self.observed_ratings, self.true_ratings)
 
 
-def _values_at_ranks(values: np.ndarray, ranks) -> np.ndarray:
-    """np.partition(values, ranks)[ranks] for ascending ranks, selecting one
-    rank at a time on the suffix not yet placed. numpy selects a single rank
-    with its vectorised x86 (AVX2/AVX-512) path and a list of ranks without
-    it: four ranks of 4M float64 values took 45 ms one at a time against
-    130 ms as a list on an AVX-512 CPU."""
-    part = values.copy()
-    at_ranks = np.empty(len(ranks))
-    lo = 0
-    for j, r in enumerate(ranks):
-        part[lo:].partition(r - lo)  # may move the value at lo: read it now
-        at_ranks[j] = part[r]
-        lo = r
-    return at_ranks
-
-
 def build_gamma(proportions, score_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Assign quantile levels by ascending score: the lowest p1 fraction gets
     0.1, the next p2 gets 0.3, and so on; ties break row-major. Returns
@@ -143,7 +128,7 @@ def build_gamma(proportions, score_matrix) -> tuple[np.ndarray, np.ndarray]:
     level_idx = np.full(n, np.count_nonzero(cuts <= 0), dtype=np.int8)
     inner = cuts[(cuts > 0) & (cuts < n)]
     mark = np.empty(n, dtype=bool)  # reused: no n-byte temporary per compare
-    for c, v in zip(inner, _values_at_ranks(flat, inner)):
+    for c, v in zip(inner, _kernels.values_at_ranks(flat, inner)):
         np.greater(flat, v, out=mark)
         level_idx += mark
         n_past = np.count_nonzero(mark)

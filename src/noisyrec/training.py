@@ -27,7 +27,7 @@ from .models import (
     sgd_step_surrogate,
     surrogate_objective,
 )
-from .noise import NoisyRateModel, clamp_error_params
+from .noise import NoisyRateModel, check_k_extreme, rates_at_extremes
 
 PRETRAIN_METHODS = ("naive", "ips", "dr")
 TRAIN_METHODS = PRETRAIN_METHODS + ("eib",)
@@ -46,9 +46,8 @@ class AltTrainConfig:
     sgd_imputation: SgdConfig = field(default_factory=SgdConfig)
 
     def __post_init__(self):
-        if min(self.steps_prediction, self.steps_imputation,
-               self.k_extreme) < 1:
-            raise ValidationError("step counts and k_extreme must be >= 1")
+        if min(self.steps_prediction, self.steps_imputation) < 1:
+            raise ValidationError("step counts must be >= 1")
         if self.outer_loops < 0:
             raise ValidationError("outer_loops must be >= 0")
 
@@ -165,42 +164,6 @@ def pretrain_noisy_model(dataset: RatingDataset, method: str,
 # Alternating training
 # ---------------------------------------------------------------------------
 
-def _stable_extremes(values: np.ndarray, k: int):
-    """The first and the last k entries of np.argsort(values, kind="stable"),
-    in that order, for 1 <= k <= n/2, without sorting every cell.
-
-    np.partition finds the k-th smallest and the k-th largest value; only the
-    cells at or beyond each boundary are then stable-sorted. Those cells form
-    a prefix (a suffix) of the full stable order, and they are taken in
-    ascending index order, so ties keep the row-major rule. NaN sorts last in
-    both sorts; the negated comparisons keep NaN cells as candidates.
-    """
-    n = values.shape[0]
-    part = np.partition(values, (k - 1, n - k))
-    lo = np.flatnonzero(~(values > part[k - 1]))
-    hi = np.flatnonzero(~(values < part[n - k]))
-    lo = lo[np.argsort(values[lo], kind="stable")[:k]]
-    hi = hi[np.argsort(values[hi], kind="stable")[-k:]]
-    return lo, hi
-
-
-def _refresh_rho(q: np.ndarray, k_extreme,
-                 predictions: np.ndarray) -> tuple[ErrorParams, bool]:
-    """Re-estimate the flip rates from the noisy-rate model at the current
-    extreme cells of the prediction model: the row-major-first argmin and
-    argmax for k = 1, else the mean over the k most extreme cells."""
-    flat = predictions.ravel()
-    q_flat = q.ravel()
-    if k_extreme == 1:
-        rho10 = float(q_flat[np.argmin(flat)])
-        rho01 = 1.0 - float(q_flat[np.argmax(flat)])
-    else:
-        lo, hi = _stable_extremes(flat, k_extreme)
-        rho10 = float(np.mean(q_flat[lo]))
-        rho01 = 1.0 - float(np.mean(q_flat[hi]))
-    return clamp_error_params(rho01, rho10)
-
-
 def alternating_denoise_train(
     dataset: RatingDataset,
     p_hat: np.ndarray,
@@ -223,8 +186,7 @@ def alternating_denoise_train(
     q = noisy_model.q
     if q.shape != dataset.shape:
         raise ValidationError("noisy-rate shape mismatch")
-    if config.k_extreme > n * m // 2:
-        raise ValidationError("k_extreme must be in [1, n_pairs/2]")
+    check_k_extreme(config.k_extreme, n * m)
 
     rng = make_rng(config.sgd_prediction.seed)
     pred_model = FactorModel.init(n, m, config.embedding_dim, rng)
@@ -261,7 +223,7 @@ def alternating_denoise_train(
         dense_pred = pred_model.predict_all()
 
         # imputation phase: refresh rho first, then step the imputation model
-        rho, clamped = _refresh_rho(q, config.k_extreme, dense_pred)
+        rho, clamped = rates_at_extremes(q, config.k_extreme, dense_pred)
         for _ in range(config.steps_imputation):
             idx = obs_idx[rng.choice(obs_idx.size, size=batch_i,
                                      replace=False)]

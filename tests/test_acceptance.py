@@ -32,7 +32,8 @@ from noisyrec.estimators import (
     relative_error,
     true_inaccuracy,
 )
-from noisyrec.losses import LossKind, loss_curves, surrogate_curves
+from noisyrec.losses import (LossKind, label_loss, loss_curves,
+                             surrogate_curves)
 from noisyrec.metrics import auc, ndcg_at_k, recall_at_k
 from noisyrec.models import (
     FactorModel,
@@ -399,8 +400,7 @@ def test_criterion_08_gradient_oracles():
         imp.item_bias = rng.normal(size=m)
         imp.global_bias = float(rng.normal())
         pred_b = rng.uniform(0.1, 0.9, size=batch)
-        from noisyrec.models import _surrogate_coefs
-        target, _ = _surrogate_coefs(pred_b, r, SQ, rho)
+        target = label_loss(SQ, pred_b, r, rho)
         coef_i = -2.0 * o * (target - imp.scores(u, i)) / p / batch
         g = _kernels.factor_backward(u, i, imp.user_emb, imp.item_emb, coef_i)
         analytic = np.concatenate([g[0].ravel(), g[1].ravel(), g[2], g[3],

@@ -171,6 +171,19 @@ class TestEstimate:
         assert "propensities must lie in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_prediction_exit_2(self, instance_dir, tmp_path, capsys):
+        path = instance_dir / "pred.csv"
+        r = np.loadtxt(path, delimiter=",", ndmin=2)
+        r[2, 5] = np.nan
+        np.savetxt(path, r, fmt="%.17g", delimiter=",")
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--out", str(out)])
+        assert code == 2
+        assert ("predictions must lie strictly inside (0, 1)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_estimator_row_level_error(self, instance_dir, tmp_path):
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
@@ -324,6 +337,28 @@ class TestIngest:
         assert main(["ingest", "--triples", str(raw), "--threshold", "3",
                      "--out", str(out)]) == 2
         assert "duplicate pair (user 0, item 0)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf"])
+    def test_non_finite_rating_exit_2(self, tmp_path, capsys, rating):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(f"0 0 5\n1 1 {rating}\n")
+        out = tmp_path / "o.tsv"
+        assert main(["ingest", "--triples", str(raw), "--threshold", "3",
+                     "--out", str(out)]) == 2
+        assert (f"line 2: rating {rating} is not finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exit_2(self, tmp_path, capsys, threshold):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("0 0 5\n1 1 1\n")
+        out = tmp_path / "o.tsv"
+        assert main(["ingest", "--triples", str(raw), "--threshold",
+                     threshold, "--out", str(out)]) == 2
+        assert "--threshold must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import tempfile
 import types
 from pathlib import Path
@@ -96,6 +97,11 @@ class TestMatrices:
     def test_prediction_open_interval(self):
         with pytest.raises(ValidationError):
             PredictionMatrix(np.array([[0.0, 0.5]]))
+
+    def test_prediction_rejects_nan(self):
+        # a NaN passes r <= 0 and r >= 1
+        with pytest.raises(ValidationError, match=r"inside \(0, 1\)"):
+            PredictionMatrix(np.array([[0.3, np.nan]]))
 
 
 class TestRngDeterminism:
@@ -306,3 +312,106 @@ class TestTracedNames:
         assert ("models", "FactorModel.predict_all") in {
             t[:2] for t in targets}
         assert unresolved_targets(targets) == []
+
+
+def benchmark_uses(source):
+    """The noisyrec names a benchmark source uses, as (module, name, line,
+    call), by line: every `<module>.<name>` of a module imported from
+    noisyrec, every name imported from a noisyrec module and each of its
+    uses, and every `(module, "<name>")` argument pair (the self-test's
+    patches). `call` is (number of positional arguments, keyword names)
+    where the name is called, with a `.call(fn, ...)` counted as a call of
+    fn; else, or with *args or **kwargs, None."""
+    tree = ast.parse(source)
+    modules, names, imported = {}, {}, []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "noisyrec"):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module == "noisyrec":
+                    modules[local] = alias.name
+                else:
+                    names[local] = (node.module.split(".", 1)[1], alias.name)
+                    imported.append((*names[local], node.lineno, None))
+
+    def resolve(expr):
+        if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+                and expr.value.id in modules):
+            return modules[expr.value.id], expr.attr
+        if isinstance(expr, ast.Name) and expr.id in names:
+            return names[expr.id]
+        return None
+
+    uses = imported
+    for node in ast.walk(tree):
+        target = resolve(node)
+        if target:
+            uses.append((*target, node.lineno, None))
+        if not isinstance(node, ast.Call):
+            continue
+        fn, args = node.func, node.args
+        if (len(args) >= 2 and isinstance(args[0], ast.Name)
+                and args[0].id in modules and isinstance(args[1], ast.Constant)
+                and isinstance(args[1].value, str)):
+            uses.append((modules[args[0].id], args[1].value, node.lineno,
+                         None))
+        if isinstance(fn, ast.Attribute) and fn.attr == "call" and args:
+            fn, args = args[0], args[1:]
+        target = resolve(fn)
+        if (target and not any(isinstance(a, ast.Starred) for a in args)
+                and all(kw.arg for kw in node.keywords)):
+            uses.append((*target, node.lineno,
+                         (len(args), [kw.arg for kw in node.keywords])))
+    return sorted(uses, key=lambda use: use[2])
+
+
+def broken_benchmark_uses(sources) -> list[str]:
+    """The uses of `benchmark_uses` that noisyrec no longer serves: a name
+    it does not define, or a call its signature does not bind."""
+    broken = []
+    for label, source in sources:
+        for mod_name, name, line, call in benchmark_uses(source):
+            where = f"{label}:{line} {mod_name}.{name}"
+            owner = importlib.import_module(f"noisyrec.{mod_name}")
+            if not hasattr(owner, name):
+                broken.append(f"{where}: not defined")
+                continue
+            if call is None:
+                continue
+            n_args, keywords = call
+            try:
+                inspect.signature(getattr(owner, name)).bind(
+                    *range(n_args), **dict.fromkeys(keywords))
+            except TypeError as exc:
+                broken.append(f"{where}: {exc}")
+    return broken
+
+
+class TestBenchmarkUses:
+    def test_checker_flags_missing_names_and_unbound_calls(self):
+        source = (
+            "from noisyrec import models, noise\n"
+            "from noisyrec.data import ErrorParams, NoSuchName\n"
+            "noise.clamp_error_params(0.1, 0.2)\n"
+            "noise.clamp_error_params(0.1)\n"
+            "ctx.call(noise.identify_error_params, q, k_extreme=3)\n"
+            "ctx.call(noise.identify_error_params, q, k=3)\n"
+            "noise.clamp_error_params(*rates)\n"
+            "patched(models, 'gone', nudge)\n"
+            "ErrorParams(0.1, 0.2, 0.3)\n"
+            "noise.find_extreme_pairs\n")
+        broken = broken_benchmark_uses([("src", source)])
+        assert [b.split(":")[:2] for b in broken] == [
+            ["src", "2 data.NoSuchName"], ["src", "4 noise.clamp_error_params"],
+            ["src", "6 noise.identify_error_params"], ["src", "8 models.gone"],
+            ["src", "9 data.ErrorParams"]]
+
+    def test_every_benchmark_use_binds(self):
+        sources = [(p.name, p.read_text())
+                   for p in sorted(TRACER.parent.glob("*.py"))]
+        uses = [u for _, s in sources for u in benchmark_uses(s)]
+        assert ("noise", "identify_error_params") in {u[:2] for u in uses}
+        assert any(u[:2] == ("models", "sgd_step_surrogate") and u[3]
+                   for u in uses)
+        assert broken_benchmark_uses(sources) == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisyrec.data import ErrorParams, RatingDataset, ValidationError, make_rng
-from noisyrec.losses import LossKind
+from noisyrec.losses import LossKind, label_loss
 from noisyrec.models import (
     FactorModel,
     Optimizer,
@@ -182,8 +182,7 @@ class TestImputationStep:
         p = np.full(3, 0.5)
         pred = np.full(3, 0.4)
         rho = ErrorParams(0.2, 0.1)
-        from noisyrec.models import _surrogate_coefs
-        target, _ = _surrogate_coefs(pred, r, SQ, rho)
+        target = label_loss(SQ, pred, r, rho)
         # place the model exactly at the target via the global bias per pair:
         # use a constant target to make that possible
         target[:] = target[0]
@@ -217,8 +216,7 @@ class TestImputationStep:
             return imputation_objective(m, u, i, o, r, p, pred, rho, SQ,
                                         weight_decay=wd)
 
-        from noisyrec.models import _surrogate_coefs
-        target, _ = _surrogate_coefs(pred, r, SQ, rho)
+        target = label_loss(SQ, pred, r, rho)
         e_bar = model.scores(u, i)
         coef = -2.0 * o * (target - e_bar) / p / u.shape[0]
         analytic = analytic_factor_grad(model, u, i, coef)

@@ -5,7 +5,6 @@ import pytest
 
 from noisyrec.data import (
     ErrorParams,
-    PredictionMatrix,
     RatingDataset,
     ValidationError,
     make_rng,
@@ -24,17 +23,11 @@ from noisyrec.training import (
     AltTrainConfig,
     TrainTrace,
     TraceRecord,
-    _refresh_rho,
-    _stable_extremes,
     alternating_denoise_train,
     pretrain_noisy_model,
     train_noisy_factor_model,
 )
-from noisyrec.noise import (
-    NoisyRateModel,
-    clamp_error_params,
-    find_extreme_pairs,
-)
+from noisyrec.noise import NoisyRateModel
 
 
 def additive_truth(seed, n=80, m=80, scale=1.0):
@@ -292,57 +285,6 @@ class TestAlternatingTraining:
                             [(r.rho01_hat, r.rho10_hat) for r in trace.records]))
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
-
-
-def refresh_rho_reference(q, k, predictions):
-    """_refresh_rho for k > 1 as a full stable argsort of the predictions."""
-    order = np.argsort(predictions.ravel(), kind="stable")
-    q_flat = q.ravel()
-    return clamp_error_params(1.0 - float(np.mean(q_flat[order[-k:]])),
-                              float(np.mean(q_flat[order[:k]])))
-
-
-def tied_predictions(seed, n=12, m=10):
-    """Few distinct values, so ties straddle both k-extreme boundaries."""
-    rng = make_rng(seed)
-    return rng.integers(0, 4, size=(n, m)) / 4.0 + 0.1
-
-
-class TestExtremeSelection:
-    @pytest.mark.parametrize("case", ["ties", "all_equal", "k_half"])
-    def test_refresh_rho_equals_stable_argsort(self, case):
-        rng = make_rng(30)
-        q = rng.uniform(0.05, 0.45, size=(12, 10))
-        pred = {"ties": tied_predictions(31),
-                "all_equal": np.full((12, 10), 0.5),
-                "k_half": rng.random((12, 10))}[case]
-        k = 60 if case == "k_half" else 7
-        if case == "ties":
-            # the boundary value at both ends is shared with unselected cells
-            srt = np.sort(pred.ravel())
-            assert srt[k - 1] == srt[k] and srt[-k] == srt[-k - 1]
-        got = _refresh_rho(q, k, pred)
-        assert got == refresh_rho_reference(q, k, pred)
-
-    def test_refresh_rho_k1_takes_row_major_first_ties(self):
-        q = make_rng(33).uniform(0.05, 0.45, size=(4, 5))
-        pred = np.full((4, 5), 0.5)
-        pred[1, 3] = pred[2, 0] = 0.1  # tied minimum
-        pred[0, 4] = pred[3, 2] = 0.9  # tied maximum
-        lo, hi = find_extreme_pairs(PredictionMatrix(pred))
-        assert (lo, hi) == ((1, 3), (0, 4))
-        got = _refresh_rho(q, 1, pred)
-        assert got == clamp_error_params(1.0 - q[0, 4], q[1, 3])
-
-    @pytest.mark.parametrize("case", ["ties", "all_equal", "k_1", "k_half"])
-    def test_selection_equals_stable_argsort(self, case):
-        pred = (np.full(120, 0.5) if case == "all_equal"
-                else tied_predictions(32).ravel())
-        k = {"k_1": 1, "k_half": 60}.get(case, 7)
-        order = np.argsort(pred, kind="stable")
-        lo, hi = _stable_extremes(pred, k)
-        assert np.array_equal(lo, order[:k])
-        assert np.array_equal(hi, order[-k:])
 
 
 class TestTrace:
