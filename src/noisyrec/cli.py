@@ -46,7 +46,7 @@ from .models import (
     save_model,
     train_propensity,
 )
-from .noise import identify_error_params
+from .noise import check_k_extreme, identify_error_params
 from .synthbench import (
     BenchmarkSpec,
     load_instance,
@@ -294,6 +294,7 @@ def cmd_train(args) -> int:
         steps_prediction=option("steps_prediction", "10"),
         steps_imputation=option("steps_imputation", "10"),
         embedding_dim=option("embedding_dim", "8"),
+        k_extreme=option("k_extreme", "1"),
         sgd_prediction=sgd,
         sgd_imputation=sgd,
     )
@@ -303,6 +304,8 @@ def cmd_train(args) -> int:
     if cfg:  # every key read above was popped
         raise ValidationError(f"unknown train option {min(cfg)!r}")
     dataset, labels = _load_training_data(args.data, args.seed)
+    if args.method == "ome_alt":  # before any training or output
+        check_k_extreme(alt_cfg.k_extreme, dataset.n_users * dataset.n_items)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -41,9 +41,11 @@ class LossKind:
 
 
 def loss_curves(kind: LossKind, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise (l(pred, 1), l(pred, 0)) for predictions in (0, 1)."""
+    """Elementwise (l(pred, 1), l(pred, 0)) for predictions in (0, 1); any
+    other prediction, NaN included, raises ValidationError."""
     pred = np.asarray(pred, dtype=np.float64)
-    if np.any(pred <= 0.0) or np.any(pred >= 1.0):
+    # min and max carry NaN through, so a NaN fails the test
+    if pred.size and not (pred.min() > 0.0 and pred.max() < 1.0):
         raise ValidationError("predictions must lie strictly inside (0, 1)")
     if kind.variant is LossVariant.SQUARED_ERROR:
         return (pred - 1.0) ** 2, pred**2

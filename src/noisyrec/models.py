@@ -199,15 +199,22 @@ class Optimizer:
 def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
                     opt: Optimizer, error: str) -> None:
     """One optimizer step on a batch whose objective has d/d(score) = coef
-    per example; L2 decay applies to embeddings only, not biases.
+    per example; L2 decay applies to embeddings only, not biases. Rows whose
+    coefficient is exactly 0 skip the backward kernel; the step is the same
+    bit for bit.
 
     Raises TrainingDivergence(error) on a non-finite coef, and
     TrainingDivergence when the step leaves the global bias non-finite.
     """
     if not np.all(np.isfinite(coef)):
         raise TrainingDivergence(error)
-    g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
-        u_idx, i_idx, model.user_emb, model.item_emb, coef)
+    # a zero coefficient adds nothing to any gradient, so only the other rows
+    # go through the kernel; the global-bias gradient sums the full batch,
+    # because a pairwise sum over fewer terms can round differently
+    rows = np.flatnonzero(coef)
+    g_ue, g_ie, g_ub, g_ib, _ = _kernels.factor_backward(
+        u_idx[rows], i_idx[rows], model.user_emb, model.item_emb, coef[rows])
+    g_b0 = float(coef.sum())
     wd = config.weight_decay
     if wd > 0.0:
         g_ue = g_ue + wd * model.user_emb
@@ -240,19 +247,40 @@ def surrogate_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
     return obj
 
 
+def weighted_grad_coefs(model: FactorModel, u_idx, i_idx, w, grad):
+    """d(objective)/d(score) per batch example for the objective
+    mean_b w_b * loss_b(f_b) of the sigmoid outputs f, given
+    grad(f, rows) = d loss/d f on `rows`.
+
+    Only the rows with a non-zero weight are scored; the others get the
+    coefficient 0 that w_b = 0 gives them. A non-finite weight is non-zero,
+    so its row is scored and its coefficient is non-finite too, which
+    factor_sgd_step rejects.
+    """
+    rows = np.flatnonzero(w)
+    f = model.forward(u_idx[rows], i_idx[rows])
+    coef = np.zeros(u_idx.shape[0])
+    coef[rows] = w[rows] * grad(f, rows) * f * (1.0 - f) / u_idx.shape[0]
+    return coef
+
+
 def surrogate_grad_coefs(model: FactorModel, u_idx, i_idx, o, r, p_hat,
                          rho: ErrorParams, loss: LossKind):
     """d(objective)/d(score) per batch example (imputed term carries no
-    prediction-model gradient)."""
-    f = model.forward(u_idx, i_idx)
-    dval = label_loss_grad(loss, f, r, rho)
-    return (o / p_hat) * dval * f * (1.0 - f) / u_idx.shape[0]
+    prediction-model gradient), so the unobserved rows, where o/p = 0, are
+    not scored."""
+    return weighted_grad_coefs(
+        model, u_idx, i_idx, o / p_hat,
+        lambda f, rows: label_loss_grad(loss, f, r[rows], rho))
 
 
 def sgd_step_surrogate(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
                        rho: ErrorParams, loss: LossKind, config: SgdConfig,
                        opt: Optimizer) -> FactorModel:
-    """One gradient step on the mini-batch corrected-DR objective."""
+    """One gradient step on the mini-batch corrected-DR objective.
+
+    e_bar is unused, since the imputed term carries no prediction-model
+    gradient; it stays in the signature for existing positional callers."""
     coef = surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho, loss)
     factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
                     "non-finite gradient in prediction step")
@@ -276,7 +304,10 @@ def imputation_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat,
 def sgd_step_imputation(model: FactorModel, u_idx, i_idx, o, r, p_hat, pred,
                         rho: ErrorParams, loss: LossKind, config: SgdConfig,
                         opt: Optimizer) -> FactorModel:
-    """One gradient step on the imputation loss; predictions stay fixed."""
+    """One gradient step on the imputation loss; predictions stay fixed.
+    A non-finite prediction raises TrainingDivergence."""
+    if not np.all(np.isfinite(pred)):
+        raise TrainingDivergence("non-finite gradient in imputation step")
     target = label_loss(loss, pred, r, rho)
     e_bar = model.scores(u_idx, i_idx)
     coef = -2.0 * o * (target - e_bar) / p_hat / u_idx.shape[0]

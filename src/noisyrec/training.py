@@ -26,6 +26,7 @@ from .models import (
     sgd_step_imputation,
     sgd_step_surrogate,
     surrogate_objective,
+    weighted_grad_coefs,
 )
 from .noise import NoisyRateModel, check_k_extreme, rates_at_extremes
 
@@ -102,6 +103,10 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     1/p_hat. eib: observed losses plus constant-target imputation (against
     the observed positive rate) on the unobserved cells. dr: the imputation
     combined with the propensity-weighted residual.
+
+    Every method draws its batches from all n*m cells. naive and ips weight
+    the unobserved cells by 0, so only the observed members of a batch are
+    scored, and the model is the same bit for bit.
     """
     if method not in TRAIN_METHODS:
         raise ValidationError(f"unknown training method {method!r}")
@@ -128,21 +133,21 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
             idx = order[start:start + batch]
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
-            f = model.forward(u, i)
-            g_obs = _xent_grad(f, rb)
-            if method == "naive":
-                weight = ob * n_pairs / n_obs
-                dldf = weight * g_obs
-            elif method == "ips":
-                dldf = ob / p_flat[idx] * g_obs
-            elif method == "eib":
+            if method in ("naive", "ips"):
+                w = (ob * n_pairs / n_obs if method == "naive"
+                     else ob / p_flat[idx])
+                coef = weighted_grad_coefs(
+                    model, u, i, w, lambda f, rows: _xent_grad(f, rb[rows]))
+            else:
+                f = model.forward(u, i)
+                g_obs = _xent_grad(f, rb)
                 g_imp = _xent_grad(f, r_bar)
-                dldf = ob * g_obs + (1.0 - ob) * g_imp
-            else:  # dr with constant-rate imputation target
-                g_imp = _xent_grad(f, r_bar)
-                w = ob / p_flat[idx]
-                dldf = g_imp + w * (g_obs - g_imp)
-            coef = dldf * f * (1.0 - f) / idx.shape[0]
+                if method == "eib":
+                    dldf = ob * g_obs + (1.0 - ob) * g_imp
+                else:  # dr with constant-rate imputation target
+                    w = ob / p_flat[idx]
+                    dldf = g_imp + w * (g_obs - g_imp)
+                coef = dldf * f * (1.0 - f) / idx.shape[0]
             factor_sgd_step(
                 model, u, i, coef, config, opt,
                 f"noisy-rate pretraining diverged at epoch {epoch}")
@@ -216,9 +221,8 @@ def alternating_denoise_train(
         for _ in range(config.steps_prediction):
             idx = rng.choice(n_pairs, size=batch_p, replace=False)
             u, i = np.divmod(idx, m)
-            e_bar_b = imp_model.scores(u, i)
             sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
-                               p_flat[idx], e_bar_b, rho, config.loss,
+                               p_flat[idx], None, rho, config.loss,
                                config.sgd_prediction, pred_opt)
         dense_pred = pred_model.predict_all()
 

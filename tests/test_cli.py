@@ -240,6 +240,50 @@ class TestTrain:
         assert len(rows) == 4
         assert all(row[5] in ("0", "1") for row in rows[1:])
 
+    def test_k_extreme_option(self, instance_dir, tmp_path):
+        # the default is 1, so an explicit 1 writes the same trace
+        traces = []
+        for line in ("", "k_extreme = 1\n", "k_extreme = 10\n"):
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text("outer_loops = 2\nsgd.max_epochs = 3\n"
+                           "propensity_epochs = 10\n" + line)
+            out = tmp_path / f"run{len(traces)}"
+            code = main(["train", "--data", str(instance_dir),
+                         "--method", "ome_alt", "--config", str(cfg),
+                         "--out", str(out)])
+            assert code == 0
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[1] == traces[0]
+
+    @pytest.mark.parametrize("k", [0, 251])
+    def test_k_extreme_out_of_range_exit_2(self, instance_dir, tmp_path,
+                                           capsys, k):
+        # the 20 x 25 instance has 500 pairs, so k_extreme may be 1..250
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"k_extreme = {k}\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(instance_dir),
+                     "--method", "ome_alt", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        assert "k_extreme must be in [1, n_pairs/2]" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any training
+
+    @pytest.mark.parametrize("method, rate, message", [
+        ("naive", "1e308", "noisy-rate pretraining diverged"),
+        ("ome_alt", "1e5", "non-finite gradient in imputation step")])
+    def test_divergence_exit_3(self, instance_dir, tmp_path, capsys, method,
+                               rate, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"sgd.learning_rate = {rate}\nsgd.max_epochs = 3\n"
+                       "outer_loops = 2\npropensity_epochs = 5\n")
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", str(instance_dir),
+                         "--method", method, "--config", str(cfg),
+                         "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
     def test_train_from_triples_file(self, tmp_path):
         rng = np.random.default_rng(0)
         lines = []

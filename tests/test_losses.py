@@ -49,6 +49,26 @@ class TestPointLoss:
             LossKind.cross_entropy(eps_clip=0.5)
 
 
+class TestPredictionRange:
+    @pytest.mark.parametrize("kind", [SQ, XE], ids=["squared", "xent"])
+    @pytest.mark.parametrize("pred", [[0.3, np.nan], [np.nan], [np.nan, 1.5],
+                                      [[0.2, 0.4], [0.6, np.nan]]])
+    def test_nan_rejected(self, kind, pred):
+        with pytest.raises(ValidationError, match=r"inside \(0, 1\)"):
+            loss_curves(kind, np.array(pred))
+
+    def test_nan_rejected_by_label_loss(self):
+        with pytest.raises(ValidationError):
+            label_loss(SQ, np.array([0.3, np.nan]), np.array([1, 0]))
+        with pytest.raises(ValidationError):
+            point_loss(SQ, np.nan, 1)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_is_valid(self, shape):
+        l1, l0 = loss_curves(SQ, np.empty(shape))
+        assert l1.shape == l0.shape == shape
+
+
 class TestSurrogate:
     def test_noiseless_reduces_to_point_loss(self):
         rho = ErrorParams(0.0, 0.0)

@@ -9,20 +9,24 @@ from noisyrec.data import (
     ValidationError,
     make_rng,
 )
-from noisyrec.losses import LossKind
+from noisyrec import _kernels
+from noisyrec.losses import LossKind, label_loss_grad
 from noisyrec.metrics import auc
 from noisyrec.models import (
     FactorModel,
     Optimizer,
     SgdConfig,
+    TrainingDivergence,
     new_imputation_model,
     sgd_step_imputation,
     sgd_step_surrogate,
+    surrogate_grad_coefs,
 )
 from noisyrec.training import (
     AltTrainConfig,
     TrainTrace,
     TraceRecord,
+    _xent_grad,
     alternating_denoise_train,
     pretrain_noisy_model,
     train_noisy_factor_model,
@@ -258,8 +262,7 @@ class TestAlternatingTraining:
                 u, i = u_grid[idx], i_grid[idx]
                 sgd_step_surrogate(
                     pred_model, u, i, o_flat[idx], r_flat[idx], p_flat[idx],
-                    imp_model.scores(u, i), rho0, loss,
-                    config.sgd_prediction, pred_opt)
+                    None, rho0, loss, config.sgd_prediction, pred_opt)
             pred_model.predict_all()
             for _ in range(config.steps_imputation):
                 idx = obs_idx[rng.choice(obs_idx.size, size=batch_i,
@@ -303,3 +306,235 @@ class TestTrace:
         assert float(rows[2][1]) == pytest.approx(0.19)
         assert rows[2][5] == "1"
         assert len(rows) == 3
+
+
+# Reference bodies: the training steps as they were before zero-coefficient
+# rows skipped the kernels, scoring and back-propagating every batch row. The
+# library must equal them bit for bit.
+
+def ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt, error):
+    if not np.all(np.isfinite(coef)):
+        raise TrainingDivergence(error)
+    g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
+        u_idx, i_idx, model.user_emb, model.item_emb, coef)
+    wd = config.weight_decay
+    if wd > 0.0:
+        g_ue = g_ue + wd * model.user_emb
+        g_ie = g_ie + wd * model.item_emb
+    scalar = opt.step(model.params(),
+                      {"user_emb": g_ue, "item_emb": g_ie,
+                       "user_bias": g_ub, "item_bias": g_ib},
+                      {"global_bias": g_b0})
+    model.global_bias += scalar.get("global_bias", 0.0)
+    if not np.isfinite(model.global_bias):
+        raise TrainingDivergence("non-finite global bias after update")
+
+
+def ref_surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho, loss):
+    f = model.forward(u_idx, i_idx)
+    dval = label_loss_grad(loss, f, r, rho)
+    return (o / p_hat) * dval * f * (1.0 - f) / u_idx.shape[0]
+
+
+def ref_sgd_step_surrogate(model, u_idx, i_idx, o, r, p_hat, e_bar, rho,
+                           loss, config, opt):
+    coef = ref_surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho,
+                                    loss)
+    ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
+                        "non-finite gradient in prediction step")
+
+
+def ref_train_noisy_factor_model(dataset, method, config, d=8, p_hat=None):
+    n, m = dataset.shape
+    rng = make_rng(config.seed)
+    model = FactorModel.init(n, m, d, rng)
+    opt = Optimizer(config)
+    o = dataset.observed_mask
+    r = dataset.observed_ratings.astype(np.float64)
+    n_obs = int(o.sum())
+    r_bar = float((o * r).sum() / n_obs)
+    n_pairs = n * m
+    o_flat = o.ravel().astype(np.float64)
+    r_flat = r.ravel()
+    p_flat = None if p_hat is None else np.asarray(p_hat).ravel()
+    batch = config.batch_size if config.batch_size > 0 else n_pairs
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(n_pairs)
+        for start in range(0, n_pairs, batch):
+            idx = order[start:start + batch]
+            u, i = np.divmod(idx, m)
+            ob, rb = o_flat[idx], r_flat[idx]
+            f = model.forward(u, i)
+            g_obs = _xent_grad(f, rb)
+            if method == "naive":
+                weight = ob * n_pairs / n_obs
+                dldf = weight * g_obs
+            elif method == "ips":
+                dldf = ob / p_flat[idx] * g_obs
+            elif method == "eib":
+                g_imp = _xent_grad(f, r_bar)
+                dldf = ob * g_obs + (1.0 - ob) * g_imp
+            else:
+                g_imp = _xent_grad(f, r_bar)
+                w = ob / p_flat[idx]
+                dldf = g_imp + w * (g_obs - g_imp)
+            coef = dldf * f * (1.0 - f) / idx.shape[0]
+            ref_factor_sgd_step(
+                model, u, i, coef, config, opt,
+                f"noisy-rate pretraining diverged at epoch {epoch}")
+    return model
+
+
+def factor_params(model):
+    return [model.user_emb, model.item_emb, model.user_bias, model.item_bias,
+            np.float64(model.global_bias)]
+
+
+def assert_same_model(got, want):
+    for g, w in zip(factor_params(got), factor_params(want)):
+        assert np.array_equal(g, w)
+
+
+def unit_model(seed, n, m, d=3):
+    """N(0,1)-scale parameters, so the sigmoid is in its nonlinear range."""
+    rng = make_rng(seed)
+    model = FactorModel.init(n, m, d, rng)
+    model.user_emb = rng.normal(size=(n, d))
+    model.item_emb = rng.normal(size=(m, d))
+    model.user_bias = rng.normal(size=n)
+    model.item_bias = rng.normal(size=m)
+    model.global_bias = float(rng.normal())
+    return model
+
+
+class TestZeroCoefficientSkip:
+    """naive/ips pretraining and the prediction step score and
+    back-propagate only the rows with a non-zero weight o/p, yet give the
+    reference bodies' models bit for bit."""
+
+    @pytest.mark.parametrize("obs_ratio", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("batch", [0, 64, 250])
+    @pytest.mark.parametrize("method", ["naive", "ips", "eib", "dr"])
+    def test_pretraining_equals_reference(self, method, batch, obs_ratio):
+        d, _ = separable_instance(4, 0.2, 0.1, obs_ratio, n=30, m=25)
+        p_hat = make_rng(5).uniform(0.05, 1.0, size=d.shape)
+        for optimizer in ("sgd", "adam"):
+            cfg = SgdConfig(learning_rate=0.5, batch_size=batch,
+                            weight_decay=1e-3, max_epochs=3, seed=6,
+                            optimizer=optimizer)
+            got = train_noisy_factor_model(d, method, cfg, 4, p_hat=p_hat)
+            want = ref_train_noisy_factor_model(d, method, cfg, 4, p_hat)
+            assert_same_model(got, want)
+
+    @pytest.mark.parametrize("method", ["naive", "ips"])
+    def test_kernels_see_only_observed_rows(self, method, monkeypatch):
+        d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
+        rows = {"factor_scores": 0, "factor_backward": 0}
+        for name in rows:
+            def counted(u, *args, _fn=getattr(_kernels, name), _name=name):
+                rows[_name] += u.shape[0]
+                return _fn(u, *args)
+            monkeypatch.setattr(_kernels, name, counted)
+        cfg = SgdConfig(learning_rate=0.5, batch_size=64, max_epochs=2,
+                        seed=6)
+        train_noisy_factor_model(d, method, cfg, 4,
+                                 p_hat=np.full(d.shape, 0.3))
+        n_obs = int(d.observed_mask.sum())
+        assert rows == {"factor_scores": 2 * n_obs,
+                        "factor_backward": 2 * n_obs}
+
+    def test_zero_propensity_on_unobserved_cell_diverges(self):
+        # o/p = 0/0 is NaN, as it was when every row was scored
+        d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
+        p_hat = np.full(d.shape, 0.3)
+        p_hat[np.unravel_index(np.argmin(d.observed_mask), d.shape)] = 0.0
+        cfg = SgdConfig(learning_rate=0.5, batch_size=64, max_epochs=1)
+        for train in (train_noisy_factor_model, ref_train_noisy_factor_model):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    TrainingDivergence, match="pretraining diverged at epoch 0"):
+                train(d, "ips", cfg, 4, p_hat=p_hat)
+
+    @pytest.mark.parametrize("loss", [LossKind.squared(),
+                                      LossKind.cross_entropy()],
+                             ids=["squared", "xent"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_prediction_step_equals_reference(self, loss, optimizer):
+        n, m, batch = 9, 11, 40
+        rho = ErrorParams(0.2, 0.1)
+        cfg = SgdConfig(learning_rate=0.7, weight_decay=1e-3,
+                        optimizer=optimizer)
+        for seed in range(20):
+            rng = make_rng(100 + seed)
+            u = rng.integers(0, n, size=batch)
+            i = rng.integers(0, m, size=batch)
+            # from no observed row to every row observed
+            o = (rng.random(batch) < seed / 19).astype(np.float64)
+            r = (rng.random(batch) < 0.5).astype(np.float64) * o
+            p = rng.uniform(0.05, 1.0, size=batch)
+            got, want = unit_model(seed, n, m), unit_model(seed, n, m)
+            assert np.array_equal(
+                surrogate_grad_coefs(got, u, i, o, r, p, rho, loss),
+                ref_surrogate_grad_coefs(want, u, i, o, r, p, rho, loss))
+            got_opt, want_opt = Optimizer(cfg), Optimizer(cfg)
+            for _ in range(3):
+                sgd_step_surrogate(got, u, i, o, r, p, None, rho, loss, cfg,
+                                   got_opt)
+                ref_sgd_step_surrogate(want, u, i, o, r, p, None, rho, loss,
+                                       cfg, want_opt)
+                assert_same_model(got, want)
+
+    def test_batch_without_observed_rows(self):
+        # every coefficient is 0: only weight decay moves the embeddings
+        n, m, batch = 9, 11, 40
+        rng = make_rng(7)
+        u = rng.integers(0, n, size=batch)
+        i = rng.integers(0, m, size=batch)
+        o, r = np.zeros(batch), np.zeros(batch)
+        p = rng.uniform(0.05, 1.0, size=batch)
+        rho = ErrorParams(0.2, 0.1)
+        cfg = SgdConfig(learning_rate=0.7, weight_decay=1e-3)
+        got, want = unit_model(7, n, m), unit_model(7, n, m)
+        before = unit_model(7, n, m)
+        sgd_step_surrogate(got, u, i, o, r, p, None, rho,
+                           LossKind.squared(), cfg, Optimizer(cfg))
+        ref_sgd_step_surrogate(want, u, i, o, r, p, None, rho,
+                               LossKind.squared(), cfg, Optimizer(cfg))
+        assert_same_model(got, want)
+        assert np.array_equal(got.user_emb,
+                              before.user_emb - 0.7 * (1e-3 * before.user_emb))
+        assert not np.array_equal(got.user_emb, before.user_emb)
+        for name in ("user_bias", "item_bias"):
+            assert np.array_equal(getattr(got, name), getattr(before, name))
+        assert got.global_bias == before.global_bias
+
+    @pytest.mark.parametrize("observed", [0.0, 1.0])
+    def test_zero_propensity_in_prediction_step_diverges(self, observed):
+        # o/p is 0/0 = NaN on an unobserved row and 1/0 = inf on an observed
+        # one; both raised when every row was scored, and both still do
+        n, m, batch = 9, 11, 40
+        rng = make_rng(8)
+        u = rng.integers(0, n, size=batch)
+        i = rng.integers(0, m, size=batch)
+        o = (rng.random(batch) < 0.3).astype(np.float64)
+        o[0] = observed
+        r = o.copy()
+        p = rng.uniform(0.05, 1.0, size=batch)
+        p[0] = 0.0
+        cfg = SgdConfig()
+        for step in (sgd_step_surrogate, ref_sgd_step_surrogate):
+            with np.errstate(invalid="ignore", divide="ignore"), \
+                    pytest.raises(TrainingDivergence,
+                                  match="non-finite gradient in prediction"):
+                step(unit_model(8, n, m), u, i, o, r, p, None,
+                     ErrorParams(0.1, 0.1), LossKind.squared(), cfg,
+                     Optimizer(cfg))
+
+    def test_nan_prediction_in_imputation_step_diverges(self):
+        model = new_imputation_model(4, 5, 2, make_rng(9))
+        u, i = np.array([0, 1, 3]), np.array([1, 4, 2])
+        pred = np.array([0.3, np.nan, 0.6])
+        cfg = SgdConfig()
+        with pytest.raises(TrainingDivergence, match="imputation step"):
+            sgd_step_imputation(model, u, i, np.ones(3), np.ones(3),
+                                np.full(3, 0.5), pred, ErrorParams(0.1, 0.1),
+                                LossKind.squared(), cfg, Optimizer(cfg))
