@@ -4,7 +4,8 @@
 order, so its gradient arrays equal a plain per-row loop bit for bit.
 `values_at_ranks` is the one order-statistic selection, behind the quantile
 levels and the extreme cells. The Monte-Carlo kernel draws from one seeded
-generator, so its replications are deterministic per seed.
+generator, so its replications are deterministic per seed; it computes each
+cell's observed contribution once, before the draws.
 """
 
 from __future__ import annotations
@@ -66,18 +67,22 @@ def mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1,
 
     p_true, p_hat, e_bar, s1, s0, q1 are flat per-cell arrays; s1/s0 are the
     surrogate losses at observed label 1/0 and q1 = P(r=1 | r*) per cell.
+    A draw's contribution (1 - o/p_hat) e_bar + (o/p_hat) s is e_bar where
+    o = 0, and a1 or a0 where o = 1, so a replication only selects.
     """
     n_reps = int(n_reps)
     rng = np.random.default_rng(int(seed))
     n_cells = p_true.shape[0]
     out = np.empty(n_reps)
+    w = 1.0 / p_hat
+    a1 = (1.0 - w) * e_bar + w * s1
+    a0 = (1.0 - w) * e_bar + w * s0
     done = 0
     while done < n_reps:
         m = min(chunk, n_reps - done)
         o = rng.random((m, n_cells)) < p_true
         r = rng.random((m, n_cells)) < q1
-        w = o / p_hat
-        contrib = (1.0 - w) * e_bar + w * np.where(r, s1, s0)
+        contrib = np.where(o, np.where(r, a1, a0), e_bar)
         out[done:done + m] = contrib.mean(axis=1)
         done += m
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,9 +151,22 @@ class RatingDataset:
     def n_observed(self) -> int:
         return int(self.observed_mask.sum())
 
+    @cached_property
+    def observed_index(self) -> np.ndarray:
+        """Row-major flat index of the observed set. The mask is validated
+        as {0, 1}, so its bool view selects the same cells as the int8 mask
+        at a fraction of the cost."""
+        return np.flatnonzero(self.observed_mask.view(bool))
+
     def observed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Row-major (u, i) index arrays of the observed set."""
-        return np.nonzero(self.observed_mask)
+        return np.divmod(self.observed_index, self.n_items)
+
+
+def _binary(a: np.ndarray) -> np.ndarray:
+    """Elementwise a in {0, 1}: two comparisons, several times cheaper than
+    np.isin on int8 matrices."""
+    return (a == 0) | (a == 1)
 
 
 def validate_dataset(d: RatingDataset) -> list[str]:
@@ -165,10 +179,10 @@ def validate_dataset(d: RatingDataset) -> list[str]:
         out.append(f"observed_mask shape {mask.shape} != {shape}")
     if ratings.shape != shape:
         out.append(f"observed_ratings shape {ratings.shape} != {shape}")
-    if mask.shape == shape and not np.isin(mask, (0, 1)).all():
+    if mask.shape == shape and not _binary(mask).all():
         out.append("observed_mask entries must be in {0,1}")
     if mask.shape == shape and ratings.shape == shape:
-        bad = (mask == 1) & ~np.isin(ratings, (0, 1))
+        bad = (mask == 1) & ~_binary(ratings)
         if bad.any():
             u, i = np.argwhere(bad)[0]
             out.append(f"observed rating at ({u},{i}) not in {{0,1}}")
@@ -176,7 +190,7 @@ def validate_dataset(d: RatingDataset) -> list[str]:
         t = np.asarray(d.true_ratings)
         if t.shape != shape:
             out.append(f"true_ratings shape {t.shape} != {shape}")
-        elif not np.isin(t, (0, 1)).all():
+        elif not _binary(t).all():
             out.append("true_ratings entries must be in {0,1}")
     return out
 

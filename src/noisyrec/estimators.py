@@ -11,14 +11,22 @@ mean((1 - o/p) e_bar + o l / p) over all cells (`_dr_mean`): EIB takes p = 1,
 IPS drops the e_bar term, and the OME family takes for l the surrogate loss
 where the plain family takes the loss at the observed label. The plain
 family is therefore the corrected one at rho_hat = (0, 0), bit for bit,
-because the surrogate at zero flip rates is the loss itself. Every estimator
-reduces with a row-major np.mean (np.sum for the naive mean) over a per-cell
-contribution matrix, so results are deterministic.
+because the surrogate at zero flip rates is the loss itself.
+
+Losses are computed on the observed cells only. `EstimatorInputs.observed`
+gathers their row-major flat index, predictions and labels once for all
+estimators; an estimator evaluates its per-cell term there and writes it
+into a dense contribution matrix whose other cells hold what the term is at
+o = 0 (e_bar for the imputed family, 0 otherwise). Every estimator then
+reduces that full matrix with a row-major np.mean (np.sum for the naive
+mean), so results are deterministic and do not depend on which cells were
+computed: they equal the all-cell formula bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +60,13 @@ class EstimatorInputs:
         if self.e_bar is not None and self.e_bar.e_bar.shape != shape:
             raise ValidationError("imputation matrix shape mismatch")
 
+    @cached_property
+    def observed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row-major flat index, predictions, labels) of the observed cells."""
+        idx = self.dataset.observed_index
+        return (idx, np.take(self.predictions.r_hat, idx),
+                np.take(self.dataset.observed_ratings, idx))
+
 
 def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
              corrected: bool) -> float:
@@ -64,13 +79,18 @@ def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
         raise ValidationError("imputed errors required")
     if corrected and inputs.rho_hat is None:
         raise ValidationError("error-rate estimates required")
-    o = inputs.dataset.observed_mask.astype(np.float64)
-    p = inputs.p_hat.p_hat if weighted else 1.0
-    contrib = o * label_loss(inputs.loss, inputs.predictions.r_hat,
-                             inputs.dataset.observed_ratings,
-                             inputs.rho_hat if corrected else None) / p
+    idx, r_hat, labels = inputs.observed
+    p = np.take(inputs.p_hat.p_hat, idx) if weighted else 1.0
+    # the all-cell expression at o = 1, term for term
+    at_obs = label_loss(inputs.loss, r_hat, labels,
+                        inputs.rho_hat if corrected else None) / p
     if imputed:
-        contrib = (1.0 - o / p) * inputs.e_bar.e_bar + contrib
+        e_bar = inputs.e_bar.e_bar
+        at_obs = (1.0 - 1.0 / p) * np.take(e_bar, idx) + at_obs
+        contrib = e_bar.copy()
+    else:
+        contrib = np.zeros(inputs.dataset.shape)
+    np.put(contrib, idx, at_obs)
     return float(np.mean(contrib))
 
 
@@ -85,13 +105,12 @@ def true_inaccuracy(predictions: PredictionMatrix,
 
 def estimate_naive(inputs: EstimatorInputs) -> float:
     """Mean observed loss; biased whenever observation is not uniform."""
-    o = inputs.dataset.observed_mask
-    n_obs = int(o.sum())
-    if n_obs == 0:
+    idx, r_hat, labels = inputs.observed
+    if idx.size == 0:
         raise ValidationError("no observed pairs")
-    e = label_loss(inputs.loss, inputs.predictions.r_hat,
-                   inputs.dataset.observed_ratings)
-    return float(np.sum(o * e) / n_obs)
+    contrib = np.zeros(inputs.dataset.shape)
+    np.put(contrib, idx, label_loss(inputs.loss, r_hat, labels))
+    return float(np.sum(contrib) / idx.size)
 
 
 def estimate_eib(inputs: EstimatorInputs) -> float:
@@ -191,7 +210,8 @@ def monte_carlo_ome_dr(
     """Replicate the corrected DR estimate under joint (O, R | R*) resampling.
 
     Returns the array of per-replication estimates; its mean/SE back the
-    unbiasedness and bias-oracle checks. Runs on the active kernel backend.
+    unbiasedness and bias-oracle checks. The draws run in
+    `_kernels.mc_dr_estimates`.
     """
     r_star = np.asarray(true_ratings, dtype=np.float64).ravel()
     s1, s0 = surrogate_curves(loss, predictions.r_hat, rho_hat)

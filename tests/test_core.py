@@ -47,11 +47,46 @@ class TestValidateDataset:
         with pytest.raises(ValidationError):
             RatingDataset(2, 2, np.ones((2, 3)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_mask_outside_binary_rejected(self, value):
+        mask = np.ones((2, 2), dtype=np.int8)
+        mask[1, 0] = value
+        with pytest.raises(ValidationError) as exc:
+            RatingDataset(2, 2, mask, np.zeros((2, 2)))
+        assert str(exc.value) == "observed_mask entries must be in {0,1}"
+
+    def test_true_rating_outside_binary_rejected(self):
+        truth = np.zeros((2, 2), dtype=np.int8)
+        truth[0, 1] = 3
+        with pytest.raises(ValidationError) as exc:
+            RatingDataset(2, 2, np.ones((2, 2)), np.zeros((2, 2)), truth)
+        assert str(exc.value) == "true_ratings entries must be in {0,1}"
+
+    def test_first_bad_observed_rating_in_row_major_order(self):
+        ratings = np.array([[0, 1, 0], [4, 1, -3]], dtype=np.int8)
+        mask = np.ones((2, 3), dtype=np.int8)
+        with pytest.raises(ValidationError) as exc:
+            RatingDataset(2, 3, mask, ratings)
+        assert str(exc.value) == "observed rating at (1,0) not in {0,1}"
+
     def test_unobserved_cells_ignore_rating_values(self):
         ratings = np.array([[7, 0], [0, 0]], dtype=np.int8)
         mask = np.array([[0, 1], [1, 1]], dtype=np.int8)
         d = RatingDataset(2, 2, mask, ratings)
         assert validate_dataset(d) == []
+
+
+class TestObservedIndex:
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 9), (6, 1), (3, 4)])
+    def test_matches_nonzero_of_mask(self, shape):
+        mask = (make_rng(sum(shape)).random(shape) < 0.4).astype(np.int8)
+        if shape == (3, 4):
+            mask[:] = 0
+        d = RatingDataset(*shape, mask, np.zeros(shape))
+        assert np.array_equal(d.observed_index, np.flatnonzero(mask))
+        for got, want in zip(d.observed_pairs(), np.nonzero(mask)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestErrorParams:

@@ -13,6 +13,7 @@ from noisyrec.data import (
     ValidationError,
     make_rng,
 )
+from noisyrec import estimators
 from noisyrec.estimators import (
     ESTIMATORS,
     EstimatorInputs,
@@ -28,7 +29,7 @@ from noisyrec.estimators import (
     relative_error,
     true_inaccuracy,
 )
-from noisyrec.losses import LossKind, loss_curves
+from noisyrec.losses import LossKind, label_loss, loss_curves
 
 SQ = LossKind.squared()
 
@@ -101,7 +102,7 @@ class TestPlainEstimators:
 
     def test_naive_empty_errors(self):
         d = RatingDataset(2, 2, np.zeros((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no observed pairs"):
             estimate_naive(make_inputs(d, PredictionMatrix(np.full((2, 2), 0.5))))
 
     def test_naive_biased_under_mnar(self):
@@ -347,6 +348,62 @@ class TestReferenceBodies:
 
     def test_reference_table_covers_every_estimator(self):
         assert REFERENCES.keys() == ESTIMATORS.keys()
+
+
+def full_inputs(seed, shape=(9, 7), p=None, labels=None, pred=None):
+    """Inputs with every component, cross-entropy and nonzero flip rates, so
+    the surrogate losses take negative values; p, labels and pred replace
+    the drawn ones when given."""
+    rng = make_rng(seed)
+    mask = (rng.random(shape) < 0.4).astype(np.int8)
+    mask[0, 0], mask[-1, -1] = 1, 0
+    drawn_labels = rng.integers(0, 2, shape)
+    drawn_pred = rng.uniform(0.01, 0.99, shape)
+    drawn_p = rng.uniform(DEFAULT_PROPENSITY_FLOOR, 1.0, shape)
+    return EstimatorInputs(
+        dataset=RatingDataset(shape[0], shape[1], mask,
+                              drawn_labels if labels is None else labels),
+        predictions=PredictionMatrix(drawn_pred if pred is None else pred),
+        loss=LossKind.cross_entropy(),
+        p_hat=PropensityMatrix(drawn_p if p is None else p),
+        e_bar=ImputationMatrix(rng.normal(0.3, 0.5, shape)),
+        rho_hat=ErrorParams(0.25, 0.15))
+
+
+class TestObservedCellsOnly:
+    def test_losses_computed_on_observed_cells_only(self, monkeypatch):
+        seen = []
+
+        def spy(kind, pred, label, rho=None):
+            seen.append(np.shape(pred))
+            return label_loss(kind, pred, label, rho)
+
+        monkeypatch.setattr(estimators, "label_loss", spy)
+        inputs = full_inputs(0)
+        n_obs = inputs.dataset.n_observed
+        for name, fn in ESTIMATORS.items():
+            seen.clear()
+            fn(inputs)
+            assert seen == [(n_obs,)], name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unobserved_cells_do_not_move_estimates(self, seed):
+        base = full_inputs(seed)
+        unobserved = base.dataset.observed_mask == 0
+        rng = make_rng(100 + seed)
+        shape = base.dataset.shape
+        moved = full_inputs(
+            seed,
+            p=np.where(unobserved, rng.uniform(DEFAULT_PROPENSITY_FLOOR, 1.0,
+                                               shape), base.p_hat.p_hat),
+            labels=np.where(unobserved, 1 - base.dataset.observed_ratings,
+                            base.dataset.observed_ratings),
+            pred=np.where(unobserved, rng.uniform(0.01, 0.99, shape),
+                          base.predictions.r_hat))
+        assert np.array_equal(moved.dataset.observed_mask,
+                              base.dataset.observed_mask)
+        for name, fn in ESTIMATORS.items():
+            assert fn(moved) == fn(base), name
 
 
 class TestMonteCarloUnbiasedness:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from noisyrec import _kernels
-from noisyrec.data import make_rng
+from noisyrec.data import DEFAULT_PROPENSITY_FLOOR, ErrorParams, make_rng
+from noisyrec.losses import LossKind, surrogate_curves
 
 
 def random_problem(seed, n=12, m=9, d=4, batch=40):
@@ -113,3 +114,62 @@ class TestMonteCarloKernel:
                                          s1, s0, q1)
         se = float(draws.std(ddof=1) / np.sqrt(n_reps))
         assert abs(float(draws.mean()) - expected) < 3 * se
+
+
+def ref_mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1,
+                        chunk=4096):
+    """Reference for mc_dr_estimates: the all-cell contribution of every
+    draw, (1 - o/p_hat) e_bar + (o/p_hat) s, from the same generator."""
+    n_reps = int(n_reps)
+    rng = np.random.default_rng(int(seed))
+    n_cells = p_true.shape[0]
+    out = np.empty(n_reps)
+    done = 0
+    while done < n_reps:
+        m = min(chunk, n_reps - done)
+        o = rng.random((m, n_cells)) < p_true
+        r = rng.random((m, n_cells)) < q1
+        w = o / p_hat
+        contrib = (1.0 - w) * e_bar + w * np.where(r, s1, s0)
+        out[done:done + m] = contrib.mean(axis=1)
+        done += m
+    return out
+
+
+def mc_case(name, n_cells=60):
+    rng = make_rng(5)
+    p_true = rng.uniform(0.05, 0.95, size=n_cells)
+    p_hat = rng.uniform(DEFAULT_PROPENSITY_FLOOR, 1.0, size=n_cells)
+    e_bar = rng.normal(0.3, 0.2, size=n_cells)
+    pred = rng.uniform(0.01, 0.99, size=n_cells)
+    rho = ErrorParams(0.0, 0.0)
+    loss = LossKind.squared()
+    if name == "negative_surrogates":
+        rho, loss = ErrorParams(0.25, 0.15), LossKind.cross_entropy()
+    elif name == "p_hat_at_floor_and_one":
+        p_hat = np.where(rng.random(n_cells) < 0.5,
+                         DEFAULT_PROPENSITY_FLOOR, 1.0)
+    elif name == "e_bar_zero":
+        e_bar = np.zeros(n_cells)
+    s1, s0 = surrogate_curves(loss, pred, rho)
+    q1 = rng.uniform(0.1, 0.9, size=n_cells)
+    return p_true, p_hat, e_bar, s1, s0, q1
+
+
+class TestMonteCarloReference:
+    CHUNK = 16
+
+    @pytest.mark.parametrize("n_reps", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("case", ["negative_surrogates",
+                                      "p_hat_at_floor_and_one", "e_bar_zero"])
+    def test_equals_reference_bitwise(self, case, n_reps):
+        args = mc_case(case)
+        got = _kernels.mc_dr_estimates(n_reps, 3, *args, chunk=self.CHUNK)
+        ref = ref_mc_dr_estimates(n_reps, 3, *args, chunk=self.CHUNK)
+        assert np.array_equal(got, ref)
+
+    def test_cases_reach_their_edges(self):
+        _, _, _, s1, s0, _ = mc_case("negative_surrogates")
+        assert (np.minimum(s1, s0) < 0.0).any()
+        _, p_hat, _, _, _, _ = mc_case("p_hat_at_floor_and_one")
+        assert set(np.unique(p_hat)) == {DEFAULT_PROPENSITY_FLOOR, 1.0}
