@@ -278,6 +278,12 @@ def _evaluate(pred: np.ndarray, labels: np.ndarray, k: int):
     return a, ndcg_at_k(pred, masked, k), recall_at_k(pred, masked, k)
 
 
+# AltTrainConfig's integer fields; one that a train config leaves out keeps
+# the dataclass default
+_ALT_COUNTS = ("outer_loops", "steps_prediction", "steps_imputation",
+               "embedding_dim", "k_extreme")
+
+
 def cmd_train(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
 
@@ -290,14 +296,9 @@ def cmd_train(args) -> int:
         cfg.pop("sgd", {}))
     alt_cfg = AltTrainConfig(
         rho_init=_rates("rho_init", cfg.pop("rho_init", "0.1,0.1")),
-        outer_loops=option("outer_loops", "30"),
-        steps_prediction=option("steps_prediction", "10"),
-        steps_imputation=option("steps_imputation", "10"),
-        embedding_dim=option("embedding_dim", "8"),
-        k_extreme=option("k_extreme", "1"),
-        sgd_prediction=sgd,
-        sgd_imputation=sgd,
-    )
+        sgd_prediction=sgd, sgd_imputation=sgd,
+        **{key: _convert(key, cfg.pop(key), int)
+           for key in _ALT_COUNTS if key in cfg})
     pretrain_method = option("pretrain_method", "ips", str)
     propensity_epochs = option("propensity_epochs", "100")
     k = option("k", "5")

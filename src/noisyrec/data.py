@@ -132,16 +132,15 @@ class RatingDataset:
     true_ratings: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("observed_mask", "observed_ratings"):
-            arr = np.asarray(getattr(self, name), dtype=np.int8)
-            object.__setattr__(self, name, arr)
-        if self.true_ratings is not None:
-            object.__setattr__(
-                self, "true_ratings", np.asarray(self.true_ratings, dtype=np.int8)
-            )
+        # validated as given, so that no value is rewritten by the cast;
+        # an int8 array is kept as it is, without a copy
         violations = validate_dataset(self)
         if violations:
             raise ValidationError("; ".join(violations))
+        for name in ("observed_mask", "observed_ratings", "true_ratings"):
+            if getattr(self, name) is not None:
+                object.__setattr__(
+                    self, name, np.asarray(getattr(self, name), dtype=np.int8))
 
     @property
     def shape(self) -> tuple[int, int]:

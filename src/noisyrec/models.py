@@ -1,5 +1,6 @@
-"""Trainable components: factor prediction model, logistic-regression
-propensity model, factor-shaped imputation model, and analytic-gradient SGD.
+"""Trainable components: the factor model (read through its clipped sigmoid
+as the prediction model, through its raw scores as the imputation model),
+the logistic-regression propensity model, and analytic-gradient SGD.
 
 Gradients are hand-derived (chain rule through the surrogate loss and the
 sigmoid) and checked against central finite differences in the test suite.
@@ -59,19 +60,17 @@ def sigmoid(x):
 
 @dataclass
 class FactorModel:
-    """Embedding-dot-product model with user/item/global biases and a
-    sigmoid output clipped into (EPS_OUT, 1 - EPS_OUT)."""
+    """Embedding-dot-product model with user/item/global biases: real-valued
+    scores, and their sigmoid clipped into (EPS_OUT, 1 - EPS_OUT)."""
 
     user_emb: np.ndarray
     item_emb: np.ndarray
     user_bias: np.ndarray
     item_bias: np.ndarray
     global_bias: float = 0.0
-    linear_output: bool = False
 
     @classmethod
-    def init(cls, n_users, n_items, d, rng, init_scale=0.01,
-             linear_output=False):
+    def init(cls, n_users, n_items, d, rng, init_scale=0.01):
         if d < 1:
             raise ValidationError("embedding dimension must be >= 1")
         return cls(
@@ -80,14 +79,12 @@ class FactorModel:
             user_bias=np.zeros(n_users),
             item_bias=np.zeros(n_items),
             global_bias=0.0,
-            linear_output=linear_output,
         )
 
     def copy(self):
         return FactorModel(
             self.user_emb.copy(), self.item_emb.copy(),
-            self.user_bias.copy(), self.item_bias.copy(),
-            self.global_bias, self.linear_output,
+            self.user_bias.copy(), self.item_bias.copy(), self.global_bias,
         )
 
     def scores(self, u_idx, i_idx):
@@ -97,31 +94,23 @@ class FactorModel:
         )
 
     def forward(self, u_idx, i_idx):
-        s = self.scores(u_idx, i_idx)
-        if self.linear_output:
-            return s
-        return np.clip(sigmoid(s), EPS_OUT, 1.0 - EPS_OUT)
+        return np.clip(sigmoid(self.scores(u_idx, i_idx)),
+                       EPS_OUT, 1.0 - EPS_OUT)
+
+    def score_matrix(self):
+        """Raw scores of every (user, item) pair, as a dense matrix."""
+        return (self.user_emb @ self.item_emb.T
+                + self.user_bias[:, None] + self.item_bias[None, :]
+                + self.global_bias)
 
     def predict_all(self):
-        s = (self.user_emb @ self.item_emb.T
-             + self.user_bias[:, None] + self.item_bias[None, :]
-             + self.global_bias)
-        if self.linear_output:
-            return s
-        return np.clip(sigmoid(s), EPS_OUT, 1.0 - EPS_OUT)
+        return np.clip(sigmoid(self.score_matrix()), EPS_OUT, 1.0 - EPS_OUT)
 
     def params(self):
         return {
             "user_emb": self.user_emb, "item_emb": self.item_emb,
             "user_bias": self.user_bias, "item_bias": self.item_bias,
         }
-
-
-def new_imputation_model(n_users, n_items, d, rng, init_scale=0.01):
-    """Factor model with a linear (unsquashed) output producing real-valued
-    imputed errors."""
-    return FactorModel.init(n_users, n_items, d, rng, init_scale,
-                            linear_output=True)
 
 
 @dataclass
@@ -158,8 +147,9 @@ class PropensityModel:
 # ---------------------------------------------------------------------------
 
 class Optimizer:
-    """SGD or Adam over a named-parameter dict; scalars handled separately.
-    Steps use lr_scale * config.learning_rate."""
+    """SGD or Adam over a dict of named float64 arrays, each stepped in
+    place; a scalar parameter is passed as a 0-d array. Steps use
+    lr_scale * config.learning_rate."""
 
     def __init__(self, config: SgdConfig, lr_scale: float = 1.0):
         self.config = config
@@ -169,31 +159,25 @@ class Optimizer:
         self._t = 0
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
 
-    def step(self, params: dict, grads: dict, scalar_grads: dict | None = None):
+    def step(self, params: dict, grads: dict) -> None:
         lr = self.lr
         if self.config.optimizer == "sgd":
             for name, g in grads.items():
                 params[name] -= lr * g
-            return {k: -lr * g for k, g in (scalar_grads or {}).items()}
+            return
         self._t += 1
         t = self._t
-        updates = {}
-        for name, g in list(grads.items()) + list((scalar_grads or {}).items()):
+        for name, g in grads.items():
             m = self._m.get(name)
             if m is None:
-                m = self._m[name] = np.zeros_like(np.asarray(g, dtype=np.float64))
-                self._v[name] = np.zeros_like(np.asarray(g, dtype=np.float64))
+                m = self._m[name] = np.zeros_like(params[name])
+                self._v[name] = np.zeros_like(params[name])
             v = self._v[name]
             m[...] = self.beta1 * m + (1 - self.beta1) * g
             v[...] = self.beta2 * v + (1 - self.beta2) * np.square(g)
             m_hat = m / (1 - self.beta1**t)
             v_hat = v / (1 - self.beta2**t)
-            delta = -lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if name in params:
-                params[name] += delta
-            else:
-                updates[name] = float(delta)
-        return updates
+            params[name] += -lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
@@ -219,11 +203,11 @@ def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
     if wd > 0.0:
         g_ue = g_ue + wd * model.user_emb
         g_ie = g_ie + wd * model.item_emb
-    scalar = opt.step(model.params(),
-                      {"user_emb": g_ue, "item_emb": g_ie,
-                       "user_bias": g_ub, "item_bias": g_ib},
-                      {"global_bias": g_b0})
-    model.global_bias += scalar.get("global_bias", 0.0)
+    global_bias = np.array(model.global_bias)
+    opt.step({**model.params(), "global_bias": global_bias},
+             {"user_emb": g_ue, "item_emb": g_ie,
+              "user_bias": g_ub, "item_bias": g_ib, "global_bias": g_b0})
+    model.global_bias = float(global_bias)
     if not np.isfinite(model.global_bias):
         raise TrainingDivergence("non-finite global bias after update")
 
@@ -392,7 +376,6 @@ def save_model(path, model) -> None:
     """Versioned flat dump of all parameter arrays."""
     if isinstance(model, FactorModel):
         np.savez(path, kind="factor", version=CHECKPOINT_VERSION,
-                 linear_output=int(model.linear_output),
                  global_bias=model.global_bias, **model.params())
     elif isinstance(model, PropensityModel):
         np.savez(path, kind="propensity", version=CHECKPOINT_VERSION,
@@ -407,10 +390,13 @@ def load_model(path):
             raise ValidationError("unsupported checkpoint version")
         kind = str(data["kind"])
         if kind == "factor":
+            if "linear_output" in data and int(data["linear_output"]):
+                raise ValidationError(
+                    "linear-output factor checkpoint: not a sigmoid model")
             return FactorModel(
                 data["user_emb"], data["item_emb"],
                 data["user_bias"], data["item_bias"],
-                float(data["global_bias"]), bool(int(data["linear_output"])))
+                float(data["global_bias"]))
         if kind == "propensity":
             return PropensityModel(data["user_logit"], data["item_logit"])
     raise ValidationError(f"unknown checkpoint kind {kind!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +142,9 @@ def build_gamma(proportions, score_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def complete_ratings_mf(triples, n_users, n_items, d, config: SgdConfig
                         ) -> np.ndarray:
-    """Regression matrix factorization (linear output, squared loss on the
-    observed triples) producing a dense score matrix for quantile assignment.
+    """Regression matrix factorization (squared loss of the raw scores on
+    the observed triples) producing a dense score matrix for quantile
+    assignment.
 
     triples: array-like of (user, item, rating) rows, ratings real-valued.
     """
@@ -152,7 +153,7 @@ def complete_ratings_mf(triples, n_users, n_items, d, config: SgdConfig
     i_all = triples[:, 1].astype(np.int64)
     y_all = triples[:, 2].astype(np.float64)
     rng = make_rng(config.seed)
-    model = FactorModel.init(n_users, n_items, d, rng, linear_output=True)
+    model = FactorModel.init(n_users, n_items, d, rng)
     opt = Optimizer(config)
     n_obs = u_all.shape[0]
     batch = config.batch_size if config.batch_size > 0 else n_obs
@@ -165,7 +166,7 @@ def complete_ratings_mf(triples, n_users, n_items, d, config: SgdConfig
             coef = 2.0 * (pred - y_all[idx]) / idx.shape[0]
             factor_sgd_step(model, u, i, coef, config, opt,
                             f"rating completion diverged at epoch {epoch}")
-    return model.predict_all()
+    return model.score_matrix()
 
 
 def build_prediction_matrix(kind, gamma, rng) -> PredictionMatrix:
@@ -318,13 +319,30 @@ def save_instance(out_dir, inst: BenchmarkInstance) -> None:
         fh.write("\n")
 
 
+def _load_spec(path) -> BenchmarkSpec:
+    """The spec of a manifest that save_instance wrote: a JSON object with
+    every BenchmarkSpec field and at most a spec_hash besides. Anything
+    else is a ValidationError naming the file."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    manifest.pop("spec_hash", None)
+    names = [f.name for f in fields(BenchmarkSpec)]
+    problems = ([f"missing field {n!r}" for n in names if n not in manifest]
+                + [f"unknown field {n!r}" for n in sorted(manifest)
+                   if n not in names])
+    if problems:
+        raise ValidationError(f"{path}: {', '.join(problems)}")
+    return BenchmarkSpec(**manifest)
+
+
 def load_instance(in_dir) -> BenchmarkInstance:
     src = Path(in_dir)
-    with open(src / "manifest.json") as fh:
-        manifest = json.load(fh)
-    manifest.pop("spec_hash", None)
-    manifest["gamma_proportions"] = tuple(manifest["gamma_proportions"])
-    spec = BenchmarkSpec(**manifest)
+    spec = _load_spec(src / "manifest.json")
     arrays = {}
     for key, fname in _MATRIX_FILES.items():
         fpath = src / fname
@@ -332,6 +350,10 @@ def load_instance(in_dir) -> BenchmarkInstance:
             arrays[key] = None  # estimators needing propensities will say so
             continue
         arrays[key] = np.loadtxt(fpath, delimiter=",", ndmin=2)
+    # checked as read, then stored as int8
+    binary = RatingDataset(spec.n_users, spec.n_items,
+                           arrays["observed_mask"], arrays["observed_ratings"],
+                           arrays["true_ratings"])
     level_idx = np.searchsorted(GAMMA_LEVELS, arrays["gamma"])
     return BenchmarkInstance(
         spec,
@@ -340,7 +362,7 @@ def load_instance(in_dir) -> BenchmarkInstance:
         PredictionMatrix(arrays["prediction"]),
         arrays["p_true"],
         arrays["p_hat"],
-        arrays["observed_mask"].astype(np.int8),
-        arrays["true_ratings"].astype(np.int8),
-        arrays["observed_ratings"].astype(np.int8),
+        binary.observed_mask,
+        binary.true_ratings,
+        binary.observed_ratings,
     )

@@ -22,7 +22,6 @@ from .models import (
     Optimizer,
     SgdConfig,
     factor_sgd_step,
-    new_imputation_model,
     sgd_step_imputation,
     sgd_step_surrogate,
     surrogate_objective,
@@ -118,7 +117,7 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     opt = Optimizer(config)
     o = dataset.observed_mask
     r = dataset.observed_ratings.astype(np.float64)
-    n_obs = int(o.sum())
+    n_obs = dataset.n_observed
     if n_obs == 0:
         raise ValidationError("no observed pairs")
     r_bar = float((o * r).sum() / n_obs)
@@ -195,7 +194,7 @@ def alternating_denoise_train(
 
     rng = make_rng(config.sgd_prediction.seed)
     pred_model = FactorModel.init(n, m, config.embedding_dim, rng)
-    imp_model = new_imputation_model(n, m, config.embedding_dim, rng)
+    imp_model = FactorModel.init(n, m, config.embedding_dim, rng)
     pred_opt = Optimizer(config.sgd_prediction)
     imp_opt = Optimizer(config.sgd_imputation)
 
@@ -203,7 +202,7 @@ def alternating_denoise_train(
     r_flat = dataset.observed_ratings.ravel().astype(np.float64)
     p_flat = p_hat.ravel()
     n_pairs = n * m
-    obs_idx = np.flatnonzero(o_flat)
+    obs_idx = dataset.observed_index
 
     # held-out slice of the observed set for the validation objective
     n_val = max(1, obs_idx.size // 10)

@@ -393,7 +393,7 @@ def test_criterion_08_gradient_oracles():
         assert err <= 1e-4, f"draw {draw}: corrected-DR grad err {err:.2e}"
         worst["ome_dr"] = max(worst["ome_dr"], err)
 
-        imp = FactorModel.init(n, m, d, rng, linear_output=True)
+        imp = FactorModel.init(n, m, d, rng)
         imp.user_emb = rng.normal(size=(n, d))
         imp.item_emb = rng.normal(size=(m, d))
         imp.user_bias = rng.normal(size=n)

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from noisyrec import cli
 from noisyrec.cli import main, parse_config_file
 from noisyrec.data import ValidationError
 
@@ -184,6 +186,64 @@ class TestEstimate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("fname, cell, value, message", [
+        ("o.csv", None, 0.5, "observed_mask entries must be in {0,1}"),
+        ("o.csv", (2, 3), 257, "observed_mask entries must be in {0,1}"),
+        ("r_true.csv", (4, 1), 2, "true_ratings entries must be in {0,1}")])
+    def test_non_binary_matrix_exit_2(self, instance_dir, tmp_path, capsys,
+                                      fname, cell, value, message):
+        # an int8 cast before the check would read 0.5 as 0 and 257 as 1
+        path = instance_dir / fname
+        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        if cell is None:
+            arr[:] = value
+        else:
+            arr[cell] = value
+        np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_binary_observed_rating_exit_2(self, instance_dir, tmp_path,
+                                               capsys):
+        mask = np.loadtxt(instance_dir / "o.csv", delimiter=",", ndmin=2)
+        u, i = np.argwhere(mask == 1)[0]
+        path = instance_dir / "r_obs.csv"
+        r = np.loadtxt(path, delimiter=",", ndmin=2)
+        r[u, i] = 0.5
+        np.savetxt(path, r, fmt="%.17g", delimiter=",")
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        assert (f"observed rating at ({u},{i}) not in {{0,1}}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", ["missing", "unknown", "broken"])
+    def test_malformed_manifest_exit_2(self, instance_dir, tmp_path, capsys,
+                                       case):
+        path = instance_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if case == "missing":
+            del manifest["gamma_proportions"]
+            text, message = (json.dumps(manifest),
+                             "missing field 'gamma_proportions'")
+        elif case == "unknown":
+            manifest["extra"] = 1
+            text, message = json.dumps(manifest), "unknown field 'extra'"
+        else:
+            text, message = json.dumps(manifest)[:-10], "not valid JSON"
+        path.write_text(text)
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
+        assert not out.exists()
+
     def test_unknown_estimator_row_level_error(self, instance_dir, tmp_path):
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
@@ -239,6 +299,37 @@ class TestTrain:
                            "val_metric", "rho_clamped"]
         assert len(rows) == 4
         assert all(row[5] in ("0", "1") for row in rows[1:])
+
+    def test_unset_options_keep_alt_config_defaults(
+            self, instance_dir, tmp_path, monkeypatch):
+        # the loop counts a config leaves out come from AltTrainConfig itself
+        @dataclasses.dataclass
+        class Shifted(cli.AltTrainConfig):
+            steps_prediction: int = 3
+            steps_imputation: int = 2
+            k_extreme: int = 2
+            embedding_dim: int = 4
+
+        seen = []
+
+        def spy(dataset, p_hat, noisy, config):
+            seen.append(config)
+            return real(dataset, p_hat, noisy, config)
+
+        real = cli.alternating_denoise_train
+        monkeypatch.setattr(cli, "AltTrainConfig", Shifted)
+        monkeypatch.setattr(cli, "alternating_denoise_train", spy)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("outer_loops = 2\nsteps_imputation = 5\n"
+                       "sgd.max_epochs = 2\npropensity_epochs = 5\n")
+        code = main(["train", "--data", str(instance_dir), "--method",
+                     "ome_alt", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 0
+        (config,) = seen
+        assert (config.outer_loops, config.steps_prediction,
+                config.steps_imputation, config.k_extreme,
+                config.embedding_dim) == (2, 3, 5, 2, 4)
 
     def test_k_extreme_option(self, instance_dir, tmp_path):
         # the default is 1, so an explicit 1 writes the same trace

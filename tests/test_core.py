@@ -75,6 +75,47 @@ class TestValidateDataset:
         d = RatingDataset(2, 2, mask, ratings)
         assert validate_dataset(d) == []
 
+    def test_values_checked_before_int8_cast(self):
+        # an int8 cast before the check would turn 0.5, 1.7 and 257 into
+        # 0, 1 and 1, a valid mask
+        mask = np.array([[0.5, 1.7], [1, 257]])
+        ratings = np.array([[1, 0.9], [1.2, 0]])
+        with pytest.raises(ValidationError) as exc:
+            RatingDataset(2, 2, mask, ratings)
+        assert str(exc.value) == ("observed_mask entries must be in {0,1}; "
+                                  "observed rating at (1,0) not in {0,1}")
+
+    @pytest.mark.parametrize("name, message", [
+        ("observed_mask", "observed_mask entries must be in {0,1}"),
+        ("observed_ratings", "observed rating at (0,1) not in {0,1}"),
+        ("true_ratings", "true_ratings entries must be in {0,1}")])
+    def test_int64_257_not_wrapped(self, name, message):
+        arrays = {key: np.ones((2, 2), dtype=np.int64)
+                  for key in ("observed_mask", "observed_ratings",
+                              "true_ratings")}
+        arrays[name][0, 1] = 257
+        with pytest.raises(ValidationError) as exc:
+            RatingDataset(2, 2, **arrays)
+        assert str(exc.value) == message
+
+    def test_int8_inputs_kept_without_copy(self):
+        mask = np.array([[0, 1], [1, 1]], dtype=np.int8)
+        ratings = np.array([[0, 1], [0, 1]], dtype=np.int8)
+        truth = np.array([[1, 1], [0, 1]], dtype=np.int8)
+        d = RatingDataset(2, 2, mask, ratings, truth)
+        assert d.observed_mask is mask
+        assert d.observed_ratings is ratings
+        assert d.true_ratings is truth
+
+    def test_other_binary_inputs_stored_as_int8(self):
+        d = RatingDataset(2, 2, np.array([[0.0, 1.0], [1.0, 1.0]]),
+                          [[0, 1], [1, 0]], np.eye(2, dtype=bool))
+        for arr, want in ((d.observed_mask, [[0, 1], [1, 1]]),
+                          (d.observed_ratings, [[0, 1], [1, 0]]),
+                          (d.true_ratings, [[1, 0], [0, 1]])):
+            assert arr.dtype == np.int8
+            assert np.array_equal(arr, want)
+
 
 class TestObservedIndex:
     @pytest.mark.parametrize("shape", [(7, 5), (1, 9), (6, 1), (3, 4)])
@@ -297,8 +338,9 @@ class TestConfigFields:
 
     def test_every_config_field_is_read(self):
         sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
-        assert unread_fields(sources, {"SgdConfig", "AltTrainConfig"}) == {
-            "SgdConfig": [], "AltTrainConfig": []}
+        classes = {"SgdConfig", "AltTrainConfig", "BenchmarkSpec", "LossKind"}
+        assert unread_fields(sources, classes) == {
+            name: [] for name in classes}
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from noisyrec.data import ErrorParams, RatingDataset, ValidationError, make_rng
+from noisyrec.data import (
+    EPS_OUT,
+    ErrorParams,
+    RatingDataset,
+    ValidationError,
+    make_rng,
+)
 from noisyrec.losses import LossKind, label_loss
 from noisyrec.models import (
     FactorModel,
@@ -12,7 +18,6 @@ from noisyrec.models import (
     _propensity_objective_finite,
     imputation_objective,
     load_model,
-    new_imputation_model,
     propensity_objective,
     save_model,
     sgd_step_imputation,
@@ -38,9 +43,9 @@ def random_batch(seed, n=6, m=7, batch=20):
     return u, i, o, r, p, e_bar
 
 
-def random_factor_model(seed, n=6, m=7, d=3, linear=False):
+def random_factor_model(seed, n=6, m=7, d=3):
     rng = make_rng(seed + 1000)
-    model = FactorModel.init(n, m, d, rng, linear_output=linear)
+    model = FactorModel.init(n, m, d, rng)
     # N(0,1)-scale parameters exercise the nonlinear regime
     model.user_emb = rng.normal(size=(n, d))
     model.item_emb = rng.normal(size=(m, d))
@@ -96,8 +101,8 @@ class TestForward:
         assert np.allclose(model.predict_all(), 0.5)
 
     def test_zero_params_linear_zero(self):
-        model = new_imputation_model(3, 4, 2, make_rng(0), init_scale=0.0)
-        assert np.allclose(model.predict_all(), 0.0)
+        model = FactorModel.init(3, 4, 2, make_rng(0), init_scale=0.0)
+        assert np.array_equal(model.score_matrix(), np.zeros((3, 4)))
 
     def test_global_bias_two(self):
         model = FactorModel.init(3, 4, 2, make_rng(0), init_scale=0.0)
@@ -110,6 +115,15 @@ class TestForward:
         i = np.array([1, 1, 6])
         dense = model.predict_all()
         assert np.allclose(model.forward(u, i), dense[u, i])
+        assert np.allclose(model.scores(u, i), model.score_matrix()[u, i])
+
+    def test_predictions_are_clipped_sigmoid_of_score_matrix(self):
+        model = random_factor_model(2)
+        model.global_bias = 20.0  # pushes some predictions past 1 - EPS_OUT
+        s = model.score_matrix()
+        assert np.array_equal(model.predict_all(),
+                              np.clip(sigmoid(s), EPS_OUT, 1.0 - EPS_OUT))
+        assert np.any(model.predict_all() == 1.0 - EPS_OUT)
 
     def test_bad_dimension(self):
         with pytest.raises(ValidationError):
@@ -174,7 +188,7 @@ class TestSurrogateStep:
 
 class TestImputationStep:
     def test_zero_gradient_at_global_minimum(self):
-        model = new_imputation_model(4, 4, 2, make_rng(5), init_scale=0.0)
+        model = FactorModel.init(4, 4, 2, make_rng(5), init_scale=0.0)
         u = np.array([0, 1, 2])
         i = np.array([1, 2, 3])
         o = np.ones(3)
@@ -195,7 +209,7 @@ class TestImputationStep:
         assert np.allclose(flat_params(model), before, atol=1e-12)
 
     def test_zero_learning_rate_no_op(self):
-        model = random_factor_model(6, linear=True)
+        model = random_factor_model(6)
         before = flat_params(model).copy()
         u, i, o, r, p, _ = random_batch(6)
         pred = make_rng(60).uniform(0.1, 0.9, size=u.shape)
@@ -206,7 +220,7 @@ class TestImputationStep:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_matches_finite_differences(self, seed):
-        model = random_factor_model(seed + 10, linear=True)
+        model = random_factor_model(seed + 10)
         u, i, o, r, p, _ = random_batch(seed + 10)
         pred = make_rng(seed + 20).uniform(0.1, 0.9, size=u.shape)
         rho = ErrorParams(0.2, 0.1)
@@ -427,13 +441,31 @@ class TestCheckpoints:
         for name in model.params():
             assert np.array_equal(model.params()[name], back.params()[name])
         assert back.global_bias == model.global_bias
-        assert back.linear_output == model.linear_output
+        with np.load(path) as data:
+            assert "linear_output" not in data
 
-    def test_imputation_roundtrip_preserves_linearity(self, tmp_path):
-        model = random_factor_model(13, linear=True)
+    @staticmethod
+    def _earlier_format_checkpoint(path, model, linear_output):
+        """A version-2 factor checkpoint in the earlier layout: the same
+        arrays plus a linear_output flag, 1 for a raw-score model."""
+        np.savez(path, kind="factor", version=2, linear_output=linear_output,
+                 global_bias=model.global_bias, **model.params())
+
+    def test_sigmoid_checkpoint_of_earlier_format_loads(self, tmp_path):
+        model = random_factor_model(13)
+        path = tmp_path / "old.npz"
+        self._earlier_format_checkpoint(path, model, 0)
+        back = load_model(path)
+        for name in model.params():
+            assert np.array_equal(model.params()[name], back.params()[name])
+        assert back.global_bias == model.global_bias
+        assert np.array_equal(back.predict_all(), model.predict_all())
+
+    def test_linear_output_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "imp.npz"
-        save_model(path, model)
-        assert load_model(path).linear_output
+        self._earlier_format_checkpoint(path, random_factor_model(13), 1)
+        with pytest.raises(ValidationError, match="linear-output"):
+            load_model(path)
 
     def test_propensity_roundtrip(self, tmp_path):
         model = PropensityModel.init(4, 5)

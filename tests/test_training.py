@@ -17,7 +17,6 @@ from noisyrec.models import (
     Optimizer,
     SgdConfig,
     TrainingDivergence,
-    new_imputation_model,
     sgd_step_imputation,
     sgd_step_surrogate,
     surrogate_grad_coefs,
@@ -160,7 +159,7 @@ class TestAlternatingTraining:
         assert trace.records == []
         # untrained models stay near their small-init state
         assert np.allclose(pred.predict_all(), 0.5, atol=0.01)
-        assert np.allclose(imp.predict_all(), 0.0, atol=0.01)
+        assert np.allclose(imp.score_matrix(), 0.0, atol=0.01)
 
     @pytest.mark.parametrize("k_extreme, ok", [(150, True), (151, False),
                                                (10**6, False)])
@@ -243,7 +242,7 @@ class TestAlternatingTraining:
         loss = LossKind.squared()
         rng = make_rng(config.sgd_prediction.seed)
         pred_model = FactorModel.init(n, m, config.embedding_dim, rng)
-        imp_model = new_imputation_model(n, m, config.embedding_dim, rng)
+        imp_model = FactorModel.init(n, m, config.embedding_dim, rng)
         pred_opt = Optimizer(config.sgd_prediction)
         imp_opt = Optimizer(config.sgd_imputation)
         o_flat = d.observed_mask.ravel().astype(np.float64)
@@ -321,11 +320,11 @@ def ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt, error):
     if wd > 0.0:
         g_ue = g_ue + wd * model.user_emb
         g_ie = g_ie + wd * model.item_emb
-    scalar = opt.step(model.params(),
-                      {"user_emb": g_ue, "item_emb": g_ie,
-                       "user_bias": g_ub, "item_bias": g_ib},
-                      {"global_bias": g_b0})
-    model.global_bias += scalar.get("global_bias", 0.0)
+    global_bias = np.array(model.global_bias)
+    opt.step({**model.params(), "global_bias": global_bias},
+             {"user_emb": g_ue, "item_emb": g_ie,
+              "user_bias": g_ub, "item_bias": g_ib, "global_bias": g_b0})
+    model.global_bias = float(global_bias)
     if not np.isfinite(model.global_bias):
         raise TrainingDivergence("non-finite global bias after update")
 
@@ -530,7 +529,7 @@ class TestZeroCoefficientSkip:
                      Optimizer(cfg))
 
     def test_nan_prediction_in_imputation_step_diverges(self):
-        model = new_imputation_model(4, 5, 2, make_rng(9))
+        model = FactorModel.init(4, 5, 2, make_rng(9))
         u, i = np.array([0, 1, 3]), np.array([1, 4, 2])
         pred = np.array([0.3, np.nan, 0.6])
         cfg = SgdConfig()
