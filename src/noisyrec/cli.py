@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +25,12 @@ from .data import (
     PropensityMatrix,
     RatingDataset,
     ValidationError,
-    check_triple_index,
     dataset_from_triples,
     load_dataset_triples,
     make_rng,
+    read_fields,
+    read_triples,
+    read_value,
     save_dataset_triples,
 )
 from .estimators import (
@@ -83,22 +84,9 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _convert(key: str, value, kind):
-    """A config value or flag as kind (int, float, str, or tuple for
-    comma-separated floats); anything else is a ValidationError naming key."""
-    if isinstance(value, str):
-        try:
-            if kind is tuple:
-                return tuple(float(v) for v in value.split(","))
-            return kind(value)
-        except ValueError:
-            pass
-    raise ValidationError(f"{key}: cannot read {value!r} as {kind.__name__}")
-
-
 def _rates(key: str, value) -> ErrorParams:
     """A "rho01,rho10" value as flip rates."""
-    rates = _convert(key, value, tuple)
+    rates = read_value(key, value, tuple)
     if len(rates) != 2:
         raise ValidationError(f"{key}: expected rho01,rho10, got {value!r}")
     return ErrorParams(*rates)
@@ -122,23 +110,12 @@ def _write_report(path, header, rows, manifest: dict) -> None:
 # synth
 # ---------------------------------------------------------------------------
 
-_SPEC_TYPES = typing.get_type_hints(BenchmarkSpec)
-
-
 def _spec_from_config(cfg: dict, seed_override=None) -> BenchmarkSpec:
-    kwargs = {}
-    for key, value in cfg.items():
-        if key == "scores":
-            continue
-        if key not in _SPEC_TYPES:
-            raise ValidationError(f"unknown spec field {key!r}")
-        kwargs[key] = _convert(key, value, _SPEC_TYPES[key])
+    kwargs = read_fields(
+        BenchmarkSpec, {k: v for k, v in cfg.items() if k != "scores"},
+        "spec field", required=("n_users", "n_items", "rho01", "rho10"))
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    if "n_users" not in kwargs or "n_items" not in kwargs:
-        raise ValidationError("spec needs n_users and n_items")
-    if "rho01" not in kwargs or "rho10" not in kwargs:
-        raise ValidationError("spec needs rho01 and rho10")
     return BenchmarkSpec(**kwargs)
 
 
@@ -239,17 +216,6 @@ def cmd_estimate(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _apply_sgd_overrides(cfg: SgdConfig, section) -> SgdConfig:
-    if not isinstance(section, dict):
-        raise ValidationError("sgd options are set as sgd.<option> = value")
-    values = dataclasses.asdict(cfg)
-    for key, value in section.items():
-        if key not in values:
-            raise ValidationError(f"unknown sgd option {key!r}")
-        values[key] = _convert(f"sgd.{key}", value, type(values[key]))
-    return SgdConfig(**values)
-
-
 def _load_training_data(path, seed):
     """Instance dir -> (dataset, eval labels from ground truth).
     Triples file -> (train split dataset, held-out observed labels)."""
@@ -278,32 +244,32 @@ def _evaluate(pred: np.ndarray, labels: np.ndarray, k: int):
     return a, ndcg_at_k(pred, masked, k), recall_at_k(pred, masked, k)
 
 
-# AltTrainConfig's integer fields; one that a train config leaves out keeps
-# the dataclass default
-_ALT_COUNTS = ("outer_loops", "steps_prediction", "steps_imputation",
-               "embedding_dim", "k_extreme")
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 def cmd_train(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
 
     def option(key, default, kind=int):
-        return _convert(key, cfg.pop(key, default), kind)
+        return read_value(key, cfg.pop(key, default), kind)
 
-    sgd = _apply_sgd_overrides(
+    sgd = dataclasses.replace(
         SgdConfig(learning_rate=0.1, batch_size=4096, max_epochs=30,
                   seed=args.seed),
-        cfg.pop("sgd", {}))
+        **read_fields(SgdConfig, cfg.pop("sgd", {}), "sgd option", "sgd."))
+    pretrain_method = option("pretrain_method", "ips", str)
+    propensity_epochs = option("propensity_epochs", 100)
+    k = option("k", 5)
+    # the keys left are AltTrainConfig's loop counts; one a config leaves
+    # out keeps the dataclass default
     alt_cfg = AltTrainConfig(
         rho_init=_rates("rho_init", cfg.pop("rho_init", "0.1,0.1")),
         sgd_prediction=sgd, sgd_imputation=sgd,
-        **{key: _convert(key, cfg.pop(key), int)
-           for key in _ALT_COUNTS if key in cfg})
-    pretrain_method = option("pretrain_method", "ips", str)
-    propensity_epochs = option("propensity_epochs", "100")
-    k = option("k", "5")
-    if cfg:  # every key read above was popped
-        raise ValidationError(f"unknown train option {min(cfg)!r}")
+        **read_fields(AltTrainConfig, cfg, "train option", kinds=(int,)))
+    _check_at_least("k", k, 1)
+    _check_at_least("propensity_epochs", propensity_epochs, 0)
     dataset, labels = _load_training_data(args.data, args.seed)
     if args.method == "ome_alt":  # before any training or output
         check_k_extreme(alt_cfg.k_extreme, dataset.n_users * dataset.n_items)
@@ -341,28 +307,17 @@ def cmd_train(args) -> int:
 # ingest
 # ---------------------------------------------------------------------------
 
+def _finite_rating(text: str) -> float:
+    r = float(text)
+    if not np.isfinite(r):
+        raise ValueError(f"rating {text} is not finite")
+    return r
+
+
 def cmd_ingest(args) -> int:
     if not np.isfinite(args.threshold):  # NaN would binarize all to 0
         raise ValidationError(f"--threshold must be finite: {args.threshold}")
-    users, items, ratings = [], [], []
-    with open(args.triples) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.replace(",", "\t").split()
-            if len(parts) < 3:
-                raise ValidationError(f"line {lineno}: expected 3 fields")
-            try:
-                users.append(int(parts[0]))
-                items.append(int(parts[1]))
-                ratings.append(float(parts[2]))
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-            check_triple_index(lineno, users[-1], items[-1])
-            if not np.isfinite(ratings[-1]):
-                raise ValidationError(
-                    f"line {lineno}: rating {parts[2]} is not finite")
+    users, items, ratings = read_triples(args.triples, _finite_rating)
     binary = [1 if r >= args.threshold else 0 for r in ratings]
     dataset = dataset_from_triples(users, items, binary)
     save_dataset_triples(args.out, dataset)
@@ -381,6 +336,8 @@ def _sweep_one(spec_cfg, seed, names, propensities):
 
 
 def cmd_sweep(args) -> int:
+    _check_at_least("--n-seeds", args.n_seeds, 1)
+    _check_at_least("--jobs", args.jobs, 1)
     cfg = parse_config_file(args.spec)
     names = [n.strip() for n in args.estimators.split(",")]
     seeds = [args.seed + k for k in range(args.n_seeds)]

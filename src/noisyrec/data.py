@@ -1,4 +1,5 @@
-"""Shared data model: datasets, probability matrices, error-rate pairs, RNG plumbing.
+"""Shared data model and input readers: datasets, probability matrices,
+error-rate pairs, RNG plumbing, config values and sections, triple files.
 
 All matrices are dense float64 / int8 numpy arrays of identical shape
 (n_users, n_items). Desk-scale instances fit comfortably in memory and every
@@ -8,6 +9,7 @@ nothing.
 
 from __future__ import annotations
 
+import typing
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +33,47 @@ class ValidationError(ValueError):
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator; every stochastic operation takes one explicitly."""
     return np.random.default_rng(seed)
+
+
+def read_value(key: str, value, kind):
+    """A config string or JSON value as kind: int, float, str, or tuple (of
+    comma-separated floats, or a JSON list of numbers). A value of an
+    accepted type passes as it is, an int in a float field too; a bool, a
+    null or anything else is a ValidationError naming key."""
+    numbers = (int, float)  # matched by type(), so a bool is no number
+    if isinstance(value, str):
+        try:
+            if kind is tuple:
+                return tuple(float(v) for v in value.split(","))
+            return kind(value)
+        except ValueError:
+            pass
+    elif kind is tuple and isinstance(value, list):
+        if all(type(v) in numbers for v in value):
+            return tuple(value)
+    elif type(value) is kind or (kind is float and type(value) in numbers):
+        return value
+    raise ValidationError(f"{key}: cannot read {value!r} as {kind.__name__}")
+
+
+def read_fields(cls, section, what: str, prefix: str = "",
+                kinds=(int, float, str, tuple), required=()) -> dict:
+    """A config section or JSON object as keyword arguments of dataclass
+    cls, each value read as its field's annotated type and named with
+    prefix. A section that is no mapping, a missing required key, or a key
+    that is no field of cls with a type in kinds is a ValidationError."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"expected a mapping of {what}s, got {section!r}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ValidationError(f"missing {what} {missing[0]!r}")
+    types = typing.get_type_hints(cls)
+    out = {}
+    for key, value in section.items():
+        if types.get(key) not in kinds:
+            raise ValidationError(f"unknown {what} {key!r}")
+        out[key] = read_value(prefix + key, value, types[key])
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,44 +246,54 @@ def save_dataset_triples(path, dataset: RatingDataset) -> None:
             fh.write(f"{u}\t{i}\t{int(dataset.observed_ratings[u, i])}\n")
 
 
-def check_triple_index(lineno: int, u: int, i: int, n_users: int | None = None,
-                       n_items: int | None = None) -> None:
-    """Reject a negative index, which numpy would wrap to the far end, and
-    one past an explicit universe size."""
-    for name, idx, size in (("user", u, n_users), ("item", i, n_items)):
-        if idx < 0:
-            raise ValidationError(f"line {lineno}: negative {name} index {idx}")
-        if size is not None and idx >= size:
-            raise ValidationError(
-                f"line {lineno}: {name} index {idx} is past the {size} "
-                f"{name}s of the universe")
+def read_triples(path, read_rating, n_users: int | None = None,
+                 n_items: int | None = None) -> tuple[list, list, list]:
+    """The users, items and ratings of a triple file: one `user item rating`
+    line per pair, split on tabs, spaces or commas, later fields ignored. A
+    rating read_rating rejects (ValueError), a malformed or negative index
+    (numpy would wrap it) or one past an explicit universe size is a
+    ValidationError naming the line."""
+    users, items, ratings = [], [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.replace(",", " ").split()
+            if not parts:
+                continue
+            try:
+                if len(parts) < 3:
+                    raise ValueError(f"expected 3 fields, got {len(parts)}")
+                u, i = int(parts[0]), int(parts[1])
+                for name, idx, size in (("user", u, n_users),
+                                        ("item", i, n_items)):
+                    if idx < 0:
+                        raise ValueError(f"negative {name} index {idx}")
+                    if size is not None and idx >= size:
+                        raise ValueError(
+                            f"{name} index {idx} is past the {size} "
+                            f"{name}s of the universe")
+                r = read_rating(parts[2])
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from exc
+            users.append(u)
+            items.append(i)
+            ratings.append(r)
+    return users, items, ratings
+
+
+def _binary_rating(text: str) -> int:
+    r = int(text)
+    if r not in (0, 1):
+        raise ValueError("rating must be 0 or 1")
+    return r
 
 
 def load_dataset_triples(path, n_users: int | None = None,
                          n_items: int | None = None) -> RatingDataset:
-    """Read the triple text format; universe size defaults to max index + 1."""
-    users, items, ratings = [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                parts = line.split()
-            if len(parts) != 3:
-                raise ValidationError(f"line {lineno}: expected 3 fields")
-            try:
-                u, i, r = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-            if r not in (0, 1):
-                raise ValidationError(f"line {lineno}: rating must be 0 or 1")
-            check_triple_index(lineno, u, i, n_users, n_items)
-            users.append(u)
-            items.append(i)
-            ratings.append(r)
-    return dataset_from_triples(users, items, ratings, n_users, n_items)
+    """Read a triple file of 0/1 ratings; universe size defaults to max
+    index + 1."""
+    return dataset_from_triples(
+        *read_triples(path, _binary_rating, n_users, n_items),
+        n_users, n_items)
 
 
 def dataset_from_triples(users, items, ratings, n_users: int | None = None,

@@ -24,6 +24,7 @@ from .data import (
     RatingDataset,
     ValidationError,
     make_rng,
+    read_fields,
 )
 from .models import FactorModel, Optimizer, SgdConfig, factor_sgd_step
 
@@ -321,23 +322,21 @@ def save_instance(out_dir, inst: BenchmarkInstance) -> None:
 
 def _load_spec(path) -> BenchmarkSpec:
     """The spec of a manifest that save_instance wrote: a JSON object with
-    every BenchmarkSpec field and at most a spec_hash besides. Anything
-    else is a ValidationError naming the file."""
+    every BenchmarkSpec field, each of its field's type, and at most a
+    spec_hash besides. Anything else is a ValidationError naming the file."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    manifest.pop("spec_hash", None)
-    names = [f.name for f in fields(BenchmarkSpec)]
-    problems = ([f"missing field {n!r}" for n in names if n not in manifest]
-                + [f"unknown field {n!r}" for n in sorted(manifest)
-                   if n not in names])
-    if problems:
-        raise ValidationError(f"{path}: {', '.join(problems)}")
-    return BenchmarkSpec(**manifest)
+    if isinstance(manifest, dict):
+        manifest.pop("spec_hash", None)
+    try:
+        return BenchmarkSpec(**read_fields(
+            BenchmarkSpec, manifest, "field",
+            required=[f.name for f in fields(BenchmarkSpec)]))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_instance(in_dir) -> BenchmarkInstance:

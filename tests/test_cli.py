@@ -9,6 +9,7 @@ import pytest
 from noisyrec import cli
 from noisyrec.cli import main, parse_config_file
 from noisyrec.data import ValidationError
+from noisyrec.synthbench import load_instance
 
 
 def write_spec(path, **overrides):
@@ -68,6 +69,18 @@ class TestSynth:
         main(["synth", "--spec", str(spec), "--out", str(out2)])
         for f in sorted(out1.iterdir()):
             assert f.read_bytes() == (out2 / f.name).read_bytes()
+
+    def test_spec_reloads_with_equal_manifest(self, tmp_path):
+        spec = write_spec(tmp_path / "spec.cfg", p_base=1,
+                          gamma_proportions="0.1,0.2,0.3,0.2,0.2")
+        out = tmp_path / "inst"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        want = cli._spec_from_config(parse_config_file(spec))
+        back = load_instance(out).spec
+        assert back == want
+        assert back.manifest() == want.manifest()
+        assert json.loads((out / "manifest.json").read_text()
+                          ) == json.loads(json.dumps(back.manifest()))
 
     def test_seed_override_changes_data(self, tmp_path):
         spec = write_spec(tmp_path / "spec.cfg")
@@ -221,11 +234,15 @@ class TestEstimate:
         assert (f"observed rating at ({u},{i}) not in {{0,1}}"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("case", ["missing", "unknown", "broken"])
+    @pytest.mark.parametrize("case", [
+        "missing", "unknown", "broken", "alpha", "gamma_proportions",
+        "propensity_floor", "n_users"])
     def test_malformed_manifest_exit_2(self, instance_dir, tmp_path, capsys,
                                        case):
         path = instance_dir / "manifest.json"
         manifest = json.loads(path.read_text())
+        wrong = {"alpha": "x", "gamma_proportions": 0.2,
+                 "propensity_floor": None, "n_users": True}
         if case == "missing":
             del manifest["gamma_proportions"]
             text, message = (json.dumps(manifest),
@@ -233,8 +250,11 @@ class TestEstimate:
         elif case == "unknown":
             manifest["extra"] = 1
             text, message = json.dumps(manifest), "unknown field 'extra'"
-        else:
+        elif case == "broken":
             text, message = json.dumps(manifest)[:-10], "not valid JSON"
+        else:  # a value of the wrong type names its key
+            manifest[case] = wrong[case]
+            text, message = json.dumps(manifest), f"{case}: cannot read"
         path.write_text(text)
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
@@ -392,6 +412,48 @@ class TestTrain:
         assert code == 0
         assert (out / "eval.csv").exists()
 
+    @pytest.mark.parametrize("sep, extra", [(",", ""), (", ", ""),
+                                            ("\t", "\t881250949"),
+                                            (" ", " 3.5")])
+    def test_triples_read_as_tab_separated(self, tmp_path, sep, extra):
+        # ingest's grammar: fields split on tabs, spaces or commas, and
+        # fields past the rating (a timestamp) ignored
+        rng = np.random.default_rng(0)
+        rows = [(u, i, int(rng.random() < 0.5)) for u in range(15)
+                for i in range(15) if rng.random() < 0.6]
+        tsv, other = tmp_path / "data.tsv", tmp_path / "data.txt"
+        tsv.write_text("".join(f"{u}\t{i}\t{r}\n" for u, i, r in rows))
+        other.write_text("".join(f"{u}{sep}{i}{sep}{r}{extra}\n"
+                                 for u, i, r in rows))
+        want_train, want_labels = cli._load_training_data(tsv, 0)
+        got_train, got_labels = cli._load_training_data(other, 0)
+        assert got_train.shape == want_train.shape
+        assert np.array_equal(got_train.observed_mask,
+                              want_train.observed_mask)
+        assert np.array_equal(got_train.observed_ratings,
+                              want_train.observed_ratings)
+        assert np.array_equal(got_labels, want_labels)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("sgd.max_epochs = 2\npropensity_epochs = 2\nk = 2\n")
+        assert main(["train", "--data", str(other), "--method", "naive",
+                     "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("line, message", [
+        ("k = 0", "k must be >= 1, got 0"),
+        ("k = -2", "k must be >= 1, got -2"),
+        ("propensity_epochs = -1", "propensity_epochs must be >= 0, got -1")])
+    def test_out_of_range_option_exit_2_before_output(
+            self, instance_dir, tmp_path, capsys, line, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"{line}\nsgd.max_epochs = 1\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(instance_dir), "--method", "naive",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before any training or output
+
     @pytest.mark.parametrize("key", ["learning_rate", "weight_decay"])
     def test_nan_sgd_option_exit_2(self, instance_dir, tmp_path, key):
         cfg = tmp_path / "train.cfg"
@@ -429,7 +491,7 @@ class TestTrain:
 
     def test_unknown_option_exit_2(self, instance_dir, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("top_k = 3\n")
+        cfg.write_text("top_k = 3\nbatch = 2\n")  # the first one is named
         out = tmp_path / "run"
         code = main(["train", "--data", str(instance_dir), "--method", "naive",
                      "--config", str(cfg), "--out", str(out)])
@@ -519,6 +581,18 @@ class TestSweep:
         main(["sweep", "--spec", str(spec), "--n-seeds", "3",
               "--propensities", "true", "--jobs", "2", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-seeds", "0"), ("--n-seeds", "-3"), ("--jobs", "0"),
+        ("--jobs", "-2")])
+    def test_flag_below_one_exit_2(self, tmp_path, capsys, flag, value):
+        spec = write_spec(tmp_path / "spec.cfg")
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--spec", str(spec), flag, value,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_estimator_row_matches_estimate(self, tmp_path):
         spec = write_spec(tmp_path / "spec.cfg")

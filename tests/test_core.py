@@ -20,9 +20,12 @@ from noisyrec.data import (
     dataset_from_triples,
     load_dataset_triples,
     make_rng,
+    read_fields,
+    read_value,
     save_dataset_triples,
     validate_dataset,
 )
+from noisyrec.models import SgdConfig
 
 
 class TestValidateDataset:
@@ -180,6 +183,40 @@ class TestMatrices:
             PredictionMatrix(np.array([[0.3, np.nan]]))
 
 
+class TestReadValue:
+    @pytest.mark.parametrize("value, kind, want", [
+        ("3", int, 3), ("0.5", float, 0.5), ("ips", str, "ips"),
+        ("0.1,0.2", tuple, (0.1, 0.2)), (3, int, 3), (1, float, 1),
+        (0.5, float, 0.5), ([0.5, 1], tuple, (0.5, 1))])
+    def test_text_read_and_typed_values_passed(self, value, kind, want):
+        got = read_value("key", value, kind)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("value, kind", [
+        ("2.5", int), ("x", float), ("0.5,a", tuple), (True, int),
+        (False, float), (None, float), (None, str), (2.0, int), (3, str),
+        (0.2, tuple), ([0.5, True], tuple), (["0.5"], tuple), ({}, int)])
+    def test_other_values_rejected_naming_key(self, value, kind):
+        with pytest.raises(ValidationError,
+                           match=f"key: cannot read .* as {kind.__name__}"):
+            read_value("key", value, kind)
+
+    def test_fields_read_by_annotation(self):
+        got = read_fields(SgdConfig, {"seed": "3", "learning_rate": 1},
+                          "sgd option", "sgd.")
+        assert got == {"seed": 3, "learning_rate": 1}
+        with pytest.raises(ValidationError, match="sgd.seed: cannot read"):
+            read_fields(SgdConfig, {"seed": "x"}, "sgd option", "sgd.")
+        with pytest.raises(ValidationError, match="unknown sgd option 'a'"):
+            read_fields(SgdConfig, {"seed": 1, "a": 1, "b": 2}, "sgd option")
+        with pytest.raises(ValidationError, match="unknown o 'seed'"):
+            read_fields(SgdConfig, {"seed": 1}, "o", kinds=(str,))
+        with pytest.raises(ValidationError, match="missing o 'optimizer'"):
+            read_fields(SgdConfig, {"seed": 1}, "o", required=("optimizer",))
+        with pytest.raises(ValidationError, match="expected a mapping of os"):
+            read_fields(SgdConfig, [1], "o")
+
+
 class TestRngDeterminism:
     def test_equal_seeds_bit_identical(self):
         a = make_rng(123).random((50, 50))
@@ -208,6 +245,23 @@ class TestTriplesFormat:
         path = tmp_path / "bad.tsv"
         path.write_text("0\t0\t1\nnot a line\n")
         with pytest.raises(ValidationError, match="line 2"):
+            load_dataset_triples(path)
+
+    @pytest.mark.parametrize("line", ["2,1,1", "2, 1, 1", "2 1\t1",
+                                      "2\t1\t1\t881250949", "2,1,1,4.5"])
+    def test_separators_and_extra_fields(self, tmp_path, line):
+        path = tmp_path / "data.txt"
+        path.write_text(f"0\t0\t0\n\n{line}\n")
+        d = load_dataset_triples(path)
+        assert d.shape == (3, 2)
+        assert np.array_equal(d.observed_mask, [[1, 0], [0, 0], [0, 1]])
+        assert np.array_equal(d.observed_ratings, [[0, 0], [0, 0], [0, 1]])
+
+    def test_short_line_named(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\t0\t1\n\n1,2\n")
+        with pytest.raises(ValidationError,
+                           match="line 3: expected 3 fields, got 2"):
             load_dataset_triples(path)
 
     def test_negative_index_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -328,6 +330,19 @@ class TestSerialization:
         assert np.array_equal(back.observed_mask, inst.observed_mask)
         assert np.array_equal(back.true_ratings, inst.true_ratings)
         assert np.array_equal(back.observed_ratings, inst.observed_ratings)
+
+    @pytest.mark.parametrize("spec", [
+        BenchmarkSpec(10, 8, 0.2, 0.1, p_base=1, seed=4),
+        BenchmarkSpec(10, 8, 0, 0.1, alpha=1, propensity_floor=0.1, seed=5)])
+    def test_int_in_float_field_reloads_unchanged(self, tmp_path, spec):
+        # read back as the int it was written as, so the manifest and its
+        # hash, which every report's first line carries, stay the same
+        save_instance(tmp_path / "inst", sample_instance(spec))
+        back = load_instance(tmp_path / "inst").spec
+        assert back == spec
+        assert back.manifest() == spec.manifest()
+        assert json.loads((tmp_path / "inst" / "manifest.json").read_text()
+                          ) == json.loads(json.dumps(back.manifest()))
 
     def test_missing_p_hat_tolerated(self, tmp_path):
         spec = BenchmarkSpec(6, 6, 0.1, 0.1, seed=8)
