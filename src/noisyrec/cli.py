@@ -267,7 +267,7 @@ def cmd_train(args) -> int:
     alt_cfg = AltTrainConfig(
         rho_init=_rates("rho_init", cfg.pop("rho_init", "0.1,0.1")),
         sgd_prediction=sgd, sgd_imputation=sgd,
-        **read_fields(AltTrainConfig, cfg, "train option", kinds=(int,)))
+        **read_fields(AltTrainConfig, cfg, "train option"))
     _check_at_least("k", k, 1)
     _check_at_least("propensity_epochs", propensity_epochs, 0)
     dataset, labels = _load_training_data(args.data, args.seed)

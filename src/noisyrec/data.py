@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,21 +56,25 @@ def read_value(key: str, value, kind):
     raise ValidationError(f"{key}: cannot read {value!r} as {kind.__name__}")
 
 
+# a dataclass's annotated field types, evaluated once per class
+_field_types = cache(typing.get_type_hints)
+
+
 def read_fields(cls, section, what: str, prefix: str = "",
-                kinds=(int, float, str, tuple), required=()) -> dict:
+                required=()) -> dict:
     """A config section or JSON object as keyword arguments of dataclass
     cls, each value read as its field's annotated type and named with
     prefix. A section that is no mapping, a missing required key, or a key
-    that is no field of cls with a type in kinds is a ValidationError."""
+    that is no int, float, str or tuple field of cls is a ValidationError."""
     if not isinstance(section, dict):
         raise ValidationError(f"expected a mapping of {what}s, got {section!r}")
     missing = [key for key in required if key not in section]
     if missing:
         raise ValidationError(f"missing {what} {missing[0]!r}")
-    types = typing.get_type_hints(cls)
+    types = _field_types(cls)
     out = {}
     for key, value in section.items():
-        if types.get(key) not in kinds:
+        if types.get(key) not in (int, float, str, tuple):
             raise ValidationError(f"unknown {what} {key!r}")
         out[key] = read_value(prefix + key, value, types[key])
     return out
