@@ -40,7 +40,7 @@ from .estimators import (
     true_inaccuracy,
 )
 from .losses import LossKind, loss_curves
-from .metrics import auc, ndcg_at_k, recall_at_k
+from .metrics import auc, class_counts, ndcg_at_k, recall_at_k
 from .models import (
     SgdConfig,
     TrainingDivergence,
@@ -57,6 +57,7 @@ from .synthbench import (
 from .training import (
     AltTrainConfig,
     alternating_denoise_train,
+    check_pretrain_method,
     pretrain_noisy_model,
     train_noisy_factor_model,
 )
@@ -151,6 +152,8 @@ def _as_given(p_arr, floor) -> PropensityMatrix:
 
 
 def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
+    if given is not None and mode != "given":
+        raise ValidationError(f"--rho needs --rho-mode given, not {mode}")
     if mode == "true":
         return inst.spec.rho
     if mode == "given":
@@ -270,7 +273,9 @@ def cmd_train(args) -> int:
         **read_fields(AltTrainConfig, cfg, "train option"))
     _check_at_least("k", k, 1)
     _check_at_least("propensity_epochs", propensity_epochs, 0)
+    check_pretrain_method(pretrain_method)
     dataset, labels = _load_training_data(args.data, args.seed)
+    class_counts(labels[labels >= 0])  # AUC needs both, checked before output
     if args.method == "ome_alt":  # before any training or output
         check_k_extreme(alt_cfg.k_extreme, dataset.n_users * dataset.n_items)
     out = Path(args.out)

@@ -80,6 +80,22 @@ def read_fields(cls, section, what: str, prefix: str = "",
     return out
 
 
+def float_matrix(instance, name: str, what: str) -> np.ndarray:
+    """Field `name` of a frozen dataclass instance as a float64 array, stored
+    back on it; one not 2-D is a ValidationError naming the `what` matrix."""
+    a = np.asarray(getattr(instance, name), dtype=np.float64)
+    object.__setattr__(instance, name, a)
+    if a.ndim != 2:
+        raise ValidationError(f"{what} matrix must be 2-D")
+    return a
+
+
+def inside_unit_interval(a: np.ndarray) -> bool:
+    """Every entry strictly inside (0, 1). min and max carry a NaN through,
+    and NaN fails both comparisons, so a NaN entry fails the test."""
+    return a.size == 0 or (a.min() > 0 and a.max() < 1)
+
+
 @dataclass(frozen=True)
 class ErrorParams:
     """False-negative rate rho01 = P(r=0 | r*=1) and false-positive rate
@@ -113,10 +129,7 @@ class PropensityMatrix:
     floor: float = DEFAULT_PROPENSITY_FLOOR
 
     def __post_init__(self):
-        p = np.asarray(self.p_hat, dtype=np.float64)
-        object.__setattr__(self, "p_hat", p)
-        if p.ndim != 2:
-            raise ValidationError("propensity matrix must be 2-D")
+        p = float_matrix(self, "p_hat", "propensity")
         # negated so that NaN, which makes min and max NaN, is rejected
         lo, hi = (p.min(), p.max()) if p.size else (1.0, 1.0)
         if not (lo > 0.0 and lo >= self.floor and hi <= 1.0):
@@ -138,11 +151,7 @@ class PredictionMatrix:
     r_hat: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r_hat, dtype=np.float64)
-        object.__setattr__(self, "r_hat", r)
-        if r.ndim != 2:
-            raise ValidationError("prediction matrix must be 2-D")
-        if not (np.all(r > 0.0) and np.all(r < 1.0)):  # negated: NaN fails
+        if not inside_unit_interval(float_matrix(self, "r_hat", "prediction")):
             raise ValidationError("predictions must lie strictly inside (0, 1)")
 
 
@@ -153,11 +162,7 @@ class ImputationMatrix:
     e_bar: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.e_bar, dtype=np.float64)
-        object.__setattr__(self, "e_bar", e)
-        if e.ndim != 2:
-            raise ValidationError("imputation matrix must be 2-D")
-        if not np.all(np.isfinite(e)):
+        if not np.all(np.isfinite(float_matrix(self, "e_bar", "imputation"))):
             raise ValidationError("imputed errors must be finite")
 
 

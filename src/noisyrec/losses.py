@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import ErrorParams, ValidationError
+from .data import ErrorParams, ValidationError, inside_unit_interval
 
 
 class LossVariant(Enum):
@@ -44,8 +44,7 @@ def loss_curves(kind: LossKind, pred: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Elementwise (l(pred, 1), l(pred, 0)) for predictions in (0, 1); any
     other prediction, NaN included, raises ValidationError."""
     pred = np.asarray(pred, dtype=np.float64)
-    # min and max carry NaN through, so a NaN fails the test
-    if pred.size and not (pred.min() > 0.0 and pred.max() < 1.0):
+    if not inside_unit_interval(pred):
         raise ValidationError("predictions must lie strictly inside (0, 1)")
     if kind.variant is LossVariant.SQUARED_ERROR:
         return (pred - 1.0) ** 2, pred**2

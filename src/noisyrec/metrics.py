@@ -12,15 +12,23 @@ import numpy as np
 from .data import ValidationError
 
 
-def auc(scores, labels) -> float:
-    """Probability that a random positive outranks a random negative;
-    ties count one half (rank-sum form)."""
-    scores = np.asarray(scores, dtype=np.float64)
+def class_counts(labels) -> tuple[int, int]:
+    """(positives, negatives) of 0/1 labels; a class left empty, which no
+    AUC can be read from, is a ValidationError."""
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("need at least one positive and one negative")
+    return n_pos, n_neg
+
+
+def auc(scores, labels) -> float:
+    """Probability that a random positive outranks a random negative;
+    ties count one half (rank-sum form)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos, n_neg = class_counts(labels)
     ranks = _average_ranks(scores)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -303,7 +303,7 @@ def sgd_step_imputation(model: FactorModel, u_idx, i_idx, o, r, p_hat, pred,
 def propensity_objective(model: PropensityModel, observed_mask) -> float:
     """Full-universe binary cross-entropy on the observation indicators."""
     p = np.clip(model.predict_all(), 1e-12, 1.0 - 1e-12)
-    o = np.asarray(observed_mask, dtype=np.float64)
+    o = np.asarray(observed_mask)
     return float(-np.mean(o * np.log(p) + (1.0 - o) * np.log(1.0 - p)))
 
 
@@ -339,14 +339,13 @@ def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityMod
     """
     n, m = dataset.shape
     model = PropensityModel.init(n, m)
-    o_full = np.asarray(dataset.observed_mask, dtype=np.float64)
     n_pairs = n * m
     full_batch = config.batch_size == 0 or config.batch_size >= n_pairs
     rng = make_rng(config.seed)
     opt = Optimizer(config, lr_scale=2.0)
     for epoch in range(config.max_epochs):
         if full_batch:
-            coef = (model.predict_all() - o_full) / n_pairs
+            coef = (model.predict_all() - dataset.observed_mask) / n_pairs
             opt.step(model.params(), {"user_logit": coef.sum(axis=1),
                                       "item_logit": coef.sum(axis=0)})
         else:
@@ -355,7 +354,7 @@ def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityMod
                 idx = order[start:start + config.batch_size]
                 u, i = np.divmod(idx, m)
                 p = sigmoid(model.scores(u, i))
-                coef = (p - o_full[u, i]) / idx.shape[0]
+                coef = (p - dataset.observed_mask[u, i]) / idx.shape[0]
                 opt.step(model.params(),
                          {"user_logit": np.bincount(u, coef, minlength=n),
                           "item_logit": np.bincount(i, coef, minlength=m)})

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data import EPS_RHO, ErrorParams, PredictionMatrix, ValidationError
+from .data import (EPS_RHO, ErrorParams, PredictionMatrix, ValidationError,
+                   float_matrix, inside_unit_interval)
 
 
 class NoSeparationWarning(UserWarning):
@@ -29,11 +30,7 @@ class NoisyRateModel:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        object.__setattr__(self, "q", q)
-        if q.ndim != 2:
-            raise ValidationError("noisy-rate matrix must be 2-D")
-        if not (np.all(q > 0.0) and np.all(q < 1.0)):  # negated: NaN fails
+        if not inside_unit_interval(float_matrix(self, "q", "noisy-rate")):
             raise ValidationError("noisy-rate entries must lie in (0, 1)")
 
 

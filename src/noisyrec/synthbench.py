@@ -244,6 +244,15 @@ def synth_scores(n_users, n_items, rng, rank=3) -> np.ndarray:
     return a @ b + 0.5 * rng.normal(size=(n_users, n_items))
 
 
+def _five_scale(gamma: np.ndarray, shape,
+                what: str = "supplied gamma") -> np.ndarray:
+    """Level index + 1 of each cell of a given gamma, which must have the
+    spec's shape and hold only the five GAMMA_LEVELS."""
+    if gamma.shape != shape or not np.isin(gamma, GAMMA_LEVELS).all():
+        raise ValidationError(f"{what} must hold the five levels")
+    return (np.searchsorted(GAMMA_LEVELS, gamma) + 1).astype(np.int64)
+
+
 def sample_instance(spec: BenchmarkSpec,
                     score_matrix: np.ndarray | None = None,
                     gamma_matrix: np.ndarray | None = None
@@ -260,10 +269,7 @@ def sample_instance(spec: BenchmarkSpec,
         if gamma_matrix is None:
             raise ValidationError("gamma_source=supplied needs gamma_matrix")
         gamma = np.asarray(gamma_matrix, dtype=np.float64)
-        if gamma.shape != shape or not np.isin(
-                gamma, np.asarray(GAMMA_LEVELS)).all():
-            raise ValidationError("supplied gamma must hold the five levels")
-        five_scale = (np.searchsorted(GAMMA_LEVELS, gamma) + 1).astype(np.int64)
+        five_scale = _five_scale(gamma, shape)
     else:
         if score_matrix is None:
             score_matrix = synth_scores(spec.n_users, spec.n_items, rng)
@@ -353,11 +359,11 @@ def load_instance(in_dir) -> BenchmarkInstance:
     binary = RatingDataset(spec.n_users, spec.n_items,
                            arrays["observed_mask"], arrays["observed_ratings"],
                            arrays["true_ratings"])
-    level_idx = np.searchsorted(GAMMA_LEVELS, arrays["gamma"])
     return BenchmarkInstance(
         spec,
         arrays["gamma"],
-        (level_idx + 1).astype(np.int64),
+        _five_scale(arrays["gamma"], (spec.n_users, spec.n_items),
+                    str(src / _MATRIX_FILES["gamma"])),
         PredictionMatrix(arrays["prediction"]),
         arrays["p_true"],
         arrays["p_hat"],

@@ -115,15 +115,13 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     rng = make_rng(config.seed)
     model = FactorModel.init(n, m, d, rng)
     opt = Optimizer(config)
-    o = dataset.observed_mask
-    r = dataset.observed_ratings.astype(np.float64)
+    o_flat = dataset.observed_mask.ravel()
+    r_flat = dataset.observed_ratings.ravel()
     n_obs = dataset.n_observed
     if n_obs == 0:
         raise ValidationError("no observed pairs")
-    r_bar = float((o * r).sum() / n_obs)
+    r_bar = float((o_flat * r_flat).sum() / n_obs)
     n_pairs = n * m
-    o_flat = o.ravel().astype(np.float64)
-    r_flat = r.ravel()
     p_flat = None if p_hat is None else np.asarray(p_hat).ravel()
     batch = config.batch_size if config.batch_size > 0 else n_pairs
     for epoch in range(config.max_epochs):
@@ -133,7 +131,8 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
             if method in ("naive", "ips"):
-                w = (ob * n_pairs / n_obs if method == "naive"
+                # int8 ob times a Python int stays int8 and would overflow
+                w = (ob * (n_pairs / n_obs) if method == "naive"
                      else ob / p_flat[idx])
                 coef = weighted_grad_coefs(
                     model, u, i, w, lambda f, rows: _xent_grad(f, rb[rows]))
@@ -153,13 +152,18 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     return model
 
 
+def check_pretrain_method(method: str) -> None:
+    """The noisy-rate model is pretrained by one of PRETRAIN_METHODS."""
+    if method not in PRETRAIN_METHODS:
+        raise ValidationError(
+            f"pretrain method must be one of {PRETRAIN_METHODS}")
+
+
 def pretrain_noisy_model(dataset: RatingDataset, method: str,
                          config: SgdConfig, d: int = 8,
                          p_hat: np.ndarray | None = None) -> NoisyRateModel:
     """Pretrained estimator of P(r=1 | x) over the full universe."""
-    if method not in PRETRAIN_METHODS:
-        raise ValidationError(
-            f"pretrain method must be one of {PRETRAIN_METHODS}")
+    check_pretrain_method(method)
     model = train_noisy_factor_model(dataset, method, config, d, p_hat)
     return NoisyRateModel(model.predict_all())
 
@@ -198,8 +202,8 @@ def alternating_denoise_train(
     pred_opt = Optimizer(config.sgd_prediction)
     imp_opt = Optimizer(config.sgd_imputation)
 
-    o_flat = dataset.observed_mask.ravel().astype(np.float64)
-    r_flat = dataset.observed_ratings.ravel().astype(np.float64)
+    o_flat = dataset.observed_mask.ravel()
+    r_flat = dataset.observed_ratings.ravel()
     p_flat = p_hat.ravel()
     n_pairs = n * m
     obs_idx = dataset.observed_index

@@ -165,6 +165,32 @@ class TestEstimate:
         assert "--rho" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho_mode", [None, "true", "estimated"])
+    def test_rho_without_given_mode_exit_2(self, instance_dir, tmp_path,
+                                           capsys, rho_mode):
+        # a --rho the mode would ignore is an error, not a silent no-op
+        out = tmp_path / "r.csv"
+        mode = [] if rho_mode is None else ["--rho-mode", rho_mode]
+        code = main(["estimate", "--instance", str(instance_dir), *mode,
+                     "--rho", "0.3,0.1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--rho " in err and "--rho-mode given" in err
+        assert not out.exists()
+
+    def test_off_level_gamma_exit_2(self, instance_dir, tmp_path, capsys):
+        # 0.42 is no level; searchsorted alone would read it as level 3
+        path = instance_dir / "gamma.csv"
+        g = np.loadtxt(path, delimiter=",", ndmin=2)
+        g[1, 2] = 0.42
+        np.savetxt(path, g, fmt="%.17g", delimiter=",")
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--out", str(out)])
+        assert code == 2
+        assert "gamma.csv must hold the five levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_instance_exit_2(self, tmp_path):
         code = main(["estimate", "--instance", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "r.csv")])
@@ -379,6 +405,30 @@ class TestTrain:
         assert code == 2
         assert "k_extreme must be in [1, n_pairs/2]" in capsys.readouterr().err
         assert not out.exists()  # rejected before any training
+
+    def test_unknown_pretrain_method_exit_2_before_output(
+            self, instance_dir, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("pretrain_method = foo\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(instance_dir),
+                     "--method", "ome_alt", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        assert "pretrain method must be one of" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any training
+
+    def test_one_class_eval_labels_exit_2_before_output(self, tmp_path,
+                                                        capsys):
+        triples = tmp_path / "ones.tsv"
+        triples.write_text("".join(f"{u}\t{u % 3}\t1\n" for u in range(10)))
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(triples), "--method", "naive",
+                     "--out", str(out)])
+        assert code == 2
+        assert ("need at least one positive and one negative"
+                in capsys.readouterr().err)
+        assert not out.exists()  # no checkpoint of an unscorable run
 
     @pytest.mark.parametrize("method, rate, message", [
         ("naive", "1e308", "noisy-rate pretraining diverged"),

@@ -13,6 +13,7 @@ from noisyrec.data import (
     DEFAULT_PROPENSITY_FLOOR,
     EPS_RHO,
     ErrorParams,
+    ImputationMatrix,
     PredictionMatrix,
     PropensityMatrix,
     RatingDataset,
@@ -25,7 +26,9 @@ from noisyrec.data import (
     save_dataset_triples,
     validate_dataset,
 )
+from noisyrec.losses import LossKind, loss_curves
 from noisyrec.models import SgdConfig
+from noisyrec.noise import NoisyRateModel
 
 
 class TestValidateDataset:
@@ -181,6 +184,60 @@ class TestMatrices:
         # a NaN passes r <= 0 and r >= 1
         with pytest.raises(ValidationError, match=r"inside \(0, 1\)"):
             PredictionMatrix(np.array([[0.3, np.nan]]))
+
+
+def _with_cell(value):
+    a = np.full((2, 3), 0.5)
+    a[1, 2] = value
+    return a
+
+
+# (2-D matrix, whether every entry lies strictly inside (0, 1))
+UNIT_INTERVAL_CASES = {
+    "half": (_with_cell(0.5), True),
+    "nan": (_with_cell(np.nan), False),
+    "+inf": (_with_cell(np.inf), False),
+    "-inf": (_with_cell(-np.inf), False),
+    "zero": (_with_cell(0.0), False),
+    "negative zero": (_with_cell(-0.0), False),
+    "one": (_with_cell(1.0), False),
+    "above zero": (_with_cell(np.nextafter(0.0, 1.0)), True),
+    "below zero": (_with_cell(np.nextafter(0.0, -1.0)), False),
+    "below one": (_with_cell(np.nextafter(1.0, 0.0)), True),
+    "above one": (_with_cell(np.nextafter(1.0, 2.0)), False),
+    "empty": (np.empty((0, 0)), True),
+}
+
+
+def _accepts(check, a) -> bool:
+    try:
+        check(a)
+    except ValidationError:
+        return False
+    return True
+
+
+class TestUnitIntervalRule:
+    """Predictions, noisy rates and the loss curves read one open-interval
+    rule: they accept exactly the same matrices."""
+
+    @pytest.mark.parametrize("case", list(UNIT_INTERVAL_CASES))
+    def test_checks_agree(self, case):
+        a, inside = UNIT_INTERVAL_CASES[case]
+        checks = (PredictionMatrix, NoisyRateModel,
+                  lambda x: loss_curves(LossKind.squared(), x),
+                  lambda x: loss_curves(LossKind.cross_entropy(), x))
+        assert [_accepts(check, a.copy()) for check in checks] == (
+            [inside] * len(checks))
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 2, 3)])
+    @pytest.mark.parametrize("make, what", [
+        (PropensityMatrix, "propensity"), (PredictionMatrix, "prediction"),
+        (ImputationMatrix, "imputation"), (NoisyRateModel, "noisy-rate")])
+    def test_not_2d_rejected_by_name(self, make, what, shape):
+        with pytest.raises(ValidationError,
+                           match=f"^{what} matrix must be 2-D$"):
+            make(np.full(shape, 0.5))
 
 
 class TestReadValue:
