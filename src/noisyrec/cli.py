@@ -1,8 +1,8 @@
 """Command-line driver: benchmark generation, estimator evaluation,
 training, ingestion, and multi-seed sweeps.
 
-Exit codes: 0 success, 2 validation failure or missing input file,
-3 runtime/divergence failure.
+Exit codes: 0 success, 2 validation failure or a file that cannot be read
+or written (any OSError), 3 training divergence.
 Reports are CSV with a leading comment line carrying the manifest hash, so
 golden files diff cleanly.
 """
@@ -125,7 +125,11 @@ def cmd_synth(args) -> int:
     spec = _spec_from_config(cfg, args.seed)
     scores = None
     if "scores" in cfg:
-        scores = np.loadtxt(cfg["scores"], delimiter=",", ndmin=2)
+        try:
+            scores = np.loadtxt(cfg["scores"], delimiter=",", ndmin=2)
+        except ValueError as exc:  # a ragged row or a non-numeric field
+            raise ValidationError(
+                f"scores file {cfg['scores']}: {exc}") from exc
     inst = sample_instance(spec, score_matrix=scores)
     save_instance(args.out, inst)
     print(f"wrote instance to {args.out}")
@@ -426,10 +430,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDivergence, RuntimeError, OSError) as exc:
+    except (TrainingDivergence, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -302,24 +302,28 @@ def sample_instance(spec: BenchmarkSpec,
 # ---------------------------------------------------------------------------
 
 _MATRIX_FILES = {
-    "gamma": "gamma.csv",
-    "prediction": "pred.csv",
-    "p_true": "p_true.csv",
-    "p_hat": "p_hat.csv",
-    "observed_mask": "o.csv",
-    "true_ratings": "r_true.csv",
-    "observed_ratings": "r_obs.csv",
+    "gamma": "gamma.npy",
+    "prediction": "pred.npy",
+    "p_true": "p_true.npy",
+    "p_hat": "p_hat.npy",
+    "observed_mask": "o.npy",
+    "true_ratings": "r_true.npy",
+    "observed_ratings": "r_obs.npy",
 }
+_BINARY_KEYS = ("observed_mask", "true_ratings", "observed_ratings")
 
 
 def save_instance(out_dir, inst: BenchmarkInstance) -> None:
+    """Each matrix as a .npy file in its in-memory dtype (float64 for gamma,
+    the predictions and both propensities, int8 for the binary matrices),
+    written without pickle, and the spec as manifest.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for key, fname in _MATRIX_FILES.items():
         arr = getattr(inst, key)
         if key == "prediction":
             arr = arr.r_hat
-        np.savetxt(out / fname, arr, fmt="%.17g", delimiter=",")
+        np.save(out / fname, arr, allow_pickle=False)
     manifest = inst.spec.manifest()
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -345,16 +349,49 @@ def _load_spec(path) -> BenchmarkSpec:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def _load_matrix(path: Path, shape) -> np.ndarray:
+    """One matrix file as save_instance wrote it: a .npy array of the spec's
+    shape and a real dtype (bool, int, uint or float), read without
+    unpickling. Anything else is a ValidationError naming the file."""
+    try:
+        with open(path, "rb") as fh:  # closed even if it holds an .npz
+            arr = np.load(fh, allow_pickle=False)
+    except FileNotFoundError:
+        text = path.with_suffix(".csv")
+        if not text.exists():
+            raise
+        raise ValidationError(
+            f"{path} is missing, but {text.name} is there: an earlier "
+            "version wrote this instance as text; run synth again with the "
+            "same spec and seed") from None
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValidationError(f"{path}: not a readable .npy matrix: {exc}"
+                              ) from exc
+    if not isinstance(arr, np.ndarray):
+        raise ValidationError(f"{path}: not a readable .npy matrix: it is "
+                              "an .npz archive")
+    if arr.dtype.kind not in "biuf" or arr.shape != shape:
+        raise ValidationError(
+            f"{path}: expected a {shape} matrix of real numbers, got a "
+            f"{arr.dtype} array of shape {arr.shape}")
+    return arr
+
+
 def load_instance(in_dir) -> BenchmarkInstance:
     src = Path(in_dir)
     spec = _load_spec(src / "manifest.json")
+    shape = (spec.n_users, spec.n_items)
     arrays = {}
     for key, fname in _MATRIX_FILES.items():
         fpath = src / fname
         if key == "p_hat" and not fpath.exists():
             arrays[key] = None  # estimators needing propensities will say so
             continue
-        arrays[key] = np.loadtxt(fpath, delimiter=",", ndmin=2)
+        arr = _load_matrix(fpath, shape)
+        # the binary matrices go to RatingDataset as read; the real ones are
+        # float64, as sample_instance makes them
+        arrays[key] = (arr if key in _BINARY_KEYS
+                       else np.asarray(arr, dtype=np.float64))
     # checked as read, then stored as int8
     binary = RatingDataset(spec.n_users, spec.n_items,
                            arrays["observed_mask"], arrays["observed_ratings"],
@@ -362,7 +399,7 @@ def load_instance(in_dir) -> BenchmarkInstance:
     return BenchmarkInstance(
         spec,
         arrays["gamma"],
-        _five_scale(arrays["gamma"], (spec.n_users, spec.n_items),
+        _five_scale(arrays["gamma"], shape,
                     str(src / _MATRIX_FILES["gamma"])),
         PredictionMatrix(arrays["prediction"]),
         arrays["p_true"],

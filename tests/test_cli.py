@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +57,10 @@ class TestSynth:
         spec = write_spec(tmp_path / "spec.cfg")
         out = tmp_path / "inst"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
-        for fname in ("gamma.csv", "pred.csv", "p_true.csv", "p_hat.csv",
-                      "o.csv", "r_true.csv", "r_obs.csv", "manifest.json"):
+        for fname in ("gamma.npy", "pred.npy", "p_true.npy", "p_hat.npy",
+                      "o.npy", "r_true.npy", "r_obs.npy", "manifest.json"):
             assert (out / fname).exists()
+        assert not list(out.glob("*.csv"))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n_users"] == 20
 
@@ -88,7 +90,7 @@ class TestSynth:
         main(["synth", "--spec", str(spec), "--out", str(out1)])
         main(["synth", "--spec", str(spec), "--out", str(out2),
               "--seed", "99"])
-        assert (out1 / "o.csv").read_bytes() != (out2 / "o.csv").read_bytes()
+        assert (out1 / "o.npy").read_bytes() != (out2 / "o.npy").read_bytes()
 
     def test_invalid_spec_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.cfg", rho01=0.7, rho10=0.5)
@@ -107,6 +109,30 @@ class TestSynth:
         assert code == 2
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "0.1,0.2,0.3,0.4\n0.5,0.6,0.7\n0.1,0.2,0.3,0.4\n",  # ragged row
+        "0.1,0.2,0.3,0.4\n0.5,x,0.7,0.8\n0.1,0.2,0.3,0.4\n"],  # non-numeric
+        ids=["ragged", "non-numeric"])
+    def test_malformed_scores_file_exit_2(self, tmp_path, capsys, text):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text)
+        spec = write_spec(tmp_path / "spec.cfg", n_users=3, n_items=4,
+                          scores=scores)
+        out = tmp_path / "x"
+        code = main(["synth", "--spec", str(spec), "--out", str(out)])
+        assert code == 2
+        assert f"scores file {scores}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.cfg")
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code = main(["synth", "--spec", str(spec), "--out", str(out)])
+        assert code == 2  # FileExistsError is an input error, not divergence
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("field, value", [
         ("n_users", "abc"), ("n_items", "2.5"), ("rho01", "x"),
@@ -180,16 +206,90 @@ class TestEstimate:
 
     def test_off_level_gamma_exit_2(self, instance_dir, tmp_path, capsys):
         # 0.42 is no level; searchsorted alone would read it as level 3
-        path = instance_dir / "gamma.csv"
-        g = np.loadtxt(path, delimiter=",", ndmin=2)
+        path = instance_dir / "gamma.npy"
+        g = np.load(path)
         g[1, 2] = 0.42
-        np.savetxt(path, g, fmt="%.17g", delimiter=",")
+        np.save(path, g)
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
                      "--out", str(out)])
         assert code == 2
-        assert "gamma.csv must hold the five levels" in capsys.readouterr().err
+        assert "gamma.npy must hold the five levels" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fname, propensities", [
+        ("p_true.npy", "perturbed"), ("p_hat.npy", "true")])
+    def test_unused_propensities_wrong_shape_exit_2(
+            self, instance_dir, tmp_path, capsys, fname, propensities):
+        # the matrix the run does not use is shape-checked all the same
+        path = instance_dir / fname
+        np.save(path, np.load(path)[:, :-1])
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--propensities", propensities, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: expected a (20, 25) matrix of real numbers" in err
+        assert "float64 array of shape (20, 24)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fname, case, message", [
+        ("pred.npy", "empty", "not a readable .npy matrix"),
+        ("o.npy", "truncated", "not a readable .npy matrix"),
+        ("pred.npy", "pickled", "not a readable .npy matrix"),
+        ("p_true.npy", "object", "not a readable .npy matrix"),
+        ("gamma.npy", "complex", "complex128 array of shape (20, 25)"),
+        ("pred.npy", "string", "matrix of real numbers, got a <U"),
+        ("r_obs.npy", "directory", "not a readable .npy matrix")])
+    def test_unreadable_matrix_exit_2(self, instance_dir, tmp_path, capsys,
+                                      fname, case, message):
+        path = instance_dir / fname
+        arr = np.load(path)
+        if case == "empty":
+            path.write_bytes(b"")
+        elif case == "truncated":
+            path.write_bytes(path.read_bytes()[:-10])
+        elif case == "pickled":
+            path.write_bytes(pickle.dumps(arr))
+        elif case == "object":
+            np.save(path, arr.astype(object), allow_pickle=True)
+        elif case == "complex":
+            np.save(path, arr.astype(complex))
+        elif case == "string":
+            np.save(path, arr.astype(str))
+        else:
+            path.unlink()
+            path.mkdir()
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
+        assert not out.exists()
+
+    def test_text_instance_of_earlier_version_exit_2(self, instance_dir,
+                                                     tmp_path, capsys):
+        for path in instance_dir.glob("*.npy"):
+            np.savetxt(path.with_suffix(".csv"), np.load(path),
+                       fmt="%.17g", delimiter=",")
+            path.unlink()
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gamma.npy is missing, but gamma.csv is there" in err
+        assert "run synth again with the same spec and seed" in err
+        assert not out.exists()
+
+    def test_out_is_a_directory_exit_2(self, instance_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--out", str(out)])
+        assert code == 2  # IsADirectoryError is an input error
+        assert str(out) in capsys.readouterr().err
 
     def test_missing_instance_exit_2(self, tmp_path):
         code = main(["estimate", "--instance", str(tmp_path / "missing"),
@@ -200,10 +300,10 @@ class TestEstimate:
     @pytest.mark.parametrize("bad", [0.0, float("nan")])
     def test_zero_or_nan_propensity_exit_2(self, instance_dir, tmp_path,
                                            capsys, bad, rho_mode):
-        path = instance_dir / "p_hat.csv"
-        p = np.loadtxt(path, delimiter=",", ndmin=2)
+        path = instance_dir / "p_hat.npy"
+        p = np.load(path)
         p[3, 4] = bad
-        np.savetxt(path, p, fmt="%.17g", delimiter=",")
+        np.save(path, p)
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
                      "--estimators", "naive,ips,ome_dr", "--rho-mode", rho_mode,
@@ -213,10 +313,10 @@ class TestEstimate:
         assert not out.exists()
 
     def test_nan_prediction_exit_2(self, instance_dir, tmp_path, capsys):
-        path = instance_dir / "pred.csv"
-        r = np.loadtxt(path, delimiter=",", ndmin=2)
+        path = instance_dir / "pred.npy"
+        r = np.load(path)
         r[2, 5] = np.nan
-        np.savetxt(path, r, fmt="%.17g", delimiter=",")
+        np.save(path, r)
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
                      "--out", str(out)])
@@ -226,19 +326,19 @@ class TestEstimate:
         assert not out.exists()
 
     @pytest.mark.parametrize("fname, cell, value, message", [
-        ("o.csv", None, 0.5, "observed_mask entries must be in {0,1}"),
-        ("o.csv", (2, 3), 257, "observed_mask entries must be in {0,1}"),
-        ("r_true.csv", (4, 1), 2, "true_ratings entries must be in {0,1}")])
+        ("o.npy", None, 0.5, "observed_mask entries must be in {0,1}"),
+        ("o.npy", (2, 3), 257, "observed_mask entries must be in {0,1}"),
+        ("r_true.npy", (4, 1), 2, "true_ratings entries must be in {0,1}")])
     def test_non_binary_matrix_exit_2(self, instance_dir, tmp_path, capsys,
                                       fname, cell, value, message):
         # an int8 cast before the check would read 0.5 as 0 and 257 as 1
         path = instance_dir / fname
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        arr = np.load(path).astype(np.float64)  # int8 holds neither value
         if cell is None:
             arr[:] = value
         else:
             arr[cell] = value
-        np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+        np.save(path, arr)
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
                      "--out", str(out)])
@@ -248,12 +348,12 @@ class TestEstimate:
 
     def test_non_binary_observed_rating_exit_2(self, instance_dir, tmp_path,
                                                capsys):
-        mask = np.loadtxt(instance_dir / "o.csv", delimiter=",", ndmin=2)
+        mask = np.load(instance_dir / "o.npy")
         u, i = np.argwhere(mask == 1)[0]
-        path = instance_dir / "r_obs.csv"
-        r = np.loadtxt(path, delimiter=",", ndmin=2)
+        path = instance_dir / "r_obs.npy"
+        r = np.load(path).astype(np.float64)
         r[u, i] = 0.5
-        np.savetxt(path, r, fmt="%.17g", delimiter=",")
+        np.save(path, r)
         code = main(["estimate", "--instance", str(instance_dir),
                      "--out", str(tmp_path / "report.csv")])
         assert code == 2
@@ -303,7 +403,7 @@ class TestEstimate:
 
     def test_missing_propensities_row_level_error(self, instance_dir,
                                                   tmp_path):
-        (instance_dir / "p_hat.csv").unlink()
+        (instance_dir / "p_hat.npy").unlink()
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),
                      "--estimators", "naive,ips,ome_dr", "--rho-mode", "true",

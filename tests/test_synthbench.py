@@ -8,6 +8,7 @@ from noisyrec.data import ErrorParams, ValidationError, make_rng
 from noisyrec.models import SgdConfig, TrainingDivergence
 from noisyrec.synthbench import (
     GAMMA_LEVELS,
+    PRED_KINDS,
     BenchmarkSpec,
     assign_propensities,
     build_gamma,
@@ -318,18 +319,22 @@ class TestSampling:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        spec = BenchmarkSpec(12, 9, 0.2, 0.1, seed=7, pred_kind="SKEW")
-        inst = sample_instance(spec)
-        save_instance(tmp_path / "inst", inst)
-        back = load_instance(tmp_path / "inst")
-        assert back.spec == spec
-        assert np.array_equal(back.gamma, inst.gamma)
-        assert np.array_equal(back.prediction.r_hat, inst.prediction.r_hat)
-        assert np.array_equal(back.p_true, inst.p_true)
-        assert np.array_equal(back.p_hat, inst.p_hat)
-        assert np.array_equal(back.observed_mask, inst.observed_mask)
-        assert np.array_equal(back.true_ratings, inst.true_ratings)
-        assert np.array_equal(back.observed_ratings, inst.observed_ratings)
+        for pred_kind in PRED_KINDS:
+            spec = BenchmarkSpec(20, 5, 0.2, 0.1, seed=7, pred_kind=pred_kind)
+            inst = sample_instance(spec)
+            out = tmp_path / pred_kind
+            save_instance(out, inst)
+            back = load_instance(out)
+            assert back.spec == spec
+            pairs = [(back.prediction.r_hat, inst.prediction.r_hat)]
+            pairs += [(getattr(back, name), getattr(inst, name)) for name in (
+                "gamma", "five_scale", "p_true", "p_hat", "observed_mask",
+                "true_ratings", "observed_ratings")]
+            for a, b in pairs:
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+            for fname in ("o.npy", "r_true.npy", "r_obs.npy"):
+                assert np.load(out / fname).dtype == np.int8
 
     @pytest.mark.parametrize("spec", [
         BenchmarkSpec(10, 8, 0.2, 0.1, p_base=1, seed=4),
@@ -348,6 +353,6 @@ class TestSerialization:
         spec = BenchmarkSpec(6, 6, 0.1, 0.1, seed=8)
         inst = sample_instance(spec)
         save_instance(tmp_path / "inst", inst)
-        (tmp_path / "inst" / "p_hat.csv").unlink()
+        (tmp_path / "inst" / "p_hat.npy").unlink()
         back = load_instance(tmp_path / "inst")
         assert back.p_hat is None
