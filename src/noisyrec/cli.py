@@ -231,12 +231,8 @@ def _load_training_data(path, seed):
         inst = load_instance(path)
         return inst.to_dataset(), np.asarray(inst.true_ratings)
     dataset = load_dataset_triples(path)
-    rng = make_rng(seed)
-    users, items = dataset.observed_pairs()
-    n_obs = users.shape[0]
-    held = rng.permutation(n_obs)[: max(1, n_obs // 10)]
     test_mask = np.zeros(dataset.shape, dtype=np.int8)
-    test_mask[users[held], items[held]] = 1
+    test_mask.flat[dataset.held_out_cells(make_rng(seed))] = 1
     train_mask = dataset.observed_mask * (1 - test_mask)
     train = RatingDataset(dataset.n_users, dataset.n_items, train_mask,
                           dataset.observed_ratings)

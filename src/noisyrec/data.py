@@ -213,6 +213,11 @@ class RatingDataset:
         """Row-major (u, i) index arrays of the observed set."""
         return np.divmod(self.observed_index, self.n_items)
 
+    def held_out_cells(self, rng) -> np.ndarray:
+        """A held-out tenth (at least one) of observed_index, drawn by rng."""
+        idx = self.observed_index
+        return rng.permutation(idx)[:max(1, idx.size // 10)]
+
 
 def _binary(a: np.ndarray) -> np.ndarray:
     """Elementwise a in {0, 1}: two comparisons, several times cheaper than

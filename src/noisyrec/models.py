@@ -22,7 +22,6 @@ from .data import (
     PropensityMatrix,
     RatingDataset,
     ValidationError,
-    make_rng,
 )
 from .losses import LossKind, label_loss, label_loss_grad
 
@@ -48,6 +47,17 @@ class SgdConfig:
             raise ValidationError("batch size / epochs must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
+
+    def batch_of(self, n: int) -> int:
+        """Rows per batch of n: batch_size, where 0 means all, at most n."""
+        return min(self.batch_size or n, n)
+
+
+def epoch_batches(rng, n: int, config: SgdConfig):
+    """One epoch of n rows: rng.permutation(n) in slices of batch_of(n)."""
+    order = rng.permutation(n)
+    batch = max(config.batch_of(n), 1)  # over 0 rows, no batch and no error
+    return (order[start:start + batch] for start in range(0, n, batch))
 
 
 def sigmoid(x):
@@ -127,9 +137,6 @@ class PropensityModel:
 
     def copy(self):
         return PropensityModel(self.user_logit.copy(), self.item_logit.copy())
-
-    def scores(self, u_idx, i_idx):
-        return self.user_logit[u_idx] + self.item_logit[i_idx]
 
     def predict_all(self):
         return sigmoid(self.user_logit[:, None] + self.item_logit[None, :])
@@ -324,40 +331,31 @@ def _propensity_objective_finite(model: PropensityModel) -> bool:
 
 
 def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityModel:
-    """Fit the logistic propensity model by (mini-batch or full-batch) SGD.
-
-    batch_size = 0 or >= the universe size selects full-batch mode, in which
-    the loss is non-increasing per epoch for moderate learning rates.
+    """Fit the logistic propensity model by full-batch gradient descent, in
+    which the loss is non-increasing per epoch for moderate learning rates.
+    It reads config.learning_rate, max_epochs and optimizer: not seed, as
+    the fit has no randomness, nor weight_decay, as the logits are biases,
+    which factor_sgd_step does not decay either. A config asking for
+    mini-batches (0 < batch_size < n*m) is a ValidationError.
 
     Each logit steps at twice config.learning_rate, so that a rate means
     what it means for the weight-plus-intercept form
     sigma(w_u + beta_u + w_i + gamma_i) of Schnabel et al. (2016): there w_u
     and beta_u share one gradient and each takes a step, which moves
     a_u = w_u + beta_u twice as far. Doubling is exact in floating point, so
-    the two forms give the same full-batch p_hat bit for bit, under sgd and
-    adam alike.
+    the two forms give the same p_hat bit for bit, under sgd and adam alike.
     """
     n, m = dataset.shape
-    model = PropensityModel.init(n, m)
     n_pairs = n * m
-    full_batch = config.batch_size == 0 or config.batch_size >= n_pairs
-    rng = make_rng(config.seed)
+    if config.batch_of(n_pairs) < n_pairs:
+        raise ValidationError("the propensity fit is full-batch: batch_size "
+                              f"must be 0 or >= {n_pairs}")
+    model = PropensityModel.init(n, m)
     opt = Optimizer(config, lr_scale=2.0)
     for epoch in range(config.max_epochs):
-        if full_batch:
-            coef = (model.predict_all() - dataset.observed_mask) / n_pairs
-            opt.step(model.params(), {"user_logit": coef.sum(axis=1),
-                                      "item_logit": coef.sum(axis=0)})
-        else:
-            order = rng.permutation(n_pairs)
-            for start in range(0, n_pairs, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                u, i = np.divmod(idx, m)
-                p = sigmoid(model.scores(u, i))
-                coef = (p - dataset.observed_mask[u, i]) / idx.shape[0]
-                opt.step(model.params(),
-                         {"user_logit": np.bincount(u, coef, minlength=n),
-                          "item_logit": np.bincount(i, coef, minlength=m)})
+        coef = (model.predict_all() - dataset.observed_mask) / n_pairs
+        opt.step(model.params(), {"user_logit": coef.sum(axis=1),
+                                  "item_logit": coef.sum(axis=0)})
         if not _propensity_objective_finite(model):
             raise TrainingDivergence(
                 f"propensity training diverged at epoch {epoch}")

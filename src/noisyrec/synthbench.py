@@ -26,7 +26,8 @@ from .data import (
     make_rng,
     read_fields,
 )
-from .models import FactorModel, Optimizer, SgdConfig, factor_sgd_step
+from .models import (FactorModel, Optimizer, SgdConfig, epoch_batches,
+                     factor_sgd_step)
 
 GAMMA_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 PRED_KINDS = ("ROTATE", "SKEW", "CRS", "ONE", "THREE", "FIVE")
@@ -156,12 +157,8 @@ def complete_ratings_mf(triples, n_users, n_items, d, config: SgdConfig
     rng = make_rng(config.seed)
     model = FactorModel.init(n_users, n_items, d, rng)
     opt = Optimizer(config)
-    n_obs = u_all.shape[0]
-    batch = config.batch_size if config.batch_size > 0 else n_obs
     for epoch in range(config.max_epochs):
-        order = rng.permutation(n_obs)
-        for start in range(0, n_obs, batch):
-            idx = order[start:start + batch]
+        for idx in epoch_batches(rng, u_all.shape[0], config):
             u, i = u_all[idx], i_all[idx]
             pred = model.scores(u, i)
             coef = 2.0 * (pred - y_all[idx]) / idx.shape[0]
@@ -266,10 +263,13 @@ def sample_instance(spec: BenchmarkSpec,
     rng = make_rng(spec.seed)
     shape = (spec.n_users, spec.n_items)
     if spec.gamma_source == "supplied":
-        if gamma_matrix is None:
-            raise ValidationError("gamma_source=supplied needs gamma_matrix")
+        if gamma_matrix is None or score_matrix is not None:
+            raise ValidationError("gamma_source=supplied needs gamma_matrix "
+                                  "and takes no score_matrix")
         gamma = np.asarray(gamma_matrix, dtype=np.float64)
         five_scale = _five_scale(gamma, shape)
+    elif gamma_matrix is not None:
+        raise ValidationError("gamma_matrix needs gamma_source=supplied")
     else:
         if score_matrix is None:
             score_matrix = synth_scores(spec.n_users, spec.n_items, rng)

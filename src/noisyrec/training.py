@@ -21,6 +21,7 @@ from .models import (
     FactorModel,
     Optimizer,
     SgdConfig,
+    epoch_batches,
     factor_sgd_step,
     sgd_step_imputation,
     sgd_step_surrogate,
@@ -50,6 +51,8 @@ class AltTrainConfig:
             raise ValidationError("step counts must be >= 1")
         if self.outer_loops < 0:
             raise ValidationError("outer_loops must be >= 0")
+        if self.embedding_dim < 1:
+            raise ValidationError("embedding dimension must be >= 1")
 
 
 @dataclass
@@ -80,6 +83,14 @@ class TrainTrace:
                                  f"{r.objective:.10g}",
                                  f"{r.val_metric:.10g}",
                                  int(r.rho_clamped)])
+
+
+def _cells(dataset: RatingDataset, a, what: str) -> np.ndarray:
+    """a as a flat float64 array; its shape must be the dataset's."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != dataset.shape:
+        raise ValidationError(f"{what} shape mismatch")
+    return a.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +133,9 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
         raise ValidationError("no observed pairs")
     r_bar = float((o_flat * r_flat).sum() / n_obs)
     n_pairs = n * m
-    p_flat = None if p_hat is None else np.asarray(p_hat).ravel()
-    batch = config.batch_size if config.batch_size > 0 else n_pairs
+    p_flat = None if p_hat is None else _cells(dataset, p_hat, "propensity")
     for epoch in range(config.max_epochs):
-        order = rng.permutation(n_pairs)
-        for start in range(0, n_pairs, batch):
-            idx = order[start:start + batch]
+        for idx in epoch_batches(rng, n_pairs, config):
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
             if method in ("naive", "ips"):
@@ -188,12 +196,8 @@ def alternating_denoise_train(
     and matches the definition of the identification extremes.
     """
     n, m = dataset.shape
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    if p_hat.shape != dataset.shape:
-        raise ValidationError("propensity shape mismatch")
-    q = noisy_model.q
-    if q.shape != dataset.shape:
-        raise ValidationError("noisy-rate shape mismatch")
+    p_flat = _cells(dataset, p_hat, "propensity")
+    q = _cells(dataset, noisy_model.q, "noisy-rate")
     check_k_extreme(config.k_extreme, n * m)
 
     rng = make_rng(config.sgd_prediction.seed)
@@ -204,20 +208,17 @@ def alternating_denoise_train(
 
     o_flat = dataset.observed_mask.ravel()
     r_flat = dataset.observed_ratings.ravel()
-    p_flat = p_hat.ravel()
     n_pairs = n * m
     obs_idx = dataset.observed_index
 
     # held-out slice of the observed set for the validation objective
-    n_val = max(1, obs_idx.size // 10)
-    val_idx = rng.permutation(obs_idx)[:n_val]
+    val_idx = dataset.held_out_cells(rng)
     vu, vi = np.divmod(val_idx, m)
 
     rho = config.rho_init
     trace = TrainTrace()
-    batch_p = min(config.sgd_prediction.batch_size or n_pairs, n_pairs)
-    batch_i = min(config.sgd_imputation.batch_size or obs_idx.size,
-                  obs_idx.size)
+    batch_p = config.sgd_prediction.batch_of(n_pairs)
+    batch_i = config.sgd_imputation.batch_of(obs_idx.size)
 
     for loop in range(config.outer_loops):
         # prediction phase

@@ -592,7 +592,8 @@ class TestTrain:
     @pytest.mark.parametrize("line, message", [
         ("k = 0", "k must be >= 1, got 0"),
         ("k = -2", "k must be >= 1, got -2"),
-        ("propensity_epochs = -1", "propensity_epochs must be >= 0, got -1")])
+        ("propensity_epochs = -1", "propensity_epochs must be >= 0, got -1"),
+        ("embedding_dim = 0", "embedding dimension must be >= 1")])
     def test_out_of_range_option_exit_2_before_output(
             self, instance_dir, tmp_path, capsys, line, message):
         cfg = tmp_path / "train.cfg"

@@ -16,6 +16,7 @@ from noisyrec.models import (
     SgdConfig,
     TrainingDivergence,
     _propensity_objective_finite,
+    epoch_batches,
     imputation_objective,
     load_model,
     propensity_objective,
@@ -277,7 +278,8 @@ class TestPropensityTraining:
             losses.append(propensity_objective(model, d.observed_mask))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.parametrize("batch_size", [0, 7])
+    # both spellings of a full batch over the 20 cells
+    @pytest.mark.parametrize("batch_size", [0, 20])
     def test_nan_learning_rate_diverges_at_epoch_0(self, batch_size):
         d = RatingDataset(4, 5, np.eye(4, 5), np.zeros((4, 5)))
         cfg = SgdConfig(batch_size=batch_size, max_epochs=3)
@@ -317,56 +319,39 @@ class TestPropensityTraining:
         assert dense is finite
         assert fast is finite
 
-    def test_minibatch_mode_runs(self):
+    def test_minibatch_config_rejected(self):
+        # the fit is full-batch only: any batch below the 400 cells is an
+        # error, not a different fit
         rng = make_rng(9)
         o = (rng.random((20, 20)) < 0.4).astype(np.int8)
         d = RatingDataset(20, 20, o, np.zeros((20, 20)))
-        cfg = SgdConfig(learning_rate=0.2, batch_size=64, weight_decay=0.0,
-                        max_epochs=30)
-        model = train_propensity(d, cfg)
-        assert abs(float(model.predict_all().mean()) - o.mean()) < 0.1
+        for batch_size in (1, 64, 399):
+            cfg = SgdConfig(learning_rate=0.2, batch_size=batch_size,
+                            weight_decay=0.0, max_epochs=30)
+            with pytest.raises(ValidationError, match="full-batch"):
+                train_propensity(d, cfg)
 
 
 def two_copy_propensity(dataset, config):
     """Reference: the weight-plus-intercept propensity trainer, with a weight
     and an intercept per user (w_user, beta_user) and per item (w_item,
-    gamma_item), each stepped at config.learning_rate. Returns p_hat."""
+    gamma_item), each stepped at config.learning_rate by full-batch gradient
+    descent. Returns p_hat."""
     n, m = dataset.shape
     params = {"w_user": np.zeros(n), "w_item": np.zeros(m),
               "beta_user": np.zeros(n), "gamma_item": np.zeros(m)}
-
-    def scores(u, i):
-        return (params["w_user"][u] + params["beta_user"][u]
-                + params["w_item"][i] + params["gamma_item"][i])
 
     def predict_all():
         return sigmoid((params["w_user"] + params["beta_user"])[:, None]
                        + (params["w_item"] + params["gamma_item"])[None, :])
 
     o_full = np.asarray(dataset.observed_mask, dtype=np.float64)
-    n_pairs = n * m
-    full_batch = config.batch_size == 0 or config.batch_size >= n_pairs
-    rng = make_rng(config.seed)
     opt = Optimizer(config)
-    u_grid, i_grid = np.divmod(np.arange(n_pairs), m)
     for _ in range(config.max_epochs):
-        if full_batch:
-            coef = (predict_all() - o_full) / n_pairs
-            g_u, g_i = coef.sum(axis=1), coef.sum(axis=0)
-            opt.step(params, {"w_user": g_u, "beta_user": g_u,
-                              "w_item": g_i, "gamma_item": g_i})
-            continue
-        order = rng.permutation(n_pairs)
-        for start in range(0, n_pairs, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            u, i = u_grid[idx], i_grid[idx]
-            coef = (sigmoid(scores(u, i)) - o_full[u, i]) / idx.shape[0]
-            g_u = np.zeros(n)
-            g_i = np.zeros(m)
-            np.add.at(g_u, u, coef)
-            np.add.at(g_i, i, coef)
-            opt.step(params, {"w_user": g_u, "beta_user": g_u,
-                              "w_item": g_i, "gamma_item": g_i})
+        coef = (predict_all() - o_full) / (n * m)
+        g_u, g_i = coef.sum(axis=1), coef.sum(axis=0)
+        opt.step(params, {"w_user": g_u, "beta_user": g_u,
+                          "w_item": g_i, "gamma_item": g_i})
     return predict_all()
 
 
@@ -394,28 +379,13 @@ class TestTwoCopyReference:
         want = two_copy_propensity(d, cfg)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-    @pytest.mark.parametrize("n,m,lr,batch_size", [
-        (60, 45, 0.1, 64), (60, 45, 1.0, 500), (7, 3, 0.5, 4),
-    ])
-    def test_mini_batch_close(self, optimizer, n, m, lr, batch_size):
-        # the two forms add the score terms in a different order, so the
-        # last bits may differ
-        d = self._dataset(n, m, n * m)
-        cfg = SgdConfig(learning_rate=lr, batch_size=batch_size,
-                        weight_decay=0.0, max_epochs=8, seed=6,
-                        optimizer=optimizer)
-        got = train_propensity(d, cfg).predict_all()
-        np.testing.assert_allclose(got, two_copy_propensity(d, cfg),
-                                   rtol=1e-12, atol=0)
-
 
 class TestDeterminism:
     def _train_once(self, optimizer):
         rng = make_rng(11)
         o = (rng.random((15, 15)) < 0.5).astype(np.int8)
         d = RatingDataset(15, 15, o, np.zeros((15, 15)))
-        cfg = SgdConfig(learning_rate=0.1, batch_size=32, weight_decay=0.0,
+        cfg = SgdConfig(learning_rate=0.1, batch_size=0, weight_decay=0.0,
                         max_epochs=10, seed=3, optimizer=optimizer)
         return train_propensity(d, cfg)
 
@@ -505,3 +475,31 @@ class TestSgdConfig:
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ValidationError):
             SgdConfig(optimizer="rmsprop")
+
+    @pytest.mark.parametrize("batch_size,n,want", [
+        (0, 50, 50), (0, 0, 0), (7, 50, 7), (50, 50, 50), (64, 50, 50)])
+    def test_batch_of(self, batch_size, n, want):
+        # 0 means all rows, and a batch never exceeds the rows there are
+        assert SgdConfig(batch_size=batch_size).batch_of(n) == want
+
+
+class TestEpochBatches:
+    @pytest.mark.parametrize("batch_size,n", [(0, 23), (7, 23), (23, 23),
+                                              (100, 23), (5, 0), (0, 0)])
+    def test_slices_of_one_permutation(self, batch_size, n):
+        cfg = SgdConfig(batch_size=batch_size)
+        got = list(epoch_batches(make_rng(4), n, cfg))
+        order = make_rng(4).permutation(n)
+        size = cfg.batch_of(n)
+        assert [len(b) for b in got] == [
+            min(size, n - start) for start in range(0, n, max(size, 1))]
+        assert np.array_equal(np.concatenate(got or [[]]), order)
+
+    def test_one_permutation_per_epoch(self):
+        # the rng moves on by exactly one permutation of n per epoch
+        rng = make_rng(5)
+        for _ in epoch_batches(rng, 30, SgdConfig(batch_size=4)):
+            pass
+        ref = make_rng(5)
+        ref.permutation(30)
+        assert rng.random() == ref.random()

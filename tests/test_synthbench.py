@@ -299,6 +299,19 @@ class TestSampling:
         se = np.sqrt(0.8 * 0.2 / pos.sum())
         assert abs(rate - 0.8) < 3 * se
 
+    def test_gamma_matrix_needs_supplied_source(self):
+        # a quantile spec would draw its own levels and drop the matrix
+        spec = BenchmarkSpec(6, 5, 0.2, 0.1)
+        with pytest.raises(ValidationError,
+                           match="gamma_matrix needs gamma_source=supplied"):
+            sample_instance(spec, gamma_matrix=np.full((6, 5), 0.9))
+
+    def test_supplied_source_takes_no_score_matrix(self):
+        spec = BenchmarkSpec(6, 5, 0.2, 0.1, gamma_source="supplied")
+        with pytest.raises(ValidationError, match="takes no score_matrix"):
+            sample_instance(spec, score_matrix=np.zeros((6, 5)),
+                            gamma_matrix=np.full((6, 5), 0.9))
+
     def test_noisy_rate_linkage(self):
         spec = BenchmarkSpec(300, 300, 0.2, 0.1, seed=4)
         inst = sample_instance(spec)

@@ -131,11 +131,28 @@ class TestPretraining:
         with pytest.raises(ValidationError):
             train_noisy_factor_model(d, "ips", SgdConfig(), 2)
 
+    @pytest.mark.parametrize("method", ["ips", "dr"])
+    @pytest.mark.parametrize("reshape", [np.transpose, np.ravel])
+    def test_rejects_misshapen_propensities(self, method, reshape):
+        # a (25, 30) or flat p_hat would weight each row by another cell's
+        # propensity
+        rng, r_star = additive_truth(2, n=30, m=25)
+        o = (rng.random((30, 25)) < 0.5).astype(np.int8)
+        d = RatingDataset(30, 25, o, r_star * o, r_star)
+        p = reshape(rng.uniform(0.2, 0.9, size=(30, 25)))
+        with pytest.raises(ValidationError, match="propensity shape mismatch"):
+            pretrain_noisy_model(d, method, SgdConfig(max_epochs=1), 2,
+                                 p_hat=p)
+
 
 class TestAltTrainConfig:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValidationError):
             AltTrainConfig(rho_init=ErrorParams(0, 0), steps_prediction=0)
+
+    def test_rejects_zero_embedding_dim(self):
+        with pytest.raises(ValidationError, match="embedding dimension"):
+            AltTrainConfig(rho_init=ErrorParams(0, 0), embedding_dim=0)
 
 
 def alt_config(seed, outer_loops=30, k_extreme=400):
