@@ -219,7 +219,7 @@ class RatingDataset:
         return rng.permutation(idx)[:max(1, idx.size // 10)]
 
 
-def _binary(a: np.ndarray) -> np.ndarray:
+def is_binary(a: np.ndarray) -> np.ndarray:
     """Elementwise a in {0, 1}: two comparisons, several times cheaper than
     np.isin on int8 matrices."""
     return (a == 0) | (a == 1)
@@ -235,10 +235,10 @@ def validate_dataset(d: RatingDataset) -> list[str]:
         out.append(f"observed_mask shape {mask.shape} != {shape}")
     if ratings.shape != shape:
         out.append(f"observed_ratings shape {ratings.shape} != {shape}")
-    if mask.shape == shape and not _binary(mask).all():
+    if mask.shape == shape and not is_binary(mask).all():
         out.append("observed_mask entries must be in {0,1}")
     if mask.shape == shape and ratings.shape == shape:
-        bad = (mask == 1) & ~_binary(ratings)
+        bad = (mask == 1) & ~is_binary(ratings)
         if bad.any():
             u, i = np.argwhere(bad)[0]
             out.append(f"observed rating at ({u},{i}) not in {{0,1}}")
@@ -246,7 +246,7 @@ def validate_dataset(d: RatingDataset) -> list[str]:
         t = np.asarray(d.true_ratings)
         if t.shape != shape:
             out.append(f"true_ratings shape {t.shape} != {shape}")
-        elif not _binary(t).all():
+        elif not is_binary(t).all():
             out.append("true_ratings entries must be in {0,1}")
     return out
 

@@ -38,6 +38,7 @@ from .data import (
     PropensityMatrix,
     RatingDataset,
     ValidationError,
+    is_binary,
 )
 from .losses import LossKind, label_loss, loss_curves, surrogate_curves
 
@@ -94,13 +95,30 @@ def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
     return float(np.mean(contrib))
 
 
+def _checked_truth(true_ratings, shape) -> np.ndarray:
+    """The noise-free preferences as an array of the predictions' shape
+    holding only 0 and 1; anything else is a ValidationError, so that no
+    truth broadcasts against the predictions or counts a 3 as a 0."""
+    if true_ratings is None:
+        raise ValidationError("true ratings required")
+    truth = np.asarray(true_ratings)
+    if truth.shape != shape:
+        raise ValidationError(f"true ratings shape {truth.shape} != {shape}")
+    if not is_binary(truth).all():
+        raise ValidationError("true ratings entries must be in {0,1}")
+    return truth
+
+
 def true_inaccuracy(predictions: PredictionMatrix,
                     true_ratings: np.ndarray | None,
                     loss: LossKind) -> float:
     """Mean loss against the noise-free preferences over all pairs."""
-    if true_ratings is None:
-        raise ValidationError("true ratings required")
-    return float(np.mean(label_loss(loss, predictions.r_hat, true_ratings)))
+    r_hat = predictions.r_hat
+    truth = _checked_truth(true_ratings, r_hat.shape)
+    total = np.empty(r_hat.shape)
+    for t in _kernels.row_tiles(*r_hat.shape):
+        total[t] = label_loss(loss, r_hat[t], truth[t])
+    return float(np.mean(total))
 
 
 def estimate_naive(inputs: EstimatorInputs) -> float:
@@ -155,6 +173,20 @@ ESTIMATORS = {
 }
 
 
+def _oracle_truth(true_ratings, predictions: PredictionMatrix,
+                  p_true: PropensityMatrix, p_hat: PropensityMatrix,
+                  e_bar: ImputationMatrix) -> np.ndarray:
+    """The checked truth of the oracle and the Monte Carlo, whose per-cell
+    matrices must all have the predictions' shape."""
+    shape = predictions.r_hat.shape
+    truth = _checked_truth(true_ratings, shape)
+    for what, a in (("true propensity", p_true.p_hat),
+                    ("propensity", p_hat.p_hat), ("imputation", e_bar.e_bar)):
+        if a.shape != shape:
+            raise ValidationError(f"{what} matrix shape mismatch")
+    return truth
+
+
 def bias_ome_dr_oracle(
     true_ratings: np.ndarray,
     predictions: PredictionMatrix,
@@ -171,20 +203,22 @@ def bias_ome_dr_oracle(
     expectation (1 - p_true/p_hat), i.e. the expression conditions on the
     observation distribution rather than one realization.
     """
-    r_star = np.asarray(true_ratings, dtype=np.float64)
-    l1, l0 = loss_curves(loss, predictions.r_hat)
-    p = p_true.p_hat
-    ph = p_hat.p_hat
+    truth = _oracle_truth(true_ratings, predictions, p_true, p_hat, e_bar)
     denom_hat = rho_hat.denom
     w11 = (1.0 - rho_true.rho01 - rho_hat.rho10) / denom_hat
     w01 = (rho_true.rho01 - rho_hat.rho01) / denom_hat
     w10 = (rho_true.rho10 - rho_hat.rho10) / denom_hat
     w00 = (1.0 - rho_hat.rho01 - rho_true.rho10) / denom_hat
 
-    impute_term = (1.0 - p / ph) * e_bar.e_bar
-    pos_term = ((p * w11 - ph) / ph) * l1 + (p * w01 / ph) * l0
-    neg_term = (p * w10 / ph) * l1 + ((p * w00 - ph) / ph) * l0
-    total = impute_term + np.where(r_star == 1, pos_term, neg_term)
+    total = np.empty(truth.shape)
+    for t in _kernels.row_tiles(*truth.shape):
+        l1, l0 = loss_curves(loss, predictions.r_hat[t])
+        p = p_true.p_hat[t]
+        ph = p_hat.p_hat[t]
+        impute_term = (1.0 - p / ph) * e_bar.e_bar[t]
+        pos_term = ((p * w11 - ph) / ph) * l1 + (p * w01 / ph) * l0
+        neg_term = (p * w10 / ph) * l1 + ((p * w00 - ph) / ph) * l0
+        total[t] = impute_term + np.where(truth[t] == 1, pos_term, neg_term)
     return float(abs(np.mean(total)))
 
 
@@ -213,7 +247,11 @@ def monte_carlo_ome_dr(
     unbiasedness and bias-oracle checks. The draws run in
     `_kernels.mc_dr_estimates`.
     """
-    r_star = np.asarray(true_ratings, dtype=np.float64).ravel()
+    truth = _oracle_truth(true_ratings, predictions, p_true, p_hat, e_bar)
+    if (isinstance(n_reps, bool) or not isinstance(n_reps, (int, np.integer))
+            or n_reps < 1):
+        raise ValidationError(f"n_reps must be an integer >= 1, got {n_reps!r}")
+    r_star = np.asarray(truth, dtype=np.float64).ravel()
     s1, s0 = surrogate_curves(loss, predictions.r_hat, rho_hat)
     q1 = r_star * (1.0 - rho_true.rho01) + (1.0 - r_star) * rho_true.rho10
     return _kernels.mc_dr_estimates(

@@ -199,8 +199,13 @@ def build_prediction_matrix(kind, gamma, rng) -> PredictionMatrix:
 
 def assign_propensities(p_base, alpha, five_scale) -> np.ndarray:
     """p * alpha^min(4, 6 - rating) per pair; monotone in the rating so
-    higher-rated pairs are more likely observed."""
-    expo = np.minimum(4, 6 - np.asarray(five_scale, dtype=np.int64))
+    higher-rated pairs are more likely observed. A rating outside 1..5 is a
+    ValidationError."""
+    five_scale = np.asarray(five_scale, dtype=np.int64)
+    if five_scale.size and not (five_scale.min() >= 1
+                                and five_scale.max() <= 5):
+        raise ValidationError("ratings must lie in 1..5")
+    expo = np.minimum(4, 6 - five_scale)
     p = p_base * np.power(alpha, expo)
     if np.any(p > 1.0):
         warnings.warn("propensities above 1 clipped")

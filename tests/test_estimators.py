@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from noisyrec.data import (
     ValidationError,
     make_rng,
 )
-from noisyrec import estimators
+from noisyrec import _kernels, estimators
 from noisyrec.estimators import (
     ESTIMATORS,
     EstimatorInputs,
@@ -79,6 +81,18 @@ class TestTrueInaccuracy:
         pred = PredictionMatrix(np.full((2, 2), 0.5))
         with pytest.raises(ValidationError):
             true_inaccuracy(pred, None, SQ)
+
+    @pytest.mark.parametrize("truth, match", [
+        (np.ones((6, 1), dtype=np.int8), "shape"),  # would broadcast
+        (np.ones((5, 6), dtype=np.int8), "shape"),
+        (np.full((6, 5), 3), "entries"),            # would score as 0
+        (np.full((6, 5), 0.5), "entries"),
+        (np.full((6, 5), np.nan), "entries"),
+    ])
+    def test_bad_truth_rejected(self, truth, match):
+        pred = PredictionMatrix(np.full((6, 5), 0.4))
+        with pytest.raises(ValidationError, match=match):
+            true_inaccuracy(pred, truth, SQ)
 
 
 class TestPlainEstimators:
@@ -495,6 +509,116 @@ class TestBiasOracle:
         target = true_inaccuracy(pred, r_true, SQ)
         se = float(ests.std(ddof=1) / np.sqrt(n_reps))
         assert abs(abs(float(ests.mean()) - target) - oracle) < 3 * se
+
+
+def oracle_case(seed, shape=(6, 5)):
+    """(truth, predictions, p_true, p_hat, e_bar, rho_true, rho_hat)."""
+    rng = make_rng(seed)
+    r_true = (rng.random(shape) < 0.5).astype(np.int8)
+    p_true = rng.uniform(0.2, 0.9, size=shape)
+    p_hat = np.clip(p_true * rng.uniform(0.7, 1.3, size=shape), 0.05, 1.0)
+    return (r_true, PredictionMatrix(rng.uniform(0.05, 0.95, size=shape)),
+            PropensityMatrix.clipped(p_true), PropensityMatrix.clipped(p_hat),
+            ImputationMatrix(rng.normal(0.3, 0.15, size=shape)),
+            ErrorParams(0.2, 0.1), ErrorParams(0.12, 0.18))
+
+
+class TestOracleInputs:
+    @pytest.mark.parametrize("truth, match", [
+        (np.ones((6, 1), dtype=np.int8), "shape"),
+        (np.full((6, 5), 3, dtype=np.int8), "entries"),
+        (np.full((6, 5), -1.0), "entries"),
+    ])
+    def test_bad_truth_rejected(self, truth, match):
+        _, pred, pt, ph, eb, rho_t, rho_h = oracle_case(0)
+        with pytest.raises(ValidationError, match=match):
+            bias_ome_dr_oracle(truth, pred, pt, ph, eb, rho_t, rho_h, SQ)
+        with pytest.raises(ValidationError, match=match):
+            monte_carlo_ome_dr(truth, pred, pt, ph, eb, rho_t, rho_h, SQ,
+                               10, 0)
+
+    @pytest.mark.parametrize("which", [2, 3, 4])
+    def test_matrix_shape_mismatch_rejected(self, which):
+        args = list(oracle_case(0))
+        args[which] = oracle_case(1, (6, 1))[which]
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            bias_ome_dr_oracle(*args, SQ)
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            monte_carlo_ome_dr(*args, SQ, 10, 0)
+
+    @pytest.mark.parametrize("n_reps", [2.7, 0, -1, True, "3", None])
+    def test_bad_n_reps_rejected(self, n_reps):
+        with pytest.raises(ValidationError, match="n_reps"):
+            monte_carlo_ome_dr(*oracle_case(0), SQ, n_reps, 0)
+
+    def test_numpy_integer_n_reps_accepted(self):
+        case = oracle_case(0)
+        assert np.array_equal(monte_carlo_ome_dr(*case, SQ, np.int64(7), 0),
+                              monte_carlo_ome_dr(*case, SQ, 7, 0))
+
+
+def ref_true_inaccuracy(predictions, true_ratings, loss):
+    """true_inaccuracy over the whole matrix at once."""
+    return float(np.mean(label_loss(loss, predictions.r_hat, true_ratings)))
+
+
+def ref_bias_ome_dr_oracle(true_ratings, predictions, p_true, p_hat, e_bar,
+                           rho_true, rho_hat, loss):
+    """bias_ome_dr_oracle over the whole matrix at once."""
+    r_star = np.asarray(true_ratings, dtype=np.float64)
+    l1, l0 = loss_curves(loss, predictions.r_hat)
+    p = p_true.p_hat
+    ph = p_hat.p_hat
+    denom_hat = rho_hat.denom
+    w11 = (1.0 - rho_true.rho01 - rho_hat.rho10) / denom_hat
+    w01 = (rho_true.rho01 - rho_hat.rho01) / denom_hat
+    w10 = (rho_true.rho10 - rho_hat.rho10) / denom_hat
+    w00 = (1.0 - rho_hat.rho01 - rho_true.rho10) / denom_hat
+    impute_term = (1.0 - p / ph) * e_bar.e_bar
+    pos_term = ((p * w11 - ph) / ph) * l1 + (p * w01 / ph) * l0
+    neg_term = (p * w10 / ph) * l1 + ((p * w00 - ph) / ph) * l0
+    total = impute_term + np.where(r_star == 1, pos_term, neg_term)
+    return float(abs(np.mean(total)))
+
+
+class TestRowTiles:
+    """With 21 cells a tile, a 5-column matrix is cut into tiles of t = 4
+    rows; the row counts are 1, t - 1, t, t + 1 and 2t + 1."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "TILE_CELLS", 21)
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("loss", [SQ, LossKind.cross_entropy(0.05)])
+    def test_truth_and_oracle_equal_whole_matrix_bitwise(self, n_rows, loss):
+        case = oracle_case(n_rows, (n_rows, 5))
+        truth, pred = case[:2]
+        assert (true_inaccuracy(pred, truth, loss)
+                == ref_true_inaccuracy(pred, truth, loss))
+        assert (bias_ome_dr_oracle(*case, loss)
+                == ref_bias_ome_dr_oracle(*case, loss))
+
+    def test_tile_height_rule(self):
+        assert [(t.start, t.stop) for t in _kernels.row_tiles(9, 5)] == [
+            (0, 4), (4, 8), (8, 9)]
+        # a row wider than a tile is a tile of its own
+        assert len(list(_kernels.row_tiles(3, 100))) == 3
+        assert list(_kernels.row_tiles(0, 5)) == []
+
+
+def test_oracle_peak_memory_below_three_matrices():
+    """The oracle's per-cell terms live one tile at a time: beyond its
+    inputs, it holds the n x m float64 total and tile-sized temporaries."""
+    case = oracle_case(3, (1000, 1000))
+    matrix_bytes = 1000 * 1000 * 8
+    tracemalloc.start()
+    try:
+        bias_ome_dr_oracle(*case, SQ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * matrix_bytes
 
 
 class TestRelativeError:

@@ -168,6 +168,16 @@ class TestMonteCarloReference:
         ref = ref_mc_dr_estimates(n_reps, 3, *args, chunk=self.CHUNK)
         assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("n_reps", [1, 3, 4, 5, 9, 13])
+    def test_tiles_equal_reference_bitwise(self, monkeypatch, n_reps):
+        # 60 cells and 250 cells a tile: tiles of t = 4 replications, and
+        # chunks of 6 that end mid-tile
+        monkeypatch.setattr(_kernels, "TILE_CELLS", 250)
+        args = mc_case("negative_surrogates")
+        got = _kernels.mc_dr_estimates(n_reps, 3, *args, chunk=6)
+        ref = ref_mc_dr_estimates(n_reps, 3, *args, chunk=6)
+        assert np.array_equal(got, ref)
+
     def test_cases_reach_their_edges(self):
         _, _, _, s1, s0, _ = mc_case("negative_surrogates")
         assert (np.minimum(s1, s0) < 0.0).any()

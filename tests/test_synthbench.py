@@ -260,6 +260,11 @@ class TestPropensities:
             p = assign_propensities(3.0, 0.5, np.array([[5]]))
         assert p[0, 0] == 1.0
 
+    @pytest.mark.parametrize("level", [0, 6, 7, -1])
+    def test_level_outside_one_to_five_rejected(self, level):
+        with pytest.raises(ValidationError, match="1..5"):
+            assign_propensities(1.0, 0.5, np.array([[3, level]]))
+
     def test_perturb_endpoints_and_hand_value(self):
         p = np.full((2, 2), 0.5)
         o = np.zeros((2, 2))
