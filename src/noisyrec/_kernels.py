@@ -5,18 +5,23 @@ order, so its gradient arrays equal a plain per-row loop bit for bit.
 `values_at_ranks` is the one order-statistic selection, behind the quantile
 levels and the extreme cells. The Monte-Carlo kernel draws from one seeded
 generator, so its replications are deterministic per seed; it computes each
-cell's observed contribution once, before the draws.
+cell's observed contribution once, before the draws, and then draws one
+uniform per cell, which decides both the observation and the observed label.
+A replication's mean is two dot products of threshold indicators with
+per-cell differences, so it equals the whole-matrix mean of the drawn
+contributions up to the rounding of those dot products.
 
 `row_tiles` is how the dense per-cell passes (the truth, the bias oracle
 and the Monte-Carlo draws) walk an n x m matrix: in consecutive slices of
-max(1, TILE_CELLS // m) rows, so that each tile's float64 temporaries stay
-near TILE_CELLS cells (256 KiB), a size that fits in cache, instead of
-n x m each. A tile evaluates the same elementwise expression as the whole
-array, so every cell gets the same bits, and a generator drawn tile by tile
-yields the same stream, in the same order, as one whole-array draw. A pass
-whose result is a mean writes its per-cell terms into one preallocated
-n x m array and reduces that with one np.mean: per-tile partial sums would
-round differently from numpy's pairwise sum over the whole array.
+tile_height(m) = max(1, TILE_CELLS // m) rows, so that each tile's float64
+temporaries stay near TILE_CELLS cells (256 KiB), a size that fits in cache,
+instead of n x m each. A tile evaluates the same elementwise expression as
+the whole array, so every cell gets the same bits, and a generator drawn
+tile by tile yields the same stream, in the same order, as one whole-array
+draw. The truth and the oracle write their per-cell terms into one
+preallocated n x m array and reduce that with one np.mean: per-tile partial
+sums would round differently from numpy's pairwise sum over the whole
+array.
 """
 
 from __future__ import annotations
@@ -30,10 +35,15 @@ ACTIVE_BACKEND = "numpy"
 TILE_CELLS = 32_768
 
 
+def tile_height(n_cols: int) -> int:
+    """Rows per tile of a matrix with n_cols columns."""
+    return max(1, TILE_CELLS // max(n_cols, 1))
+
+
 def row_tiles(n_rows: int, n_cols: int):
     """Consecutive row slices covering range(n_rows), each of
-    max(1, TILE_CELLS // n_cols) rows but possibly the last."""
-    height = max(1, TILE_CELLS // max(n_cols, 1))
+    tile_height(n_cols) rows but possibly the last."""
+    height = tile_height(n_cols)
     for start in range(0, n_rows, height):
         yield slice(start, min(start + height, n_rows))
 
@@ -83,34 +93,38 @@ def values_at_ranks(values: np.ndarray, ranks) -> np.ndarray:
     return at_ranks
 
 
-def mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1,
-                    chunk=4096):
+def mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1):
     """Per-replication OME-DR estimates under joint (O, R | R*) resampling.
 
     p_true, p_hat, e_bar, s1, s0, q1 are flat per-cell arrays; s1/s0 are the
     surrogate losses at observed label 1/0 and q1 = P(r=1 | r*) per cell.
     A draw's contribution (1 - o/p_hat) e_bar + (o/p_hat) s is e_bar where
-    o = 0, and a1 or a0 where o = 1, so a replication only selects.
-    A chunk of replications draws all its o, then all its r, each row-major
-    and tile by tile; a replication is one row, so its mean reads one tile.
+    o = 0, and a1 or a0 where o = 1 with r = 1 or 0. One uniform u per cell
+    draws (o, r): u < p_true q1 gives (1, 1), else u < p_true gives (1, 0),
+    else o = 0, which is the law of O ~ Bern(p_true) and R | O = 1 ~
+    Bern(q1). A replication's mean is therefore
+    (sum(e_bar) + [u < p_true].(a0 - e_bar) + [u < p_true q1].(a1 - a0))
+    / n_cells, two dot products per tile of replications (one row each),
+    which round differently from an np.mean of the contributions.
     """
-    n_reps = int(n_reps)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     n_cells = p_true.shape[0]
-    out = np.empty(n_reps)
     w = 1.0 / p_hat
     a1 = (1.0 - w) * e_bar + w * s1
     a0 = (1.0 - w) * e_bar + w * s0
-    o = np.empty((min(chunk, n_reps), n_cells), dtype=bool)
-    done = 0
-    while done < n_reps:
-        m = min(chunk, n_reps - done)
-        tiles = list(row_tiles(m, n_cells))
-        for t in tiles:
-            o[t] = rng.random((t.stop - t.start, n_cells)) < p_true
-        for t in tiles:
-            r = rng.random((t.stop - t.start, n_cells)) < q1
-            contrib = np.where(o[t], np.where(r, a1, a0), e_bar)
-            out[done + t.start:done + t.stop] = contrib.mean(axis=1)
-        done += m
+    p_pos = p_true * q1
+    d_obs = a0 - e_bar
+    d_pos = a1 - a0
+    base = e_bar.sum()
+    out = np.empty(n_reps)
+    u = np.empty((min(tile_height(n_cells), n_reps), n_cells))
+    hit = np.empty_like(u)
+    for t in row_tiles(n_reps, n_cells):
+        u_t, hit_t = u[:t.stop - t.start], hit[:t.stop - t.start]
+        rng.random(out=u_t)
+        np.less(u_t, p_true, out=hit_t, casting="unsafe")
+        total = hit_t @ d_obs
+        np.less(u_t, p_pos, out=hit_t, casting="unsafe")
+        total += hit_t @ d_pos
+        out[t] = (base + total) / n_cells
     return out

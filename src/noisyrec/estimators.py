@@ -96,14 +96,17 @@ def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
 
 
 def _checked_truth(true_ratings, shape) -> np.ndarray:
-    """The noise-free preferences as an array of the predictions' shape
-    holding only 0 and 1; anything else is a ValidationError, so that no
-    truth broadcasts against the predictions or counts a 3 as a 0."""
+    """The noise-free preferences as a non-empty array of the predictions'
+    shape holding only 0 and 1; anything else is a ValidationError, so that
+    no truth broadcasts against the predictions, counts a 3 as a 0 or yields
+    the NaN mean of an empty pair universe."""
     if true_ratings is None:
         raise ValidationError("true ratings required")
     truth = np.asarray(true_ratings)
     if truth.shape != shape:
         raise ValidationError(f"true ratings shape {truth.shape} != {shape}")
+    if truth.size == 0:
+        raise ValidationError("no pairs: the pair universe is empty")
     if not is_binary(truth).all():
         raise ValidationError("true ratings entries must be in {0,1}")
     return truth
@@ -229,6 +232,11 @@ def relative_error(target: float, estimate: float) -> float:
     return abs(target - estimate) / target
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def monte_carlo_ome_dr(
     true_ratings: np.ndarray,
     predictions: PredictionMatrix,
@@ -245,12 +253,18 @@ def monte_carlo_ome_dr(
 
     Returns the array of per-replication estimates; its mean/SE back the
     unbiasedness and bias-oracle checks. The draws run in
-    `_kernels.mc_dr_estimates`.
+    `_kernels.mc_dr_estimates`: one uniform per cell and replication decides
+    both O ~ Bern(p_true) and R | O = 1 ~ Bern(q1), and each replication's
+    mean is two dot products, equal to the all-cell mean of its
+    contributions up to rounding. n_reps must be an integer >= 1 and seed a
+    non-negative integer; anything else is a ValidationError.
     """
     truth = _oracle_truth(true_ratings, predictions, p_true, p_hat, e_bar)
-    if (isinstance(n_reps, bool) or not isinstance(n_reps, (int, np.integer))
-            or n_reps < 1):
+    if not _is_integer(n_reps) or n_reps < 1:
         raise ValidationError(f"n_reps must be an integer >= 1, got {n_reps!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed!r}")
     r_star = np.asarray(truth, dtype=np.float64).ravel()
     s1, s0 = surrogate_curves(loss, predictions.r_hat, rho_hat)
     q1 = r_star * (1.0 - rho_true.rho01) + (1.0 - r_star) * rho_true.rho10

@@ -556,6 +556,26 @@ class TestOracleInputs:
         assert np.array_equal(monte_carlo_ome_dr(*case, SQ, np.int64(7), 0),
                               monte_carlo_ome_dr(*case, SQ, 7, 0))
 
+    @pytest.mark.parametrize("seed", [2.7, True, "3", -1, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            monte_carlo_ome_dr(*oracle_case(0), SQ, 10, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        case = oracle_case(0)
+        assert np.array_equal(monte_carlo_ome_dr(*case, SQ, 7, np.uint32(5)),
+                              monte_carlo_ome_dr(*case, SQ, 7, 5))
+
+    def test_empty_pair_universe_rejected(self):
+        case = oracle_case(0, (0, 3))
+        truth, pred = case[:2]
+        with pytest.raises(ValidationError, match="no pairs"):
+            true_inaccuracy(pred, truth, SQ)
+        with pytest.raises(ValidationError, match="no pairs"):
+            bias_ome_dr_oracle(*case, SQ)
+        with pytest.raises(ValidationError, match="no pairs"):
+            monte_carlo_ome_dr(*case, SQ, 10, 0)
+
 
 def ref_true_inaccuracy(predictions, true_ratings, loss):
     """true_inaccuracy over the whole matrix at once."""

@@ -116,24 +116,17 @@ class TestMonteCarloKernel:
         assert abs(float(draws.mean()) - expected) < 3 * se
 
 
-def ref_mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1,
-                        chunk=4096):
-    """Reference for mc_dr_estimates: the all-cell contribution of every
-    draw, (1 - o/p_hat) e_bar + (o/p_hat) s, from the same generator."""
-    n_reps = int(n_reps)
-    rng = np.random.default_rng(int(seed))
-    n_cells = p_true.shape[0]
-    out = np.empty(n_reps)
-    done = 0
-    while done < n_reps:
-        m = min(chunk, n_reps - done)
-        o = rng.random((m, n_cells)) < p_true
-        r = rng.random((m, n_cells)) < q1
-        w = o / p_hat
-        contrib = (1.0 - w) * e_bar + w * np.where(r, s1, s0)
-        out[done:done + m] = contrib.mean(axis=1)
-        done += m
-    return out
+def ref_mc_dr_estimates(n_reps, seed, p_true, p_hat, e_bar, s1, s0, q1):
+    """Reference for mc_dr_estimates: one whole-matrix uniform draw U, each
+    cell's contribution (1 - o/p_hat) e_bar + (o/p_hat) s chosen by the two
+    thresholds p_true q1 (o = r = 1) and p_true (o = 1, r = 0), then the
+    row-wise mean."""
+    u = np.random.default_rng(seed).random((n_reps, p_true.shape[0]))
+    w = 1.0 / p_hat
+    a1 = (1.0 - w) * e_bar + w * s1
+    a0 = (1.0 - w) * e_bar + w * s0
+    contrib = np.where(u < p_true * q1, a1, np.where(u < p_true, a0, e_bar))
+    return np.mean(contrib, axis=1)
 
 
 def mc_case(name, n_cells=60):
@@ -156,30 +149,82 @@ def mc_case(name, n_cells=60):
     return p_true, p_hat, e_bar, s1, s0, q1
 
 
+def dyadic(args):
+    """mc_case arguments moved onto a dyadic grid: p_hat to the nearest power
+    of two and e_bar, s1, s0 to multiples of 1/64. Every contribution and
+    every partial sum of them is then exact in float64, so any summation
+    order gives the same bits."""
+    p_true, p_hat, e_bar, s1, s0, q1 = args
+    p_hat = 2.0 ** np.round(np.log2(p_hat))
+    e_bar, s1, s0 = (np.round(a * 64.0) / 64.0 for a in (e_bar, s1, s0))
+    return p_true, p_hat, e_bar, s1, s0, q1
+
+
+CASES = ["negative_surrogates", "p_hat_at_floor_and_one", "e_bar_zero"]
+
+
 class TestMonteCarloReference:
-    CHUNK = 16
+    # the dot products round differently from np.mean over a row
+    RTOL = 1e-12
 
-    @pytest.mark.parametrize("n_reps", [CHUNK - 1, CHUNK, CHUNK + 1])
-    @pytest.mark.parametrize("case", ["negative_surrogates",
-                                      "p_hat_at_floor_and_one", "e_bar_zero"])
-    def test_equals_reference_bitwise(self, case, n_reps):
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_reference(self, case):
         args = mc_case(case)
-        got = _kernels.mc_dr_estimates(n_reps, 3, *args, chunk=self.CHUNK)
-        ref = ref_mc_dr_estimates(n_reps, 3, *args, chunk=self.CHUNK)
+        got = _kernels.mc_dr_estimates(300, 3, *args)
+        ref = ref_mc_dr_estimates(300, 3, *args)
+        np.testing.assert_allclose(got, ref, rtol=self.RTOL, atol=0.0)
+
+    # three run lengths inside one tile of the default height
+    @pytest.mark.parametrize("n_reps", [15, 16, 17])
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_reference_bitwise(self, case, n_reps):
+        # on dyadic inputs no sum rounds, so this pins, bit for bit, which
+        # outcome each uniform of the stream draws
+        args = dyadic(mc_case(case))
+        got = _kernels.mc_dr_estimates(n_reps, 3, *args)
+        ref = ref_mc_dr_estimates(n_reps, 3, *args)
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("n_reps", [1, 3, 4, 5, 9, 13])
-    def test_tiles_equal_reference_bitwise(self, monkeypatch, n_reps):
-        # 60 cells and 250 cells a tile: tiles of t = 4 replications, and
-        # chunks of 6 that end mid-tile
+    # 60 cells and 250 cells a tile: tiles of t = 4 replications, and runs
+    # of 1, t - 1, t, t + 1, 2t + 1 and 3t + 1 replications
+    TILE_RUNS = [1, 3, 4, 5, 9, 13]
+
+    @pytest.mark.parametrize("n_reps", TILE_RUNS)
+    def test_tiles_match_reference(self, monkeypatch, n_reps):
         monkeypatch.setattr(_kernels, "TILE_CELLS", 250)
+        assert _kernels.tile_height(60) == 4
         args = mc_case("negative_surrogates")
-        got = _kernels.mc_dr_estimates(n_reps, 3, *args, chunk=6)
-        ref = ref_mc_dr_estimates(n_reps, 3, *args, chunk=6)
+        got = _kernels.mc_dr_estimates(n_reps, 3, *args)
+        ref = ref_mc_dr_estimates(n_reps, 3, *args)
+        np.testing.assert_allclose(got, ref, rtol=self.RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("n_reps", TILE_RUNS)
+    def test_tiles_equal_reference_bitwise(self, monkeypatch, n_reps):
+        monkeypatch.setattr(_kernels, "TILE_CELLS", 250)
+        args = dyadic(mc_case("negative_surrogates"))
+        got = _kernels.mc_dr_estimates(n_reps, 3, *args)
+        ref = ref_mc_dr_estimates(n_reps, 3, *args)
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("p, q1", [(0.3, 0.7), (0.8, 0.25)])
+    def test_one_cell_law(self, p, q1):
+        # p_hat = 1, e_bar = 0, s0 = 1, s1 = 2: a draw reads 0 when o = 0,
+        # 1 when (o, r) = (1, 0) and 2 when (o, r) = (1, 1)
+        n_reps = 20_000
+        draws = _kernels.mc_dr_estimates(
+            n_reps, 5, np.array([p]), np.ones(1), np.zeros(1),
+            np.array([2.0]), np.ones(1), np.array([q1]))
+        assert set(np.unique(draws)) <= {0.0, 1.0, 2.0}
+        for value, prob in ((0.0, 1.0 - p), (1.0, p * (1.0 - q1)),
+                            (2.0, p * q1)):
+            freq = float(np.mean(draws == value))
+            se = np.sqrt(prob * (1.0 - prob) / n_reps)
+            assert abs(freq - prob) < 4 * se, value
 
     def test_cases_reach_their_edges(self):
         _, _, _, s1, s0, _ = mc_case("negative_surrogates")
+        assert (np.minimum(s1, s0) < 0.0).any()
+        _, _, _, s1, s0, _ = dyadic(mc_case("negative_surrogates"))
         assert (np.minimum(s1, s0) < 0.0).any()
         _, p_hat, _, _, _, _ = mc_case("p_hat_at_floor_and_one")
         assert set(np.unique(p_hat)) == {DEFAULT_PROPENSITY_FLOOR, 1.0}
