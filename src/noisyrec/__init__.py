@@ -26,13 +26,9 @@ from .estimators import (
     relative_error,
     true_inaccuracy,
 )
-from .losses import LossKind, point_loss, surrogate_loss
+from .losses import LossKind
 from .metrics import auc, ndcg_at_k, recall_at_k
-from .noise import (
-    NoisyRateModel,
-    find_extreme_pairs,
-    identify_error_params,
-)
+from .noise import NoisyRateModel, identify_error_params
 from .synthbench import BenchmarkSpec, sample_instance
 
 __version__ = "0.1.0"

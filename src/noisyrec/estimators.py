@@ -54,6 +54,8 @@ class EstimatorInputs:
 
     def __post_init__(self):
         shape = self.dataset.shape
+        if 0 in shape:
+            raise ValidationError("no pairs: the pair universe is empty")
         if self.predictions.r_hat.shape != shape:
             raise ValidationError("prediction matrix shape mismatch")
         if self.p_hat is not None and self.p_hat.p_hat.shape != shape:

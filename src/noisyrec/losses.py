@@ -90,11 +90,6 @@ def label_loss_grad(kind: LossKind, pred: np.ndarray, label,
     return _at_label(loss_curve_grads(kind, pred), label, rho)
 
 
-def point_loss(kind: LossKind, pred: float, label: int) -> float:
-    """l(pred, label) for a single prediction."""
-    return float(label_loss(kind, np.float64(pred), label))
-
-
 def surrogate_curves(
     kind: LossKind, pred: np.ndarray, rho: ErrorParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,9 +102,3 @@ def surrogate_curves(
         l~(f, 0) = [(1 - rho01) l(f, 0) - rho10 l(f, 1)] / (1 - rho01 - rho10)
     """
     return _flip(*loss_curves(kind, pred), rho)
-
-
-def surrogate_loss(kind: LossKind, pred: float, observed_label: int,
-                   rho: ErrorParams) -> float:
-    """Noise-corrected loss for one prediction and one observed label."""
-    return float(label_loss(kind, np.float64(pred), observed_label, rho))

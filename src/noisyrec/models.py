@@ -238,41 +238,38 @@ def surrogate_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
     return obj
 
 
-def weighted_grad_coefs(model: FactorModel, u_idx, i_idx, w, grad):
-    """d(objective)/d(score) per batch example for the objective
-    mean_b w_b * loss_b(f_b) of the sigmoid outputs f, given
-    grad(f, rows) = d loss/d f on `rows`.
+def dr_grad_coefs(model: FactorModel, u_idx, i_idx, w, grad, imputed=None):
+    """d(objective)/d(score) per batch example for the doubly-robust
+    objective mean_b [(1 - w_b) l(f_b, e_b) + w_b l_b(f_b)] of the sigmoid
+    outputs f, given grad(f, rows) = d l_b/d f and imputed(f, rows) =
+    d l(f, e)/d f at the imputed target e, on `rows` of the batch.
 
-    Only the rows with a non-zero weight are scored; the others get the
-    coefficient 0 that w_b = 0 gives them. A non-finite weight is non-zero,
-    so its row is scored and its coefficient is non-finite too, which
-    factor_sgd_step rejects.
+    imputed=None drops the imputed term. Then only the rows with a non-zero
+    weight are scored; the others get the coefficient 0 that w_b = 0 gives
+    them. A non-finite weight is non-zero, so its row is scored and its
+    coefficient is non-finite too, which factor_sgd_step rejects.
     """
-    rows = np.flatnonzero(w)
+    rows = np.flatnonzero(w) if imputed is None else slice(None)
     f = model.forward(u_idx[rows], i_idx[rows])
+    dldf = w[rows] * grad(f, rows)
+    if imputed is not None:
+        dldf = (1.0 - w[rows]) * imputed(f, rows) + dldf
     coef = np.zeros(u_idx.shape[0])
-    coef[rows] = w[rows] * grad(f, rows) * f * (1.0 - f) / u_idx.shape[0]
+    coef[rows] = dldf * f * (1.0 - f) / u_idx.shape[0]
     return coef
-
-
-def surrogate_grad_coefs(model: FactorModel, u_idx, i_idx, o, r, p_hat,
-                         rho: ErrorParams, loss: LossKind):
-    """d(objective)/d(score) per batch example (imputed term carries no
-    prediction-model gradient), so the unobserved rows, where o/p = 0, are
-    not scored."""
-    return weighted_grad_coefs(
-        model, u_idx, i_idx, o / p_hat,
-        lambda f, rows: label_loss_grad(loss, f, r[rows], rho))
 
 
 def sgd_step_surrogate(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
                        rho: ErrorParams, loss: LossKind, config: SgdConfig,
                        opt: Optimizer) -> FactorModel:
-    """One gradient step on the mini-batch corrected-DR objective.
-
-    e_bar is unused, since the imputed term carries no prediction-model
-    gradient; it stays in the signature for existing positional callers."""
-    coef = surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho, loss)
+    """One gradient step on the mini-batch corrected-DR objective: weights
+    o/p on the surrogate loss, and no imputed term, since that carries no
+    prediction-model gradient; so the unobserved rows, where o/p = 0, are
+    not scored. e_bar is unused; it stays in the signature for existing
+    positional callers."""
+    coef = dr_grad_coefs(
+        model, u_idx, i_idx, o / p_hat,
+        lambda f, rows: label_loss_grad(loss, f, r[rows], rho))
     factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
                     "non-finite gradient in prediction step")
     return model

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data import (EPS_RHO, ErrorParams, PredictionMatrix, ValidationError,
-                   float_matrix, inside_unit_interval)
+from .data import (EPS_RHO, ErrorParams, ValidationError, float_matrix,
+                   inside_unit_interval)
 
 
 class NoSeparationWarning(UserWarning):
@@ -59,15 +59,6 @@ def extreme_cells(values, k: int) -> tuple[np.ndarray, np.ndarray]:
         cells = np.concatenate((cells, ties))
         ends.append(cells[np.argsort(flat[cells], kind="stable")])
     return ends[0], ends[1]
-
-
-def find_extreme_pairs(
-    predictions: PredictionMatrix,
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Row-major-first argmin and argmax of the prediction matrix."""
-    r = predictions.r_hat
-    lo, hi = extreme_cells(r, 1)
-    return divmod(int(lo[0]), r.shape[1]), divmod(int(hi[0]), r.shape[1])
 
 
 def clamp_error_params(rho01: float, rho10: float) -> tuple[ErrorParams, bool]:

@@ -60,6 +60,8 @@ class BenchmarkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.n_users, self.n_items) < 1:
+            raise ValidationError("n_users and n_items must be >= 1")
         if self.pred_kind not in PRED_KINDS:
             raise ValidationError(f"pred_kind must be one of {PRED_KINDS}")
         object.__setattr__(self, "gamma_proportions",

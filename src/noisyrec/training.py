@@ -21,12 +21,12 @@ from .models import (
     FactorModel,
     Optimizer,
     SgdConfig,
+    dr_grad_coefs,
     epoch_batches,
     factor_sgd_step,
     sgd_step_imputation,
     sgd_step_surrogate,
     surrogate_objective,
-    weighted_grad_coefs,
 )
 from .noise import NoisyRateModel, check_k_extreme, rates_at_extremes
 
@@ -109,10 +109,11 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     """Fit a factor model to the observed noisy ratings with cross-entropy,
     debiased by the chosen method but with no noise correction.
 
-    naive: mean over the observed set. ips: observed losses reweighted by
-    1/p_hat. eib: observed losses plus constant-target imputation (against
-    the observed positive rate) on the unobserved cells. dr: the imputation
-    combined with the propensity-weighted residual.
+    Every method descends mean[(1 - w) xent(f, r_bar) + w xent(f, r)]
+    through dr_grad_coefs, where r_bar is the observed positive rate. The
+    methods differ only in w and in whether the r_bar term is kept: naive
+    (w = o n_pairs / n_obs, the mean over the observed set) and ips
+    (w = o / p_hat) drop it; eib (w = o) and dr (w = o / p_hat) keep it.
 
     Every method draws its batches from all n*m cells. naive and ips weight
     the unobserved cells by 0, so only the observed members of a batch are
@@ -134,26 +135,22 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     r_bar = float((o_flat * r_flat).sum() / n_obs)
     n_pairs = n * m
     p_flat = None if p_hat is None else _cells(dataset, p_hat, "propensity")
+    imputed = ((lambda f, rows: _xent_grad(f, r_bar))
+               if method in ("eib", "dr") else None)
     for epoch in range(config.max_epochs):
         for idx in epoch_batches(rng, n_pairs, config):
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
-            if method in ("naive", "ips"):
+            if method == "naive":
                 # int8 ob times a Python int stays int8 and would overflow
-                w = (ob * (n_pairs / n_obs) if method == "naive"
-                     else ob / p_flat[idx])
-                coef = weighted_grad_coefs(
-                    model, u, i, w, lambda f, rows: _xent_grad(f, rb[rows]))
+                w = ob * (n_pairs / n_obs)
+            elif method == "eib":
+                w = ob
             else:
-                f = model.forward(u, i)
-                g_obs = _xent_grad(f, rb)
-                g_imp = _xent_grad(f, r_bar)
-                if method == "eib":
-                    dldf = ob * g_obs + (1.0 - ob) * g_imp
-                else:  # dr with constant-rate imputation target
-                    w = ob / p_flat[idx]
-                    dldf = g_imp + w * (g_obs - g_imp)
-                coef = dldf * f * (1.0 - f) / idx.shape[0]
+                w = ob / p_flat[idx]
+            coef = dr_grad_coefs(model, u, i, w,
+                                 lambda f, rows: _xent_grad(f, rb[rows]),
+                                 imputed)
             factor_sgd_step(
                 model, u, i, coef, config, opt,
                 f"noisy-rate pretraining diverged at epoch {epoch}")

@@ -32,21 +32,22 @@ from noisyrec.estimators import (
     relative_error,
     true_inaccuracy,
 )
-from noisyrec.losses import (LossKind, label_loss, loss_curves,
-                             surrogate_curves)
+from noisyrec.losses import (LossKind, label_loss, label_loss_grad,
+                             loss_curves, surrogate_curves)
 from noisyrec.metrics import auc, ndcg_at_k, recall_at_k
 from noisyrec.models import (
     FactorModel,
     PropensityModel,
     SgdConfig,
+    dr_grad_coefs,
     imputation_objective,
     propensity_objective,
-    surrogate_grad_coefs,
     surrogate_objective,
 )
 from noisyrec.synthbench import PRED_KINDS, BenchmarkSpec, sample_instance
 from noisyrec.training import (
     AltTrainConfig,
+    _xent_grad,
     alternating_denoise_train,
     pretrain_noisy_model,
     train_noisy_factor_model,
@@ -363,11 +364,16 @@ def _fd_check(model, objective, analytic, h=1e-5, floor=1e-6):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def _xent(f, t):
+    return -t * np.log(f) - (1.0 - t) * np.log(1.0 - f)
+
+
 def test_criterion_08_gradient_oracles():
     start = time.time()
     n, m, d, batch = 4, 5, 2, 12
     rho = ErrorParams(0.2, 0.1)
-    worst = {"ome_dr": 0.0, "imputation": 0.0, "propensity": 0.0}
+    worst = {"ome_dr": 0.0, "dr_soft_label": 0.0, "imputation": 0.0,
+             "propensity": 0.0}
     for draw in range(100):
         rng = make_rng(800 + draw)
         u = rng.integers(0, n, size=batch)
@@ -383,7 +389,8 @@ def test_criterion_08_gradient_oracles():
         model.user_bias = rng.normal(size=n)
         model.item_bias = rng.normal(size=m)
         model.global_bias = float(rng.normal())
-        coef = surrogate_grad_coefs(model, u, i, o, r, p, rho, SQ)
+        coef = dr_grad_coefs(model, u, i, o / p, lambda f, rows:
+                             label_loss_grad(SQ, f, r[rows], rho))
         g = _kernels.factor_backward(u, i, model.user_emb, model.item_emb,
                                      coef)
         analytic = np.concatenate([g[0].ravel(), g[1].ravel(), g[2], g[3],
@@ -392,6 +399,24 @@ def test_criterion_08_gradient_oracles():
             mm, u, i, o, r, p, e_bar, rho, SQ), analytic)
         assert err <= 1e-4, f"draw {draw}: corrected-DR grad err {err:.2e}"
         worst["ome_dr"] = max(worst["ome_dr"], err)
+
+        # the pretraining objective, whose imputed term carries gradient:
+        # mean[(1 - w) xent(f, r_bar) + w xent(f, r)], with dr's weight
+        # w = o/p and eib's w = o on alternate draws
+        r_bar = float(np.mean(r))
+        w = o / p if draw % 2 else o
+        coef = dr_grad_coefs(model, u, i, w,
+                             lambda f, rows: _xent_grad(f, r[rows]),
+                             lambda f, rows: _xent_grad(f, r_bar))
+        g = _kernels.factor_backward(u, i, model.user_emb, model.item_emb,
+                                     coef)
+        analytic = np.concatenate([g[0].ravel(), g[1].ravel(), g[2], g[3],
+                                   [g[4]]])
+        err = _fd_check(model, lambda mm: float(np.mean(
+            (1.0 - w) * _xent(mm.forward(u, i), r_bar)
+            + w * _xent(mm.forward(u, i), r))), analytic)
+        assert err <= 1e-4, f"draw {draw}: soft-label DR grad err {err:.2e}"
+        worst["dr_soft_label"] = max(worst["dr_soft_label"], err)
 
         imp = FactorModel.init(n, m, d, rng)
         imp.user_emb = rng.normal(size=(n, d))

@@ -135,6 +135,17 @@ class TestSynth:
         assert out.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("field, value", [
+        ("n_users", -1), ("n_users", 0), ("n_items", 0)])
+    def test_empty_or_negative_size_exit_2(self, tmp_path, capsys, field,
+                                           value):
+        spec = write_spec(tmp_path / "spec.cfg", **{field: value})
+        out = tmp_path / "x"
+        code = main(["synth", "--spec", str(spec), "--out", str(out)])
+        assert code == 2
+        assert "n_users and n_items must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
         ("n_users", "abc"), ("n_items", "2.5"), ("rho01", "x"),
         ("gamma_proportions", "0.5,a")])
     def test_malformed_number_exit_2(self, tmp_path, capsys, field, value):

@@ -586,7 +586,7 @@ class TestBenchmarkUses:
             "noise.clamp_error_params(*rates)\n"
             "patched(models, 'gone', nudge)\n"
             "ErrorParams(0.1, 0.2, 0.3)\n"
-            "noise.find_extreme_pairs\n")
+            "noise.extreme_cells\n")
         broken = broken_benchmark_uses([("src", source)])
         assert [b.split(":")[:2] for b in broken] == [
             ["src", "2 data.NoSuchName"], ["src", "4 noise.clamp_error_params"],

@@ -119,6 +119,16 @@ class TestPlainEstimators:
         with pytest.raises(ValidationError, match="no observed pairs"):
             estimate_naive(make_inputs(d, PredictionMatrix(np.full((2, 2), 0.5))))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_pair_universe_errors(self, shape):
+        d = RatingDataset(*shape, np.zeros(shape), np.zeros(shape))
+        for fn in ESTIMATORS.values():
+            with pytest.raises(ValidationError,
+                               match="the pair universe is empty"):
+                fn(make_inputs(d, PredictionMatrix(np.full(shape, 0.5)),
+                               p=np.full(shape, 0.5), e_bar=np.zeros(shape),
+                               rho=ErrorParams(0.1, 0.1)))
+
     def test_naive_biased_under_mnar(self):
         # positives observed with propensity 1, negatives with 0.1
         rng = make_rng(3)

@@ -12,9 +12,7 @@ from noisyrec.losses import (
     label_loss_grad,
     loss_curve_grads,
     loss_curves,
-    point_loss,
     surrogate_curves,
-    surrogate_loss,
 )
 
 SQ = LossKind.squared()
@@ -27,22 +25,22 @@ valid_rho = st.tuples(
 
 class TestPointLoss:
     def test_squared_hand_values(self):
-        assert point_loss(SQ, 0.3, 1) == pytest.approx(0.49)
-        assert point_loss(SQ, 0.3, 0) == pytest.approx(0.09)
+        assert label_loss(SQ, 0.3, 1) == pytest.approx(0.49)
+        assert label_loss(SQ, 0.3, 0) == pytest.approx(0.09)
 
     def test_cross_entropy_hand_value(self):
-        assert point_loss(XE, 0.5, 0) == pytest.approx(math.log(2.0))
-        assert point_loss(XE, 0.5, 1) == pytest.approx(math.log(2.0))
+        assert label_loss(XE, 0.5, 0) == pytest.approx(math.log(2.0))
+        assert label_loss(XE, 0.5, 1) == pytest.approx(math.log(2.0))
 
     def test_cross_entropy_clipping_bounds_loss(self):
         kind = LossKind.cross_entropy(eps_clip=1e-3)
-        assert point_loss(kind, 1e-6, 1) == pytest.approx(-math.log(1e-3))
+        assert label_loss(kind, 1e-6, 1) == pytest.approx(-math.log(1e-3))
 
     def test_rejects_out_of_range_pred(self):
         with pytest.raises(ValidationError):
-            point_loss(SQ, 1.0, 1)
+            label_loss(SQ, 1.0, 1)
         with pytest.raises(ValidationError):
-            point_loss(SQ, 0.0, 0)
+            label_loss(SQ, 0.0, 0)
 
     def test_bad_eps_clip(self):
         with pytest.raises(ValidationError):
@@ -61,7 +59,7 @@ class TestPredictionRange:
         with pytest.raises(ValidationError):
             label_loss(SQ, np.array([0.3, np.nan]), np.array([1, 0]))
         with pytest.raises(ValidationError):
-            point_loss(SQ, np.nan, 1)
+            label_loss(SQ, np.nan, 1)
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_is_valid(self, shape):
@@ -74,28 +72,28 @@ class TestSurrogate:
         rho = ErrorParams(0.0, 0.0)
         for pred in (0.1, 0.5, 0.9):
             for label in (0, 1):
-                assert surrogate_loss(SQ, pred, label, rho) == point_loss(
+                assert label_loss(SQ, pred, label, rho) == label_loss(
                     SQ, pred, label)
 
     def test_hand_values_squared(self):
         # pred=0.2, rho=(0.2,0.1): l1=0.64, l0=0.04
         rho = ErrorParams(0.2, 0.1)
-        assert surrogate_loss(SQ, 0.2, 1, rho) == pytest.approx(0.568 / 0.7)
-        assert surrogate_loss(SQ, 0.2, 0, rho) == pytest.approx(-0.032 / 0.7)
+        assert label_loss(SQ, 0.2, 1, rho) == pytest.approx(0.568 / 0.7)
+        assert label_loss(SQ, 0.2, 0, rho) == pytest.approx(-0.032 / 0.7)
 
     def test_limit_values_near_unit_losses(self):
         # pred -> 0 drives (l1, l0) -> (1, 0): surrogate tends to
         # (0.9/0.7, -0.1/0.7)
         rho = ErrorParams(0.2, 0.1)
-        assert surrogate_loss(SQ, 1e-9, 1, rho) == pytest.approx(
+        assert label_loss(SQ, 1e-9, 1, rho) == pytest.approx(
             0.9 / 0.7, abs=1e-6)
-        assert surrogate_loss(SQ, 1e-9, 0, rho) == pytest.approx(
+        assert label_loss(SQ, 1e-9, 0, rho) == pytest.approx(
             -0.1 / 0.7, abs=1e-6)
 
     def test_expectation_recovers_clean_loss_hand_case(self):
         rho = ErrorParams(0.2, 0.1)
-        s1 = surrogate_loss(SQ, 1e-9, 1, rho)
-        s0 = surrogate_loss(SQ, 1e-9, 0, rho)
+        s1 = label_loss(SQ, 1e-9, 1, rho)
+        s0 = label_loss(SQ, 1e-9, 0, rho)
         assert 0.8 * s1 + 0.2 * s0 == pytest.approx(1.0, abs=1e-6)
 
     @settings(max_examples=200)
@@ -117,7 +115,7 @@ class TestSurrogate:
 
     def test_surrogate_can_be_negative(self):
         rho = ErrorParams(0.3, 0.0)
-        assert surrogate_loss(SQ, 0.9, 1, rho) < 0.0
+        assert label_loss(SQ, 0.9, 1, rho) < 0.0
 
 
 class TestLipschitz:
@@ -167,10 +165,10 @@ class TestReferenceBodies:
     @given(open_unit, st.integers(0, 1), any_rho, st.sampled_from([SQ, XE]))
     def test_point_and_surrogate_loss(self, pred, label, rho, kind):
         l1, l0 = loss_curves(kind, np.float64(pred))
-        assert point_loss(kind, pred, label) == float(l1 if label == 1
+        assert label_loss(kind, pred, label) == float(l1 if label == 1
                                                       else l0)
         s1, s0 = ref_flip(l1, l0, rho)
-        assert surrogate_loss(kind, pred, label, rho) == float(
+        assert label_loss(kind, pred, label, rho) == float(
             s1 if label == 1 else s0)
 
     @settings(max_examples=200)

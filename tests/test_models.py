@@ -8,7 +8,7 @@ from noisyrec.data import (
     ValidationError,
     make_rng,
 )
-from noisyrec.losses import LossKind, label_loss
+from noisyrec.losses import LossKind, label_loss, label_loss_grad
 from noisyrec.models import (
     FactorModel,
     Optimizer,
@@ -16,6 +16,7 @@ from noisyrec.models import (
     SgdConfig,
     TrainingDivergence,
     _propensity_objective_finite,
+    dr_grad_coefs,
     epoch_batches,
     imputation_objective,
     load_model,
@@ -24,7 +25,6 @@ from noisyrec.models import (
     sgd_step_imputation,
     sgd_step_surrogate,
     sigmoid,
-    surrogate_grad_coefs,
     surrogate_objective,
     train_propensity,
 )
@@ -149,8 +149,9 @@ class TestSurrogateStep:
         o, p = np.ones(1), np.ones(1)
         r = np.ones(1)
         f = model.forward(u, i)
-        coef = surrogate_grad_coefs(model, u, i, o, r, p,
-                                    ErrorParams(0.0, 0.0), SQ)
+        coef = dr_grad_coefs(model, u, i, o / p, lambda f, rows:
+                             label_loss_grad(SQ, f, r[rows],
+                                             ErrorParams(0.0, 0.0)))
         expected = 2.0 * (f - 1.0) * f * (1.0 - f)
         assert np.allclose(coef, expected)
 
@@ -165,7 +166,8 @@ class TestSurrogateStep:
             return surrogate_objective(m, u, i, o, r, p, e_bar, rho, SQ,
                                        weight_decay=wd)
 
-        coef = surrogate_grad_coefs(model, u, i, o, r, p, rho, SQ)
+        coef = dr_grad_coefs(model, u, i, o / p, lambda f, rows:
+                             label_loss_grad(SQ, f, r[rows], rho))
         analytic = analytic_factor_grad(model, u, i, coef)
         n_emb = model.user_emb.size + model.item_emb.size
         analytic[:n_emb] += wd * np.concatenate(

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from noisyrec.data import EPS_RHO, ErrorParams, PredictionMatrix, ValidationError, make_rng
+from noisyrec.data import EPS_RHO, ErrorParams, ValidationError, make_rng
 from noisyrec.noise import (
     NoSeparationWarning,
     NoisyRateModel,
     clamp_error_params,
     extreme_cells,
-    find_extreme_pairs,
     identify_error_params,
     rates_at_extremes,
 )
@@ -28,17 +27,19 @@ class TestNoisyRateModel:
 
 
 class TestFindExtremePairs:
+    """extreme_cells at k = 1: the argmin and the argmax, as flat indices."""
+
     def test_basic(self):
         r = np.array([[0.5, 0.2], [0.9, 0.4]])
-        lo, hi = find_extreme_pairs(PredictionMatrix(r))
-        assert lo == (0, 1)
-        assert hi == (1, 0)
+        lo, hi = extreme_cells(r, 1)
+        assert lo.tolist() == [1]  # (0, 1)
+        assert hi.tolist() == [2]  # (1, 0)
 
     def test_ties_break_row_major(self):
         r = np.array([[0.5, 0.2], [0.2, 0.5]])
-        lo, hi = find_extreme_pairs(PredictionMatrix(r))
-        assert lo == (0, 1)
-        assert hi == (0, 0)
+        lo, hi = extreme_cells(r, 1)
+        assert lo.tolist() == [1]  # (0, 1), not (1, 0)
+        assert hi.tolist() == [0]  # (0, 0), not (1, 1)
 
 
 class TestClamp:
@@ -115,11 +116,10 @@ class TestIdentification:
         gamma = rng.uniform(size=(10, 10))
         rho = ErrorParams(0.25, 0.05)
         q = rho.denom * gamma + rho.rho10
-        lo_g, hi_g = find_extreme_pairs(PredictionMatrix(
-            np.clip(gamma, 1e-9, 1 - 1e-9)))
-        lo_q, hi_q = find_extreme_pairs(PredictionMatrix(q))
-        assert lo_g == lo_q
-        assert hi_g == hi_q
+        lo_g, hi_g = extreme_cells(gamma, 1)
+        lo_q, hi_q = extreme_cells(q, 1)
+        assert np.array_equal(lo_g, lo_q)
+        assert np.array_equal(hi_g, hi_q)
 
 
 def reference_extremes(values, k):
@@ -181,8 +181,8 @@ class TestExtremeSelection:
         pred = np.full((4, 5), 0.5)
         pred[1, 3] = pred[2, 0] = 0.1  # tied minimum
         pred[0, 4] = pred[3, 2] = 0.9  # tied maximum
-        lo, hi = find_extreme_pairs(PredictionMatrix(pred))
-        assert (lo, hi) == ((1, 3), (0, 4))
+        lo, hi = extreme_cells(pred, 1)
+        assert (lo.tolist(), hi.tolist()) == ([1 * 5 + 3], [0 * 5 + 4])
         got = rates_at_extremes(q, 1, pred)
         assert got == clamp_error_params(1.0 - q[0, 4], q[1, 3])
 

@@ -17,9 +17,9 @@ from noisyrec.models import (
     Optimizer,
     SgdConfig,
     TrainingDivergence,
+    dr_grad_coefs,
     sgd_step_imputation,
     sgd_step_surrogate,
-    surrogate_grad_coefs,
 )
 from noisyrec.training import (
     AltTrainConfig,
@@ -393,7 +393,7 @@ def ref_train_noisy_factor_model(dataset, method, config, d=8, p_hat=None):
             else:
                 g_imp = _xent_grad(f, r_bar)
                 w = ob / p_flat[idx]
-                dldf = g_imp + w * (g_obs - g_imp)
+                dldf = (1.0 - w) * g_imp + w * g_obs
             coef = dldf * f * (1.0 - f) / idx.shape[0]
             ref_factor_sgd_step(
                 model, u, i, coef, config, opt,
@@ -440,6 +440,20 @@ class TestZeroCoefficientSkip:
                             optimizer=optimizer)
             got = train_noisy_factor_model(d, method, cfg, 4, p_hat=p_hat)
             want = ref_train_noisy_factor_model(d, method, cfg, 4, p_hat)
+            assert_same_model(got, want)
+
+    @pytest.mark.parametrize("batch", [0, 64, 250])
+    def test_dr_at_unit_propensity_equals_eib(self, batch):
+        # at p_hat = 1 the dr weight o/p_hat is o, eib's weight, and both
+        # form (1 - w) g_imp + w g_obs
+        d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
+        for optimizer in ("sgd", "adam"):
+            cfg = SgdConfig(learning_rate=0.5, batch_size=batch,
+                            weight_decay=1e-3, max_epochs=3, seed=6,
+                            optimizer=optimizer)
+            got = train_noisy_factor_model(d, "dr", cfg, 4,
+                                           p_hat=np.ones(d.shape))
+            want = train_noisy_factor_model(d, "eib", cfg, 4)
             assert_same_model(got, want)
 
     @pytest.mark.parametrize("method", ["naive", "ips"])
@@ -489,7 +503,8 @@ class TestZeroCoefficientSkip:
             p = rng.uniform(0.05, 1.0, size=batch)
             got, want = unit_model(seed, n, m), unit_model(seed, n, m)
             assert np.array_equal(
-                surrogate_grad_coefs(got, u, i, o, r, p, rho, loss),
+                dr_grad_coefs(got, u, i, o / p, lambda f, rows:
+                              label_loss_grad(loss, f, r[rows], rho)),
                 ref_surrogate_grad_coefs(want, u, i, o, r, p, rho, loss))
             got_opt, want_opt = Optimizer(cfg), Optimizer(cfg)
             for _ in range(3):
