@@ -60,8 +60,12 @@ def epoch_batches(rng, n: int, config: SgdConfig):
     return (order[start:start + batch] for start in range(0, n, batch))
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) in float64; with `out`, computed in place there."""
+    t = np.negative(np.asarray(x, dtype=np.float64), out=out)
+    t = np.exp(t, out=out)
+    t = np.add(1.0, t, out=out)
+    return np.divide(1.0, t, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +142,9 @@ class PropensityModel:
     def copy(self):
         return PropensityModel(self.user_logit.copy(), self.item_logit.copy())
 
-    def predict_all(self):
-        return sigmoid(self.user_logit[:, None] + self.item_logit[None, :])
+    def predict_all(self, out=None):
+        return sigmoid(np.add(self.user_logit[:, None],
+                              self.item_logit[None, :], out=out), out=out)
 
     def params(self):
         return {"user_logit": self.user_logit, "item_logit": self.item_logit}
@@ -349,8 +354,11 @@ def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityMod
                               f"must be 0 or >= {n_pairs}")
     model = PropensityModel.init(n, m)
     opt = Optimizer(config, lr_scale=2.0)
+    coef = np.empty((n, m))  # (p - o) / n_pairs, rewritten every epoch
     for epoch in range(config.max_epochs):
-        coef = (model.predict_all() - dataset.observed_mask) / n_pairs
+        model.predict_all(out=coef)
+        np.subtract(coef, dataset.observed_mask, out=coef)
+        np.divide(coef, n_pairs, out=coef)
         opt.step(model.params(), {"user_logit": coef.sum(axis=1),
                                   "item_logit": coef.sum(axis=0)})
         if not _propensity_objective_finite(model):

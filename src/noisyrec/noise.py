@@ -81,6 +81,17 @@ def clamp_error_params(rho01: float, rho10: float) -> tuple[ErrorParams, bool]:
     return ErrorParams(r01, r10), clamped
 
 
+def warn_if_flat(q) -> None:
+    """NoSeparationWarning when the noisy rate q is flat (np.ptp(q) < 1e-12):
+    flip rates read from it at any extremes are then unreliable."""
+    if np.ptp(q) < 1e-12:
+        warnings.warn(
+            "noisy-rate matrix has no separation between extremes; "
+            "identified error rates are unreliable",
+            NoSeparationWarning,
+        )
+
+
 def rates_at_extremes(q, k_extreme: int, by) -> tuple[ErrorParams, bool]:
     """Flip rates read from q at the extreme cells of `by`, of q's shape:
     rho10 = mean of q over the k lowest cells, rho01 = 1 - mean over the k
@@ -99,10 +110,5 @@ def identify_error_params(q: NoisyRateModel, k_extreme: int = 1) -> ErrorParams:
     (e.g. 0.1% of the universe) is recommended when q is itself estimated,
     since single-entry extremes are high-variance."""
     params, _ = rates_at_extremes(q.q, k_extreme, q.q)
-    if np.ptp(q.q) < 1e-12:
-        warnings.warn(
-            "noisy-rate matrix has no separation between extremes; "
-            "identified error rates are unreliable",
-            NoSeparationWarning,
-        )
+    warn_if_flat(q.q)
     return params

@@ -28,7 +28,8 @@ from .models import (
     sgd_step_surrogate,
     surrogate_objective,
 )
-from .noise import NoisyRateModel, check_k_extreme, rates_at_extremes
+from .noise import (NoisyRateModel, check_k_extreme, rates_at_extremes,
+                    warn_if_flat)
 
 PRETRAIN_METHODS = ("naive", "ips", "dr")
 TRAIN_METHODS = PRETRAIN_METHODS + ("eib",)
@@ -190,12 +191,15 @@ def alternating_denoise_train(
 
     Extreme pairs are computed over all pairs from the dense predictions once
     per prediction phase (rather than per mini-batch), which is deterministic
-    and matches the definition of the identification extremes.
+    and matches the definition of the identification extremes. The
+    noisy-rate model is frozen, so a flat one raises NoSeparationWarning
+    once, before the loop.
     """
     n, m = dataset.shape
     p_flat = _cells(dataset, p_hat, "propensity")
     q = _cells(dataset, noisy_model.q, "noisy-rate")
     check_k_extreme(config.k_extreme, n * m)
+    warn_if_flat(q)
 
     rng = make_rng(config.sgd_prediction.seed)
     pred_model = FactorModel.init(n, m, config.embedding_dim, rng)

@@ -83,6 +83,66 @@ class TestLoopReference:
         assert g_b0 == 3.0
 
 
+def fancy_scores(u, i, ue, ie, ub, ib, b0):
+    """factor_scores written with fancy-index gathers."""
+    return np.einsum("bd,bd->b", ue[u], ie[i]) + ub[u] + ib[i] + b0
+
+
+def kernel_case(name):
+    """(u, i, user_emb, item_emb, user_bias, item_bias, coef) for one edge
+    case of the batch kernels."""
+    if name == "empty":
+        u, i, ue, ie, ub, ib, coef = random_problem(0)
+        empty = np.array([], dtype=np.int64)
+        return empty, empty, ue, ie, ub, ib, np.array([])
+    if name == "d1":
+        return random_problem(1, d=1)
+    if name == "int32":
+        u, i, *rest = random_problem(2)
+        return (u.astype(np.int32), i.astype(np.int32), *rest)
+    if name == "strided":
+        u, i, ue, ie, ub, ib, coef = random_problem(3, batch=80)
+        return u[::2], i[::2], ue, ie, ub, ib, coef[::2]
+    if name == "untouched_rows":
+        # 30 users and 25 items, but the batch uses users 0-4 and items 0-3
+        rng = make_rng(4)
+        u, i, ue, ie, ub, ib, coef = random_problem(4, n=30, m=25)
+        return (rng.integers(0, 5, size=40), rng.integers(0, 4, size=40),
+                ue, ie, ub, ib, coef)
+    raise ValueError(name)
+
+
+KERNEL_CASES = ["empty", "d1", "int32", "strided", "untouched_rows"]
+
+
+class TestKernelsBitwise:
+    @pytest.mark.parametrize("case", KERNEL_CASES + ["seed5"])
+    def test_scores_equal_fancy_index_formula(self, case):
+        args = (random_problem(5) if case == "seed5"
+                else kernel_case(case))[:6]
+        got = _kernels.factor_scores(*args, 0.37)
+        assert got.shape == args[0].shape
+        assert np.array_equal(got, fancy_scores(*args, 0.37))
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_backward_equals_loop_reference(self, case):
+        u, i, ue, ie, ub, ib, coef = kernel_case(case)
+        got = _kernels.factor_backward(u, i, ue, ie, coef)
+        ref = loop_backward(u, i, ue, ie, coef)
+        for a, b in zip(got[:4], ref[:4]):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+        assert np.isclose(got[4], ref[4], rtol=1e-12, atol=1e-12)
+
+    def test_untouched_rows_have_zero_gradient(self):
+        u, i, ue, ie, _, _, coef = kernel_case("untouched_rows")
+        g_ue, g_ie, g_ub, g_ib, _ = _kernels.factor_backward(
+            u, i, ue, ie, coef)
+        assert not g_ue[5:].any() and not g_ub[5:].any()
+        assert not g_ie[4:].any() and not g_ib[4:].any()
+        assert g_ue[:5].all() and g_ie[:4].all()
+
+
 class TestMonteCarloKernel:
     def _inputs(self, seed, n_cells=50):
         rng = make_rng(seed)

@@ -334,6 +334,43 @@ class TestPropensityTraining:
                 train_propensity(d, cfg)
 
 
+def fresh_temporaries_propensity(dataset, config):
+    """Reference: train_propensity with (p - o) / n_pairs computed into
+    fresh arrays every epoch, as plain expressions."""
+    n, m = dataset.shape
+    model = PropensityModel.init(n, m)
+    opt = Optimizer(config, lr_scale=2.0)
+    for _ in range(config.max_epochs):
+        coef = (model.predict_all() - dataset.observed_mask) / (n * m)
+        opt.step(model.params(), {"user_logit": coef.sum(axis=1),
+                                  "item_logit": coef.sum(axis=0)})
+    return model
+
+
+class TestPropensityBuffer:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_equals_fresh_temporaries_reference(self, optimizer):
+        # 37 x 41: an axis mix-up in the reused buffer cannot go unnoticed
+        rng = make_rng(37)
+        o = (rng.random((37, 41)) < rng.uniform(0.1, 0.9, size=(37, 1)))
+        d = RatingDataset(37, 41, o.astype(np.int8), np.zeros((37, 41)))
+        cfg = SgdConfig(learning_rate=0.5, batch_size=0, weight_decay=0.0,
+                        max_epochs=60, optimizer=optimizer)
+        got = train_propensity(d, cfg)
+        want = fresh_temporaries_propensity(d, cfg)
+        for name in want.params():
+            assert got.params()[name].shape == want.params()[name].shape
+            assert np.array_equal(got.params()[name], want.params()[name])
+
+    def test_predict_all_into_buffer(self):
+        rng = make_rng(3)
+        model = PropensityModel(rng.normal(size=5), rng.normal(size=7))
+        buf = np.empty((5, 7))
+        assert model.predict_all(out=buf) is buf
+        assert np.array_equal(buf, sigmoid(model.user_logit[:, None]
+                                           + model.item_logit[None, :]))
+
+
 def two_copy_propensity(dataset, config):
     """Reference: the weight-plus-intercept propensity trainer, with a weight
     and an intercept per user (w_user, beta_user) and per item (w_item,

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from noisyrec.training import (
     pretrain_noisy_model,
     train_noisy_factor_model,
 )
-from noisyrec.noise import NoisyRateModel
+from noisyrec.noise import NoisyRateModel, NoSeparationWarning
 
 
 def additive_truth(seed, n=80, m=80, scale=1.0):
@@ -187,12 +188,34 @@ class TestAlternatingTraining:
         h = NoisyRateModel(np.full((20, 15), 0.45))
         config = alt_config(0, outer_loops=0, k_extreme=k_extreme)
         if ok:
-            _, _, trace = alternating_denoise_train(d, p, h, config)
+            with pytest.warns(NoSeparationWarning):  # the flat q
+                _, _, trace = alternating_denoise_train(d, p, h, config)
             assert trace.records == []
         else:
             with pytest.raises(ValidationError,
                                match=r"k_extreme must be in \[1, n_pairs/2\]"):
                 alternating_denoise_train(d, p, h, config)
+
+    def test_flat_noisy_rate_warns(self):
+        # rho would be read from a constant q at every refresh: nothing
+        # separates its extremes, so the warning comes before any loop
+        d, p = separable_instance(0, 0.1, 0.1, n=20, m=15)
+        h = NoisyRateModel(np.full((20, 15), 0.45))
+        with pytest.warns(NoSeparationWarning):
+            alternating_denoise_train(d, p, h, alt_config(0, outer_loops=0,
+                                                          k_extreme=10))
+
+    def test_pretrained_noisy_rate_does_not_warn(self):
+        d, p = separable_instance(1, 0.2, 0.1, n=40, m=40)
+        h = pretrain_noisy_model(
+            d, "naive",
+            SgdConfig(learning_rate=1.0, batch_size=0, weight_decay=1e-3,
+                      max_epochs=50, seed=1), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NoSeparationWarning)
+            _, _, trace = alternating_denoise_train(
+                d, p, h, alt_config(1, outer_loops=2, k_extreme=10))
+        assert len(trace.records) == 2
 
     def test_one_record_per_loop_and_valid_rho(self):
         d, p = separable_instance(1, 0.2, 0.1, n=40, m=40)
