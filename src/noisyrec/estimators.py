@@ -15,11 +15,13 @@ because the surrogate at zero flip rates is the loss itself.
 
 Losses are computed on the observed cells only. `EstimatorInputs.observed`
 gathers their row-major flat index, predictions and labels once for all
-estimators; an estimator evaluates its per-cell term there and writes it
-into a dense contribution matrix whose other cells hold what the term is at
-o = 0 (e_bar for the imputed family, 0 otherwise). Every estimator then
-reduces that full matrix with a row-major np.mean (np.sum for the naive
-mean), so results are deterministic and do not depend on which cells were
+estimators, and `observed_loss` and `surrogate_loss` evaluate the loss at
+the observed label and its noise-corrected form there once each. An
+estimator forms its per-cell term from them and writes it into a dense
+contribution matrix whose other cells hold what the term is at o = 0
+(e_bar for the imputed family, 0 otherwise). Every estimator then reduces
+that full matrix with a row-major np.mean (np.sum for the naive mean), so
+results are deterministic and do not depend on which cells were
 computed: they equal the all-cell formula bit for bit.
 """
 
@@ -70,6 +72,21 @@ class EstimatorInputs:
         return (idx, np.take(self.predictions.r_hat, idx),
                 np.take(self.dataset.observed_ratings, idx))
 
+    @cached_property
+    def observed_loss(self) -> np.ndarray:
+        """The loss at the observed label of each observed cell."""
+        _, r_hat, labels = self.observed
+        return label_loss(self.loss, r_hat, labels)
+
+    @cached_property
+    def surrogate_loss(self) -> np.ndarray:
+        """The noise-corrected loss at the observed label of each observed
+        cell, under rho_hat."""
+        if self.rho_hat is None:
+            raise ValidationError("error-rate estimates required")
+        _, r_hat, labels = self.observed
+        return label_loss(self.loss, r_hat, labels, self.rho_hat)
+
 
 def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
              corrected: bool) -> float:
@@ -82,11 +99,11 @@ def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
         raise ValidationError("imputed errors required")
     if corrected and inputs.rho_hat is None:
         raise ValidationError("error-rate estimates required")
-    idx, r_hat, labels = inputs.observed
+    idx = inputs.observed[0]
     p = np.take(inputs.p_hat.p_hat, idx) if weighted else 1.0
     # the all-cell expression at o = 1, term for term
-    at_obs = label_loss(inputs.loss, r_hat, labels,
-                        inputs.rho_hat if corrected else None) / p
+    at_obs = (inputs.surrogate_loss if corrected
+              else inputs.observed_loss) / p
     if imputed:
         e_bar = inputs.e_bar.e_bar
         at_obs = (1.0 - 1.0 / p) * np.take(e_bar, idx) + at_obs
@@ -128,11 +145,11 @@ def true_inaccuracy(predictions: PredictionMatrix,
 
 def estimate_naive(inputs: EstimatorInputs) -> float:
     """Mean observed loss; biased whenever observation is not uniform."""
-    idx, r_hat, labels = inputs.observed
+    idx = inputs.observed[0]
     if idx.size == 0:
         raise ValidationError("no observed pairs")
     contrib = np.zeros(inputs.dataset.shape)
-    np.put(contrib, idx, label_loss(inputs.loss, r_hat, labels))
+    np.put(contrib, idx, inputs.observed_loss)
     return float(np.sum(contrib) / idx.size)
 
 

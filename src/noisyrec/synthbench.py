@@ -4,6 +4,10 @@ harmonic perturbation, Bernoulli sampling, and label flipping.
 
 Generation is single-threaded per instance with one seeded stream consumed
 in a fixed order, so equal (spec, seed) pairs reproduce instances exactly.
+The propensities are a table of their five values read with np.take, the
+score noise, SKEW draws and perturbation are computed in place, and a given
+gamma is checked against the levels once; each step gives, bit for bit,
+what its whole-matrix formula gives from the same draws.
 """
 
 from __future__ import annotations
@@ -30,7 +34,11 @@ from .models import (FactorModel, Optimizer, SgdConfig, epoch_batches,
                      factor_sgd_step)
 
 GAMMA_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
+# the level of each five-scale rating, read with np.take; there is no 0
+_LEVEL_OF = np.array((np.nan,) + GAMMA_LEVELS)
+_MIDS = (0.2, 0.4, 0.6, 0.8)  # the rating is 1 + the mids below its level
 PRED_KINDS = ("ROTATE", "SKEW", "CRS", "ONE", "THREE", "FIVE")
+BETA_MODES = ("per_pair", "per_run", "none")
 
 
 def _check_proportions(proportions) -> tuple:
@@ -42,6 +50,14 @@ def _check_proportions(proportions) -> tuple:
     if abs(sum(props) - 1.0) > 1e-9:
         raise ValidationError("gamma_proportions must sum to 1")
     return props
+
+
+def _check_propensity_params(p_base, alpha) -> None:
+    """alpha in (0, 1] and p_base positive; NaN fails both."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must be in (0, 1], got {alpha!r}")
+    if not p_base > 0.0:
+        raise ValidationError(f"p_base must be positive, got {p_base!r}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +82,9 @@ class BenchmarkSpec:
             raise ValidationError(f"pred_kind must be one of {PRED_KINDS}")
         object.__setattr__(self, "gamma_proportions",
                            _check_proportions(self.gamma_proportions))
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValidationError("alpha must be in (0, 1]")
-        if self.p_base <= 0.0:
-            raise ValidationError("p_base must be positive")
-        if self.beta_mode not in ("per_pair", "per_run", "none"):
-            raise ValidationError("beta_mode must be per_pair/per_run/none")
+        _check_propensity_params(self.p_base, self.alpha)
+        if self.beta_mode not in BETA_MODES:
+            raise ValidationError(f"beta_mode must be one of {BETA_MODES}")
         if self.gamma_source not in ("quantile", "supplied"):
             raise ValidationError("gamma_source must be quantile or supplied")
         self.rho  # construction validates the pair
@@ -124,7 +137,7 @@ def build_gamma(proportions, score_matrix) -> tuple[np.ndarray, np.ndarray]:
     proportions = _check_proportions(proportions)
     scores = np.asarray(score_matrix, dtype=np.float64)
     flat = scores.ravel()
-    if np.isnan(flat).any():
+    if flat.size and np.isnan(flat.max()):  # max propagates NaN
         raise ValidationError("score matrix holds NaN")
     n = flat.size
     bounds = np.round(np.cumsum(proportions) * n).astype(int)
@@ -139,9 +152,8 @@ def build_gamma(proportions, score_matrix) -> tuple[np.ndarray, np.ndarray]:
         ties = np.flatnonzero(np.equal(flat, v, out=mark))
         n_less = n - n_past - ties.size
         level_idx[ties[c - n_less:]] += 1
-    gamma = np.asarray(GAMMA_LEVELS)[level_idx].reshape(scores.shape)
     five_scale = np.add(level_idx, 1, dtype=np.int64).reshape(scores.shape)
-    return gamma, five_scale
+    return np.take(_LEVEL_OF, five_scale), five_scale
 
 
 def complete_ratings_mf(triples, n_users, n_items, d, config: SgdConfig
@@ -169,22 +181,41 @@ def complete_ratings_mf(triples, n_users, n_items, d, config: SgdConfig
     return model.score_matrix()
 
 
+def _near(flat: np.ndarray, level: float) -> np.ndarray:
+    """np.isclose(flat, level) for a finite scalar level: |flat - level| <=
+    1e-8 + 1e-5 |level|, isclose's own rule, without its extra passes. NaN
+    and +-inf are never near a finite level, as in isclose."""
+    gap = np.subtract(flat, level)
+    np.abs(gap, out=gap)
+    return np.less_equal(gap, 1e-8 + 1e-5 * abs(level))
+
+
 def build_prediction_matrix(kind, gamma, rng) -> PredictionMatrix:
-    """The six stylized prediction matrices used by the benchmark."""
+    """The six stylized prediction matrices used by the benchmark.
+
+    SKEW draws one standard normal z per cell, row-major, and takes
+    clip(gamma + (1 - gamma)/2 z, 0.1, 0.9): the draws and values of
+    rng.normal(gamma, (1 - gamma)/2), in place."""
     gamma = np.asarray(gamma, dtype=np.float64)
     if kind == "ROTATE":
         r_hat = np.where(gamma >= 0.3, gamma - 0.2, 0.9)
     elif kind == "SKEW":
-        draws = rng.normal(gamma, (1.0 - gamma) / 2.0)
-        r_hat = np.clip(draws, 0.1, 0.9)
+        scale = np.subtract(1.0, gamma)
+        if np.any(scale < 0.0):  # what rng.normal rejects as its scale
+            raise ValidationError("SKEW needs gamma <= 1")
+        scale /= 2.0
+        r_hat = rng.standard_normal(gamma.shape)
+        r_hat *= scale
+        r_hat += gamma
+        np.clip(r_hat, 0.1, 0.9, out=r_hat)
     elif kind == "CRS":
         r_hat = np.where(gamma <= 0.6, 0.2, 0.6)
     elif kind in ("ONE", "THREE", "FIVE"):
         level = {"ONE": 0.1, "THREE": 0.3, "FIVE": 0.5}[kind]
         r_hat = gamma.copy()
         flat = r_hat.ravel()
-        pool = np.flatnonzero(np.isclose(flat, level))
-        n_flip = int(np.isclose(flat, 0.9).sum())
+        pool = np.flatnonzero(_near(flat, level))
+        n_flip = int(np.count_nonzero(_near(flat, 0.9)))
         if pool.size < n_flip:
             warnings.warn(
                 f"only {pool.size} cells at level {level} available for "
@@ -201,18 +232,26 @@ def build_prediction_matrix(kind, gamma, rng) -> PredictionMatrix:
 
 def assign_propensities(p_base, alpha, five_scale) -> np.ndarray:
     """p * alpha^min(4, 6 - rating) per pair; monotone in the rating so
-    higher-rated pairs are more likely observed. A rating outside 1..5 is a
-    ValidationError."""
+    higher-rated pairs are more likely observed. A rating outside 1..5, an
+    alpha outside (0, 1] and a p_base that is not positive are
+    ValidationErrors, as in BenchmarkSpec.
+
+    The five values are computed once, by the same ufuncs on the same
+    dtypes as a per-cell evaluation, and read per cell with np.take."""
+    _check_propensity_params(p_base, alpha)
     five_scale = np.asarray(five_scale, dtype=np.int64)
-    if five_scale.size and not (five_scale.min() >= 1
-                                and five_scale.max() <= 5):
-        raise ValidationError("ratings must lie in 1..5")
-    expo = np.minimum(4, 6 - five_scale)
-    p = p_base * np.power(alpha, expo)
-    if np.any(p > 1.0):
-        warnings.warn("propensities above 1 clipped")
-        p = np.minimum(p, 1.0)
-    return p.astype(np.float64)
+    table = p_base * np.power(alpha, np.minimum(4, 6 - np.arange(6)))
+    if five_scale.size:
+        lo, hi = five_scale.min(), five_scale.max()
+        if not (lo >= 1 and hi <= 5):
+            raise ValidationError("ratings must lie in 1..5")
+        # the table rises with the rating, so its top present entry is the
+        # largest propensity of any cell
+        if table[hi] > 1.0:
+            warnings.warn("propensities above 1 clipped")
+            table = np.minimum(table, 1.0)
+    # float64 also for an int alpha and p_base, as a per-cell evaluation
+    return np.take(table.astype(np.float64), five_scale)
 
 
 def perturb_propensities(p_true, observed_mask, rng, beta_mode="per_pair",
@@ -221,40 +260,67 @@ def perturb_propensities(p_true, observed_mask, rng, beta_mode="per_pair",
     """Harmonic interpolation between the true propensity and the empirical
     observation rate: 1/p_hat = (1 - beta)/p + beta/p_e, beta ~ U(0, 1).
 
-    beta_mode picks a per-pair draw (default, the stronger noise model) or a
-    single per-run draw; an explicit beta array/scalar overrides both.
+    beta_mode picks a per-pair draw (default, the stronger noise model), a
+    single per-run draw or none (beta = 0); an explicit beta array/scalar
+    overrides all three, and must lie in [0, 1]. An unknown beta_mode and an
+    explicit beta outside [0, 1], NaN included, are ValidationErrors.
     """
+    if beta_mode not in BETA_MODES:
+        raise ValidationError(
+            f"beta_mode must be one of {BETA_MODES}, got {beta_mode!r}")
     p = np.asarray(p_true, dtype=np.float64)
     p_e = float(np.mean(observed_mask))
     if p_e == 0.0:
         raise ValidationError("no observations; empirical rate is zero")
-    if beta is None:
+    drawn = beta is None
+    if drawn:
         if beta_mode == "none":
             beta = 0.0
         elif beta_mode == "per_run":
-            beta = float(rng.uniform())
-        else:
-            beta = rng.uniform(size=p.shape)
+            beta = rng.random()
+        else:  # rng.random draws what rng.uniform draws, in fewer steps
+            beta = rng.random(p.shape)
     beta = np.asarray(beta, dtype=np.float64)
-    inv = (1.0 - beta) / p + beta / p_e
-    return np.clip(1.0 / inv, floor, 1.0)
+    if not drawn and not ((beta >= 0.0) & (beta <= 1.0)).all():
+        raise ValidationError("beta must lie in [0, 1]")
+    # (1 - beta)/p + beta/p_e, its reciprocal and the clip, in one array;
+    # a per-pair beta drawn here is divided by p_e in place
+    out = np.empty(np.broadcast_shapes(p.shape, beta.shape))
+    np.subtract(1.0, beta, out=out)
+    out /= p
+    out += np.divide(beta, p_e, out=beta if drawn and beta.ndim else None)
+    np.divide(1.0, out, out=out)
+    return np.clip(out, floor, 1.0, out=out)
 
 
 def synth_scores(n_users, n_items, rng, rank=3) -> np.ndarray:
     """Low-rank-plus-noise stand-in score matrix for quantile assignment when
-    no completed rating matrix is supplied."""
+    no completed rating matrix is supplied: a @ b + 0.5 z, with the draws of
+    a, b and then z standard normal, z row-major."""
     a = rng.normal(size=(n_users, rank))
     b = rng.normal(size=(rank, n_items))
-    return a @ b + 0.5 * rng.normal(size=(n_users, n_items))
+    z = rng.standard_normal((n_users, n_items))
+    z *= 0.5
+    z += a @ b
+    return z
 
 
 def _five_scale(gamma: np.ndarray, shape,
                 what: str = "supplied gamma") -> np.ndarray:
     """Level index + 1 of each cell of a given gamma, which must have the
-    spec's shape and hold only the five GAMMA_LEVELS."""
-    if gamma.shape != shape or not np.isin(gamma, GAMMA_LEVELS).all():
+    spec's shape and hold only the five GAMMA_LEVELS: one plus the number
+    of mids between levels below the cell, checked against the level it
+    names, which rejects NaN and every value off the levels."""
+    if gamma.shape != shape:
         raise ValidationError(f"{what} must hold the five levels")
-    return (np.searchsorted(GAMMA_LEVELS, gamma) + 1).astype(np.int64)
+    five = np.ones(shape, dtype=np.int8)
+    past = np.empty(shape, dtype=bool)  # reused: no temporary per mid
+    for mid in _MIDS:
+        five += np.greater(gamma, mid, out=past)
+    five = five.astype(np.int64)
+    if not np.array_equal(np.take(_LEVEL_OF, five), gamma):
+        raise ValidationError(f"{what} must hold the five levels")
+    return five
 
 
 def sample_instance(spec: BenchmarkSpec,

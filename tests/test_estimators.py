@@ -399,16 +399,27 @@ class TestObservedCellsOnly:
         seen = []
 
         def spy(kind, pred, label, rho=None):
-            seen.append(np.shape(pred))
+            seen.append((np.shape(pred), rho))
             return label_loss(kind, pred, label, rho)
 
         monkeypatch.setattr(estimators, "label_loss", spy)
-        inputs = full_inputs(0)
-        n_obs = inputs.dataset.n_observed
+        n_obs = full_inputs(0).dataset.n_observed
+        rho_hat = full_inputs(0).rho_hat
+        corrected = {"ome_eib", "ome_ips", "ome_dr"}
+        # fresh inputs: each estimator evaluates its loss once, on the
+        # observed cells
         for name, fn in ESTIMATORS.items():
             seen.clear()
+            fn(full_inputs(0))
+            rho = rho_hat if name in corrected else None
+            assert seen == [((n_obs,), rho)], name
+        # shared inputs: the plain and the corrected loss once each, for
+        # all seven estimators together
+        seen.clear()
+        inputs = full_inputs(0)
+        for fn in ESTIMATORS.values():
             fn(inputs)
-            assert seen == [(n_obs,)], name
+        assert seen == [((n_obs,), None), ((n_obs,), rho_hat)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unobserved_cells_do_not_move_estimates(self, seed):

@@ -1,15 +1,19 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from noisyrec.data import ErrorParams, ValidationError, make_rng
+from noisyrec.data import (DEFAULT_PROPENSITY_FLOOR, ErrorParams,
+                           ValidationError, make_rng)
 from noisyrec.models import SgdConfig, TrainingDivergence
 from noisyrec.synthbench import (
     GAMMA_LEVELS,
     PRED_KINDS,
     BenchmarkSpec,
+    _five_scale,
+    _near,
     assign_propensities,
     build_gamma,
     build_prediction_matrix,
@@ -38,6 +42,11 @@ class TestSpecValidation:
     def test_alpha_range(self):
         with pytest.raises(ValidationError):
             BenchmarkSpec(10, 10, 0.2, 0.1, alpha=0.0)
+
+    def test_nan_p_base_rejected(self):
+        # one rule with assign_propensities; NaN p_base was accepted
+        with pytest.raises(ValidationError, match="p_base"):
+            BenchmarkSpec(10, 10, 0.2, 0.1, p_base=np.nan)
 
     def test_bad_pred_kind(self):
         with pytest.raises(ValidationError):
@@ -224,6 +233,12 @@ class TestPredictionMatrices:
                     - sd * (norm.pdf(b) - norm.pdf(a)))
         assert float(draws.mean()) == pytest.approx(expected, abs=3e-3)
 
+    def test_skew_rejects_gamma_above_one(self):
+        # a negative scale; rng.normal's own ValueError before
+        with pytest.raises(ValidationError, match="gamma <= 1"):
+            build_prediction_matrix("SKEW", np.array([[0.5, 1.5]]),
+                                    make_rng(0))
+
     def test_flip_kinds_preserve_counts(self):
         gamma, _ = build_gamma((0.2,) * 5, make_rng(7).random((40, 40)))
         n9 = int((gamma == 0.9).sum())
@@ -265,6 +280,32 @@ class TestPropensities:
         with pytest.raises(ValidationError, match="1..5"):
             assign_propensities(1.0, 0.5, np.array([[3, level]]))
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, np.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # alpha = 0 gave zero propensities, a negative alpha negative ones
+        with pytest.raises(ValidationError, match="alpha"):
+            assign_propensities(1.0, alpha, np.array([[1, 5]]))
+
+    @pytest.mark.parametrize("p_base", [0.0, -1.0, np.nan])
+    def test_nonpositive_p_base_rejected(self, p_base):
+        with pytest.raises(ValidationError, match="p_base"):
+            assign_propensities(p_base, 0.5, np.array([[1, 5]]))
+
+    @pytest.mark.parametrize("p_base", [0.3, 1, 1.0, 3.0, 17])
+    @pytest.mark.parametrize("alpha", [1, 1.0, 0.5, 0.1, 1e-3, 0.9999999])
+    def test_table_equals_per_cell_power(self, p_base, alpha):
+        five = make_rng(13).integers(1, 6, size=(37, 41))
+        want = p_base * np.power(alpha, np.minimum(4, 6 - five))
+        clipped = bool(np.any(want > 1.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = assign_propensities(p_base, alpha, five)
+        assert [str(w.message) for w in caught] == (
+            ["propensities above 1 clipped"] if clipped else [])
+        want = np.minimum(want, 1.0).astype(np.float64)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
     def test_perturb_endpoints_and_hand_value(self):
         p = np.full((2, 2), 0.5)
         o = np.zeros((2, 2))
@@ -278,6 +319,33 @@ class TestPropensities:
         with pytest.raises(ValidationError):
             perturb_propensities(np.full((2, 2), 0.5), np.zeros((2, 2)),
                                  make_rng(0))
+
+    def test_unknown_beta_mode_rejected(self):
+        # "per-run" ran as per_pair before
+        p, o = np.full((2, 2), 0.5), np.eye(2)
+        with pytest.raises(ValidationError, match="beta_mode"):
+            perturb_propensities(p, o, make_rng(0), beta_mode="per-run")
+        with pytest.raises(ValidationError, match="beta_mode"):
+            perturb_propensities(p, o, make_rng(0), beta_mode="x", beta=0.5)
+
+    @pytest.mark.parametrize("beta", [np.nan, 2.0, -0.1, 1.0 + 1e-12,
+                                      [[0.5, np.nan], [0.1, 0.2]],
+                                      [[0.5, 1.5], [0.1, 0.2]]])
+    def test_explicit_beta_outside_unit_interval_rejected(self, beta):
+        # NaN gave an all-NaN p_hat, 2 a clipped 0.25
+        with pytest.raises(ValidationError, match="beta"):
+            perturb_propensities(np.full((2, 2), 0.5), np.eye(2),
+                                 make_rng(0), beta=beta)
+
+    def test_explicit_beta_array_left_unchanged(self):
+        beta = make_rng(1).uniform(size=(3, 4))
+        kept = beta.copy()
+        p = np.full((3, 4), 0.4)
+        got = perturb_propensities(p, np.eye(3, 4), make_rng(0), beta=beta)
+        assert np.array_equal(beta, kept)
+        want = np.clip(1.0 / ((1.0 - beta) / p + beta / 0.25),
+                       DEFAULT_PROPENSITY_FLOOR, 1.0)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSampling:
@@ -333,6 +401,190 @@ class TestSampling:
         assert np.array_equal(a.p_hat, b.p_hat)
         c = sample_instance(BenchmarkSpec(25, 25, 0.2, 0.1, seed=6))
         assert not np.array_equal(a.observed_mask, c.observed_mask)
+
+
+def _reference_instance(spec, score_matrix=None, gamma_matrix=None):
+    """Reference: the generator written as whole-matrix expressions, one
+    per step, drawing from the spec's seed in sample_instance's order. It
+    returns the eight matrices in BenchmarkInstance's order, and the
+    messages of the warnings it gave."""
+    rng = make_rng(spec.seed)
+    shape = (spec.n_users, spec.n_items)
+    levels = np.asarray(GAMMA_LEVELS)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if gamma_matrix is not None:
+            gamma = np.asarray(gamma_matrix, dtype=np.float64)
+            if not np.isin(gamma, levels).all():
+                raise ValidationError("supplied gamma must hold the levels")
+            five = (np.searchsorted(levels, gamma) + 1).astype(np.int64)
+        else:
+            if score_matrix is None:
+                a = rng.normal(size=(shape[0], 3))
+                b = rng.normal(size=(3, shape[1]))
+                score_matrix = a @ b + 0.5 * rng.normal(size=shape)
+            gamma, five = _argsort_gamma(spec.gamma_proportions,
+                                         score_matrix)
+        kind = spec.pred_kind
+        if kind == "ROTATE":
+            r_hat = np.where(gamma >= 0.3, gamma - 0.2, 0.9)
+        elif kind == "SKEW":
+            r_hat = np.clip(rng.normal(gamma, (1.0 - gamma) / 2.0), 0.1, 0.9)
+        elif kind == "CRS":
+            r_hat = np.where(gamma <= 0.6, 0.2, 0.6)
+        else:
+            level = {"ONE": 0.1, "THREE": 0.3, "FIVE": 0.5}[kind]
+            flat = gamma.copy().ravel()
+            pool = np.flatnonzero(np.isclose(flat, level))
+            n_flip = int(np.isclose(flat, 0.9).sum())
+            if pool.size < n_flip:
+                warnings.warn(f"only {pool.size} cells at level {level} "
+                              f"available for {n_flip} flips; flipping all "
+                              "of them")
+                chosen = pool
+            else:
+                chosen = rng.choice(pool, size=n_flip, replace=False)
+            flat[chosen] = 0.9
+            r_hat = flat.reshape(shape)
+        p = spec.p_base * np.power(spec.alpha, np.minimum(4, 6 - five))
+        if np.any(p > 1.0):
+            warnings.warn("propensities above 1 clipped")
+            p = np.minimum(p, 1.0)
+        p_true = p.astype(np.float64)
+        o = (rng.random(shape) < p_true).astype(np.int8)
+        r_true = (rng.random(shape) < gamma).astype(np.int8)
+        flips = rng.random(shape)
+        r_obs = np.where(r_true == 1, (flips >= spec.rho01).astype(np.int8),
+                         (flips < spec.rho10).astype(np.int8))
+        p_e = float(np.mean(o))
+        if p_e == 0.0:
+            raise ValidationError("no observations")
+        beta = {"none": lambda: 0.0, "per_run": lambda: float(rng.uniform()),
+                "per_pair": lambda: rng.uniform(size=shape)}[spec.beta_mode]()
+        beta = np.asarray(beta, dtype=np.float64)
+        p_hat = np.clip(1.0 / ((1.0 - beta) / p_true + beta / p_e),
+                        spec.propensity_floor, 1.0)
+    return ((gamma, five, r_hat, p_true, p_hat, o, r_true, r_obs),
+            [str(w.message) for w in caught])
+
+
+def _instance_matrices(spec, **supplied):
+    """sample_instance's eight matrices, as _reference_instance gives them,
+    and the messages of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = sample_instance(spec, **supplied)
+    return ((inst.gamma, inst.five_scale, inst.prediction.r_hat, inst.p_true,
+             inst.p_hat, inst.observed_mask, inst.true_ratings,
+             inst.observed_ratings), [str(w.message) for w in caught])
+
+
+class TestReferenceGenerator:
+    """sample_instance evaluates the generator in fewer passes; the
+    whole-matrix reference must give the same bytes from the same seed."""
+
+    SHAPES = ((1, 41), (37, 1), (37, 41))
+
+    def _assert_matches(self, spec, **supplied) -> bool:
+        """Whether the reference made an instance; where it raises (a tiny
+        instance with no observed cell), sample_instance must raise too."""
+        try:
+            want, want_warned = _reference_instance(spec, **supplied)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                sample_instance(spec, **supplied)
+            return False
+        got, warned = _instance_matrices(spec, **supplied)
+        assert warned == want_warned
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+        return True
+
+    @pytest.mark.parametrize("kind", PRED_KINDS)
+    @pytest.mark.parametrize("beta_mode", ["per_pair", "per_run", "none"])
+    def test_generated_scores(self, kind, beta_mode):
+        matched = 0
+        for seed in range(3):
+            for shape in self.SHAPES:
+                spec = BenchmarkSpec(*shape, 0.2, 0.1, pred_kind=kind,
+                                     beta_mode=beta_mode, seed=seed)
+                matched += self._assert_matches(spec)
+        assert matched >= 6
+
+    @pytest.mark.parametrize("kind", PRED_KINDS)
+    def test_supplied_scores_and_spec_variants(self, kind):
+        variants = (dict(), dict(alpha=1.0, p_base=0.3),
+                    dict(p_base=3.0, alpha=0.2),
+                    dict(gamma_proportions=(0.5, 0, 0, 0, 0.5), alpha=0.7,
+                         propensity_floor=0.1))
+        for seed, shape in enumerate(self.SHAPES):
+            scores = make_rng(40 + seed).normal(size=shape)
+            scores[0, 0] = scores.flat[-1]  # a tie
+            for v in variants:
+                spec = BenchmarkSpec(*shape, 0.3, 0.2, pred_kind=kind,
+                                     seed=seed, **v)
+                self._assert_matches(spec, score_matrix=scores)
+
+    @pytest.mark.parametrize("kind", PRED_KINDS)
+    def test_supplied_gamma(self, kind):
+        for seed, shape in enumerate(self.SHAPES + ((60, 70),)):
+            gamma = np.asarray(GAMMA_LEVELS)[
+                make_rng(50 + seed).integers(0, 5, size=shape)]
+            spec = BenchmarkSpec(*shape, 0.2, 0.1, pred_kind=kind, seed=seed,
+                                 gamma_source="supplied")
+            self._assert_matches(spec, gamma_matrix=gamma)
+
+    # at level 0 a cell at the tolerance is near: isclose's <=, not <
+    @pytest.mark.parametrize("level", [0.0, 0.1, 0.3, 0.5, 0.9])
+    def test_near_is_isclose(self, level):
+        tol = 1e-8 + 1e-5 * level
+        values = [np.nan, np.inf, -np.inf, 0.0, -0.0, level, -level,
+                  level + 1e-9, level - 1e-9, level + tol, level - tol,
+                  np.nextafter(level + tol, np.inf),
+                  np.nextafter(level - tol, -np.inf), 1e308, -1e308,
+                  5e-324] + list(GAMMA_LEVELS)
+        flat = np.array(values)
+        assert np.array_equal(_near(flat, level), np.isclose(flat, level))
+        fuzz = level + make_rng(14).normal(scale=2 * tol, size=10_000)
+        assert np.array_equal(_near(fuzz, level), np.isclose(fuzz, level))
+
+
+def _isin_five_scale(gamma, shape):
+    """Reference: membership by np.isin, the rating by np.searchsorted."""
+    if gamma.shape != shape or not np.isin(gamma, GAMMA_LEVELS).all():
+        raise ValidationError("not the five levels")
+    return (np.searchsorted(GAMMA_LEVELS, gamma) + 1).astype(np.int64)
+
+
+class TestFiveScale:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (8, 1), (37, 41)])
+    def test_levels_equal_searchsorted(self, shape):
+        gamma = np.asarray(GAMMA_LEVELS)[
+            make_rng(15).integers(0, 5, size=shape)]
+        got = _five_scale(gamma, shape)
+        want = _isin_five_scale(gamma, shape)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.42, 0.2, 0.0, -0.0, 1.0,
+                                     np.inf, -np.inf, -0.1,
+                                     np.nextafter(0.3, 1.0),
+                                     np.nextafter(0.9, 0.0)])
+    def test_rejects_what_isin_rejects(self, bad):
+        gamma = np.full((4, 6), 0.5)
+        gamma[2, 3] = bad
+        with pytest.raises(ValidationError):
+            _isin_five_scale(gamma, gamma.shape)
+        with pytest.raises(ValidationError, match="five levels"):
+            _five_scale(gamma, gamma.shape)
+
+    def test_rejects_wrong_shape(self):
+        gamma = np.full((4, 6), 0.5)
+        with pytest.raises(ValidationError, match="five levels"):
+            _five_scale(gamma, (6, 4))
+        with pytest.raises(ValidationError, match="five levels"):
+            _five_scale(gamma.ravel(), (4, 6))
 
 
 class TestSerialization:
