@@ -1,4 +1,5 @@
-"""Hot numeric kernels, vectorised with numpy, and the one row-tile loop.
+"""Hot numeric kernels, vectorised with numpy, the one all-cell sum and the
+row-tile loop.
 
 The factor kernels gather embedding rows with np.take(..., axis=0) and
 biases with 1-D np.take, which return what fancy indexing returns at a
@@ -17,17 +18,24 @@ A replication's mean is two dot products of threshold indicators with
 per-cell differences, so it equals the whole-matrix mean of the drawn
 contributions up to the rounding of those dot products.
 
-`row_tiles` is how the dense per-cell passes (the truth, the bias oracle
-and the Monte-Carlo draws) walk an n x m matrix: in consecutive slices of
-tile_height(m) = max(1, TILE_CELLS // m) rows, so that each tile's float64
-temporaries stay near TILE_CELLS cells (256 KiB), a size that fits in cache,
-instead of n x m each. A tile evaluates the same elementwise expression as
-the whole array, so every cell gets the same bits, and a generator drawn
-tile by tile yields the same stream, in the same order, as one whole-array
-draw. The truth and the oracle write their per-cell terms into one
-preallocated n x m array and reduce that with one np.mean: per-tile partial
-sums would round differently from numpy's pairwise sum over the whole
-array.
+`cell_sum` is how the all-cell means (the seven estimators, the truth and
+the bias oracle) reduce an n x m matrix of per-cell terms without building
+it. numpy sums a contiguous float64 range with a pairwise tree: a range of
+more than 128 cells splits at n // 2 rounded down to a multiple of 8, and a
+range of at most 128 cells is summed by one 8-accumulator loop. `cell_sum`
+follows the same splits down to ranges of at most TILE_CELLS cells (never
+fewer than 128), which a fill callback writes into one reused buffer of
+256 KiB and np.add.reduce sums. Each leaf is therefore a subtree of numpy's
+own tree, and the sum equals np.add.reduce (and, divided by the cell count,
+np.mean) of the row-major matrix bit for bit. The split rule is a numpy
+internal: tests pin `cell_sum` to np.add.reduce, so that a numpy that
+changes it fails loudly.
+
+`row_tiles` is how the Monte-Carlo draws walk their replications: in
+consecutive slices of tile_height(m) = max(1, TILE_CELLS // m) rows, so that
+each tile's float64 temporaries stay near TILE_CELLS cells instead of
+n_reps x m. A generator drawn tile by tile yields the same stream, in the
+same order, as one whole-array draw.
 """
 
 from __future__ import annotations
@@ -37,8 +45,40 @@ import numpy as np
 # Read by the benchmark harness, which records it with every run.
 ACTIVE_BACKEND = "numpy"
 
-# Cells per row tile: 256 KiB of float64.
+# Cells per row tile and per leaf of cell_sum: 256 KiB of float64.
 TILE_CELLS = 32_768
+
+# numpy sums a range of at most this many cells without splitting it.
+PAIRWISE_BLOCK = 128
+
+
+def cell_sum(fill, n_cells: int) -> float:
+    """np.add.reduce of the n_cells row-major cells, bit for bit, holding at
+    most one leaf of max(TILE_CELLS, PAIRWISE_BLOCK) cells at a time.
+
+    fill(start, stop, out) writes cells [start, stop) into out, a float64
+    buffer of stop - start cells; it is called on ascending ranges that
+    exactly cover [0, n_cells).
+    """
+    leaf = max(TILE_CELLS, PAIRWISE_BLOCK)
+    buf = np.empty(min(leaf, n_cells))
+    return float(_pairwise_sum(fill, 0, n_cells, leaf, buf))
+
+
+def _pairwise_sum(fill, start, stop, leaf, buf):
+    """numpy's pairwise sum of cells [start, stop), split as numpy splits
+    down to ranges of at most leaf cells. It lives at module level: a nested
+    function that called itself would be a reference cycle, holding fill and
+    the arrays that fill reads until the cyclic garbage collector ran."""
+    n = stop - start
+    if n <= leaf:
+        out = buf[:n]
+        fill(start, stop, out)
+        return np.add.reduce(out)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(fill, start, start + half, leaf, buf)
+            + _pairwise_sum(fill, start + half, stop, leaf, buf))
 
 
 def tile_height(n_cols: int) -> int:

@@ -194,7 +194,7 @@ def _estimator_rows(inst, propensities, rho_hat, names) -> list:
     )
     rows = []
     for name in names:
-        fn = ESTIMATORS.get(name.strip())
+        fn = ESTIMATORS.get(name)
         if fn is None:
             rows.append([name, "error", "", f"unknown estimator {name!r}"])
             continue
@@ -209,7 +209,7 @@ def _estimator_rows(inst, propensities, rho_hat, names) -> list:
 
 def cmd_estimate(args) -> int:
     inst = load_instance(args.instance)
-    names = args.estimators.split(",")
+    names = [n.strip() for n in args.estimators.split(",")]
     rho_hat = _resolve_rho(inst, args.rho_mode, args.rho, args.seed)
     rows = _estimator_rows(inst, args.propensities, rho_hat, names)
     _write_report(args.out, ["estimator", "value", "target", "relative_error"],

@@ -16,13 +16,16 @@ because the surrogate at zero flip rates is the loss itself.
 Losses are computed on the observed cells only. `EstimatorInputs.observed`
 gathers their row-major flat index, predictions and labels once for all
 estimators, and `observed_loss` and `surrogate_loss` evaluate the loss at
-the observed label and its noise-corrected form there once each. An
-estimator forms its per-cell term from them and writes it into a dense
-contribution matrix whose other cells hold what the term is at o = 0
-(e_bar for the imputed family, 0 otherwise). Every estimator then reduces
-that full matrix with a row-major np.mean (np.sum for the naive mean), so
-results are deterministic and do not depend on which cells were
-computed: they equal the all-cell formula bit for bit.
+the observed label and its noise-corrected form there once each. Every
+all-cell mean (the estimators, the truth and the bias oracle) is a
+`_kernels.cell_sum` over the row-major cells, divided by the cell count
+(by the observed count for the naive mean). cell_sum asks for the per-cell
+terms one leaf range at a time: an estimator's fill copies the range of
+e_bar (or zeros), which is the term at o = 0, and overwrites the range's
+observed cells, found by np.searchsorted on the observed index, with their
+term at o = 1. No n x m matrix of terms is built, and results are
+deterministic and do not depend on which cells were computed: they equal a
+row-major np.mean of the all-cell formula bit for bit.
 """
 
 from __future__ import annotations
@@ -99,19 +102,36 @@ def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
         raise ValidationError("imputed errors required")
     if corrected and inputs.rho_hat is None:
         raise ValidationError("error-rate estimates required")
+    return _dr_sum(
+        inputs,
+        inputs.surrogate_loss if corrected else inputs.observed_loss,
+        inputs.p_hat.p_hat.ravel() if weighted else None,
+        inputs.e_bar.e_bar.ravel() if imputed else None,
+    ) / inputs.predictions.r_hat.size
+
+
+def _dr_sum(inputs: EstimatorInputs, loss: np.ndarray, p_flat, e_flat) -> float:
+    """The row-major cell sum of (1 - o/p) e_bar + o l / p, for l = loss on
+    the observed cells; p = 1 when p_flat is None, and the e_bar term is
+    dropped when e_flat is None."""
     idx = inputs.observed[0]
-    p = np.take(inputs.p_hat.p_hat, idx) if weighted else 1.0
-    # the all-cell expression at o = 1, term for term
-    at_obs = (inputs.surrogate_loss if corrected
-              else inputs.observed_loss) / p
-    if imputed:
-        e_bar = inputs.e_bar.e_bar
-        at_obs = (1.0 - 1.0 / p) * np.take(e_bar, idx) + at_obs
-        contrib = e_bar.copy()
-    else:
-        contrib = np.zeros(inputs.dataset.shape)
-    np.put(contrib, idx, at_obs)
-    return float(np.mean(contrib))
+
+    def fill(start, stop, out):
+        if e_flat is None:
+            out.fill(0.0)
+        else:
+            out[:] = e_flat[start:stop]
+        lo, hi = np.searchsorted(idx, (start, stop))
+        cells = idx[lo:hi]
+        local = cells - start
+        p = 1.0 if p_flat is None else np.take(p_flat, cells)
+        # the all-cell expression at o = 1, term for term
+        at_obs = loss[lo:hi] / p
+        if e_flat is not None:
+            at_obs = (1.0 - 1.0 / p) * np.take(out, local) + at_obs
+        out[local] = at_obs
+
+    return _kernels.cell_sum(fill, inputs.predictions.r_hat.size)
 
 
 def _checked_truth(true_ratings, shape) -> np.ndarray:
@@ -137,10 +157,12 @@ def true_inaccuracy(predictions: PredictionMatrix,
     """Mean loss against the noise-free preferences over all pairs."""
     r_hat = predictions.r_hat
     truth = _checked_truth(true_ratings, r_hat.shape)
-    total = np.empty(r_hat.shape)
-    for t in _kernels.row_tiles(*r_hat.shape):
-        total[t] = label_loss(loss, r_hat[t], truth[t])
-    return float(np.mean(total))
+    r_flat, t_flat = r_hat.ravel(), truth.ravel()
+
+    def fill(start, stop, out):
+        out[:] = label_loss(loss, r_flat[start:stop], t_flat[start:stop])
+
+    return _kernels.cell_sum(fill, r_flat.size) / r_flat.size
 
 
 def estimate_naive(inputs: EstimatorInputs) -> float:
@@ -148,9 +170,7 @@ def estimate_naive(inputs: EstimatorInputs) -> float:
     idx = inputs.observed[0]
     if idx.size == 0:
         raise ValidationError("no observed pairs")
-    contrib = np.zeros(inputs.dataset.shape)
-    np.put(contrib, idx, inputs.observed_loss)
-    return float(np.sum(contrib) / idx.size)
+    return _dr_sum(inputs, inputs.observed_loss, None, None) / idx.size
 
 
 def estimate_eib(inputs: EstimatorInputs) -> float:
@@ -232,16 +252,18 @@ def bias_ome_dr_oracle(
     w10 = (rho_true.rho10 - rho_hat.rho10) / denom_hat
     w00 = (1.0 - rho_hat.rho01 - rho_true.rho10) / denom_hat
 
-    total = np.empty(truth.shape)
-    for t in _kernels.row_tiles(*truth.shape):
-        l1, l0 = loss_curves(loss, predictions.r_hat[t])
-        p = p_true.p_hat[t]
-        ph = p_hat.p_hat[t]
-        impute_term = (1.0 - p / ph) * e_bar.e_bar[t]
+    flats = [a.ravel() for a in (truth, predictions.r_hat, p_true.p_hat,
+                                 p_hat.p_hat, e_bar.e_bar)]
+
+    def fill(start, stop, out):
+        r_star, r_hat, p, ph, e = (a[start:stop] for a in flats)
+        l1, l0 = loss_curves(loss, r_hat)
+        impute_term = (1.0 - p / ph) * e
         pos_term = ((p * w11 - ph) / ph) * l1 + (p * w01 / ph) * l0
         neg_term = (p * w10 / ph) * l1 + ((p * w00 - ph) / ph) * l0
-        total[t] = impute_term + np.where(truth[t] == 1, pos_term, neg_term)
-    return float(abs(np.mean(total)))
+        np.add(impute_term, np.where(r_star == 1, pos_term, neg_term), out=out)
+
+    return abs(_kernels.cell_sum(fill, truth.size) / truth.size)
 
 
 def relative_error(target: float, estimate: float) -> float:

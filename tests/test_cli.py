@@ -412,6 +412,17 @@ class TestEstimate:
         assert by_name["naive"][1] != "error"
         assert by_name["snips"][1] == "error"
 
+    def test_spaces_around_estimator_names_stripped(self, instance_dir,
+                                                    tmp_path):
+        spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
+        for out, names in ((spaced, "naive, ips,ome_dr "),
+                           (plain, "naive,ips,ome_dr")):
+            assert main(["estimate", "--instance", str(instance_dir),
+                         "--estimators", names, "--out", str(out)]) == 0
+        _, _, rows = read_report(spaced)
+        assert [r[0] for r in rows] == ["naive", "ips", "ome_dr"]
+        assert spaced.read_bytes() == plain.read_bytes()
+
     def test_missing_propensities_row_level_error(self, instance_dir,
                                                   tmp_path):
         (instance_dir / "p_hat.npy").unlink()

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -623,43 +626,115 @@ def ref_bias_ome_dr_oracle(true_ratings, predictions, p_true, p_hat, e_bar,
 
 
 class TestRowTiles:
-    """With 21 cells a tile, a 5-column matrix is cut into tiles of t = 4
-    rows; the row counts are 1, t - 1, t, t + 1 and 2t + 1."""
+    """With 130 cells a tile, above numpy's 128-cell block and not a multiple
+    of 8, cell_sum reduces leaves of at most 130 cells. Rows of 129, 130 and
+    131 columns in 1, 2, 3, 4, 5 and 9 rows give cell counts just below, at
+    and just above 1, 2, 3, 4, 5 and 9 tiles' worth of cells."""
+
+    N_COLS = (129, 130, 131)
 
     @pytest.fixture(autouse=True)
     def small_tiles(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "TILE_CELLS", 21)
+        monkeypatch.setattr(_kernels, "TILE_CELLS", 130)
 
-    @pytest.mark.parametrize("n_rows", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 9])
     @pytest.mark.parametrize("loss", [SQ, LossKind.cross_entropy(0.05)])
     def test_truth_and_oracle_equal_whole_matrix_bitwise(self, n_rows, loss):
-        case = oracle_case(n_rows, (n_rows, 5))
-        truth, pred = case[:2]
-        assert (true_inaccuracy(pred, truth, loss)
-                == ref_true_inaccuracy(pred, truth, loss))
-        assert (bias_ome_dr_oracle(*case, loss)
-                == ref_bias_ome_dr_oracle(*case, loss))
+        for n_cols in self.N_COLS:
+            case = oracle_case(n_rows, (n_rows, n_cols))
+            truth, pred = case[:2]
+            assert (true_inaccuracy(pred, truth, loss)
+                    == ref_true_inaccuracy(pred, truth, loss))
+            assert (bias_ome_dr_oracle(*case, loss)
+                    == ref_bias_ome_dr_oracle(*case, loss))
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 9])
+    def test_estimators_equal_reference_bitwise(self, n_rows):
+        for n_cols in self.N_COLS:
+            inputs = full_inputs(n_rows, (n_rows, n_cols))
+            for name, ref in REFERENCES.items():
+                assert ESTIMATORS[name](inputs) == ref(inputs), name
 
     def test_tile_height_rule(self):
-        assert [(t.start, t.stop) for t in _kernels.row_tiles(9, 5)] == [
-            (0, 4), (4, 8), (8, 9)]
+        assert [(t.start, t.stop) for t in _kernels.row_tiles(21, 13)] == [
+            (0, 10), (10, 20), (20, 21)]
         # a row wider than a tile is a tile of its own
-        assert len(list(_kernels.row_tiles(3, 100))) == 3
-        assert list(_kernels.row_tiles(0, 5)) == []
+        assert len(list(_kernels.row_tiles(3, 200))) == 3
+        assert list(_kernels.row_tiles(0, 13)) == []
 
 
-def test_oracle_peak_memory_below_three_matrices():
-    """The oracle's per-cell terms live one tile at a time: beyond its
-    inputs, it holds the n x m float64 total and tile-sized temporaries."""
-    case = oracle_case(3, (1000, 1000))
-    matrix_bytes = 1000 * 1000 * 8
+PEAK_SHAPE = (1000, 1000)
+
+
+def all_cell_mean_call(name, seed, shape):
+    """(function, arguments) of one of the seven estimators (by name),
+    true_inaccuracy or bias_ome_dr_oracle on fresh inputs of the shape; an
+    estimator's EstimatorInputs has its two losses cached already."""
+    case = oracle_case(seed, shape)
+    if name == "true_inaccuracy":
+        return true_inaccuracy, (case[1], case[0], SQ)
+    if name == "bias_ome_dr_oracle":
+        return bias_ome_dr_oracle, (*case, SQ)
+    inputs = full_inputs(seed, shape)
+    assert inputs.observed_loss is not None
+    assert inputs.surrogate_loss is not None
+    return ESTIMATORS[name], (inputs,)
+
+
+ALL_CELL_MEANS = [*ESTIMATORS, "true_inaccuracy", "bias_ome_dr_oracle"]
+
+
+@pytest.mark.parametrize("name", ALL_CELL_MEANS)
+def test_peak_memory_below_one_matrix(name):
+    """An all-cell mean holds its per-cell terms one cell_sum leaf at a time:
+    beyond its inputs and the cached losses, it allocates less than one
+    n x m float64 matrix."""
+    fn, args = all_cell_mean_call(name, 3, PEAK_SHAPE)
     tracemalloc.start()
     try:
-        bias_ome_dr_oracle(*case, SQ)
+        fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * matrix_bytes
+    assert peak < PEAK_SHAPE[0] * PEAK_SHAPE[1] * 8
+
+
+def held_arrays(values):
+    """The numpy arrays among values and, recursively, their dataclass
+    fields."""
+    out = []
+    for v in values:
+        if isinstance(v, np.ndarray):
+            out.append(v)
+        elif dataclasses.is_dataclass(v):
+            out += held_arrays(getattr(v, f.name)
+                               for f in dataclasses.fields(v))
+    return out
+
+
+def test_all_cell_means_leave_no_reference_cycle(monkeypatch):
+    """With the cyclic garbage collector off, the input arrays of every
+    all-cell mean die as soon as the caller drops them. A cell_sum recursion
+    written as a nested function that calls itself would be a reference
+    cycle holding the fill callback, and through it every input, until the
+    collector ran."""
+    monkeypatch.setattr(_kernels, "TILE_CELLS", 130)  # several leaves
+
+    def call_and_watch(name):
+        fn, args = all_cell_mean_call(name, 5, (40, 50))
+        refs = [weakref.ref(a) for a in held_arrays(args)]
+        fn(*args)
+        return refs
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ALL_CELL_MEANS:
+            refs = call_and_watch(name)
+            assert refs and all(r() is None for r in refs), name
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestRelativeError:

@@ -288,3 +288,65 @@ class TestMonteCarloReference:
         assert (np.minimum(s1, s0) < 0.0).any()
         _, p_hat, _, _, _, _ = mc_case("p_hat_at_floor_and_one")
         assert set(np.unique(p_hat)) == {DEFAULT_PROPENSITY_FLOOR, 1.0}
+
+
+def spread_values(seed, shape):
+    """Values of both signs over twelve orders of magnitude, whose sum
+    rounds differently under almost any other order of additions."""
+    rng = make_rng(seed)
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+
+
+def traced_cell_sum(a):
+    """cell_sum over the row-major cells of a, and the ranges fill saw."""
+    flat = a.ravel()
+    ranges = []
+
+    def fill(start, stop, out):
+        ranges.append((start, stop))
+        out[:] = flat[start:stop]
+
+    return _kernels.cell_sum(fill, flat.size), ranges
+
+
+class TestCellSum:
+    T = _kernels.TILE_CELLS
+    SHAPES = [(n,) for n in (1, 7, 8, 127, 128, 129, T - 1, T, T + 1,
+                             2 * T + 9)] + [(1, 300_001), (2000, 2000)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_equals_numpy_sum_and_mean_bitwise(self, shape):
+        # numpy's pairwise split rule is internal: a numpy that changes it
+        # fails here
+        a = spread_values(len(shape) * 1000 + shape[-1] % 1000, shape)
+        got, ranges = traced_cell_sum(a)
+        assert got == np.add.reduce(a, axis=None)
+        assert got / a.size == np.mean(a)
+        # fill sees ascending, non-empty ranges that exactly cover [0, n)
+        assert ranges[0][0] == 0 and ranges[-1][1] == a.size
+        assert all(stop == nxt for (_, stop), (nxt, _) in zip(ranges,
+                                                              ranges[1:]))
+        assert all(0 < stop - start <= self.T for start, stop in ranges)
+        assert (len(ranges) == 1) == (a.size <= self.T)
+
+    def test_data_tells_summation_orders_apart(self):
+        # leaf partial sums added left to right, not pairwise, give another
+        # value: the data above would catch a wrong tree
+        a = spread_values(2001, (2000, 2000))
+        _, ranges = traced_cell_sum(a)
+        flat = a.ravel()
+        in_sequence = 0.0
+        for start, stop in ranges:
+            in_sequence += float(np.add.reduce(flat[start:stop]))
+        assert in_sequence != np.add.reduce(a, axis=None)
+
+    @pytest.mark.parametrize("tile", [1, 21, 127, 128, 130])
+    @pytest.mark.parametrize("n", [129, 130, 131, 259, 260, 261, 1000])
+    def test_leaf_never_below_numpy_block(self, monkeypatch, tile, n):
+        # numpy sums up to 128 cells in one 8-accumulator loop, so a
+        # smaller tile must not split them
+        monkeypatch.setattr(_kernels, "TILE_CELLS", tile)
+        a = spread_values(n, (n,))
+        got, ranges = traced_cell_sum(a)
+        assert got == np.add.reduce(a)
+        assert max(stop - start for start, stop in ranges) <= max(tile, 128)
