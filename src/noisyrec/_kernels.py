@@ -35,7 +35,10 @@ changes it fails loudly.
 consecutive slices of tile_height(m) = max(1, TILE_CELLS // m) rows, so that
 each tile's float64 temporaries stay near TILE_CELLS cells instead of
 n_reps x m. A generator drawn tile by tile yields the same stream, in the
-same order, as one whole-array draw.
+same order, as one whole-array draw. The generator adds its low-rank score
+product in the row tiles of the score matrix, and elementwise work on a
+flat array of n cells (the SKEW scale, the flip kinds' pool, the CLI's
+default imputation) walks row_tiles(n, 1): TILE_CELLS cells a tile.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernels import row_tiles
 from .data import (
     ErrorParams,
     ImputationMatrix,
@@ -141,12 +142,19 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _default_imputation(inst, loss: LossKind) -> ImputationMatrix:
-    """Imputed error against the mean observed rating as a soft label."""
+    """Imputed error against the mean observed rating as a soft label:
+    r_bar l(f, 1) + (1 - r_bar) l(f, 0), written into one matrix a tile of
+    cells at a time."""
     o = inst.observed_mask
     n_obs = int(o.sum())
     r_bar = float((o * inst.observed_ratings).sum() / max(n_obs, 1))
-    l1, l0 = loss_curves(loss, inst.prediction.r_hat)
-    return ImputationMatrix(r_bar * l1 + (1.0 - r_bar) * l0)
+    r_hat = inst.prediction.r_hat
+    f, e_bar = r_hat.ravel(), np.empty(r_hat.size)
+    for t in row_tiles(f.size, 1):
+        l1, l0 = loss_curves(loss, f[t])
+        np.multiply(r_bar, l1, out=e_bar[t])
+        e_bar[t] += (1.0 - r_bar) * l0
+    return ImputationMatrix(e_bar.reshape(r_hat.shape))
 
 
 def _as_given(p_arr, floor) -> PropensityMatrix:

@@ -26,6 +26,12 @@ observed cells, found by np.searchsorted on the observed index, with their
 term at o = 1. No n x m matrix of terms is built, and results are
 deterministic and do not depend on which cells were computed: they equal a
 row-major np.mean of the all-cell formula bit for bit.
+
+The truth and the oracle evaluate each leaf in as few passes as exactness
+allows: the loss at the true label is one expression in the label
+(`losses.label_loss` without flip rates), and the oracle forms one pair of
+loss coefficients per cell instead of both branches of r* and a select. An
+integer or bool truth is checked with two reductions, not an n x m mask.
 """
 
 from __future__ import annotations
@@ -146,7 +152,11 @@ def _checked_truth(true_ratings, shape) -> np.ndarray:
         raise ValidationError(f"true ratings shape {truth.shape} != {shape}")
     if truth.size == 0:
         raise ValidationError("no pairs: the pair universe is empty")
-    if not is_binary(truth).all():
+    if truth.dtype.kind in "iu":  # two reductions, no n x m temporary
+        binary = truth.min() >= 0 and truth.max() <= 1
+    else:
+        binary = truth.dtype.kind == "b" or is_binary(truth).all()
+    if not binary:
         raise ValidationError("true ratings entries must be in {0,1}")
     return truth
 
@@ -244,6 +254,13 @@ def bias_ome_dr_oracle(
     The stochastic (1 - o/p_hat) imputation term is evaluated at its
     expectation (1 - p_true/p_hat), i.e. the expression conditions on the
     observation distribution rather than one realization.
+
+    Each cell's term is (1 - p/p_hat) e + c1 l1 + c0 l0, with one
+    coefficient pair per cell: c1 = (p W1 - p_hat r*)/p_hat and
+    c0 = (p W0 - p_hat (1 - r*))/p_hat, where r* reads the weights W1 and W0
+    from two-entry tables. At r* = 0 or 1, p_hat r* is 0 or p_hat and
+    x - 0 = x, so the pair is the branch of r* bit for bit, and no second
+    branch is formed.
     """
     truth = _oracle_truth(true_ratings, predictions, p_true, p_hat, e_bar)
     denom_hat = rho_hat.denom
@@ -252,16 +269,29 @@ def bias_ome_dr_oracle(
     w10 = (rho_true.rho10 - rho_hat.rho10) / denom_hat
     w00 = (1.0 - rho_hat.rho01 - rho_true.rho10) / denom_hat
 
+    # the weights of l1 and of l0 at r* = 0 and at r* = 1, read by r*
+    w1_at, w0_at = np.array((w10, w11)), np.array((w00, w01))
     flats = [a.ravel() for a in (truth, predictions.r_hat, p_true.p_hat,
                                  p_hat.p_hat, e_bar.e_bar)]
 
     def fill(start, stop, out):
         r_star, r_hat, p, ph, e = (a[start:stop] for a in flats)
+        np.multiply(1.0 - p / ph, e, out=out)  # the imputation term
         l1, l0 = loss_curves(loss, r_hat)
-        impute_term = (1.0 - p / ph) * e
-        pos_term = ((p * w11 - ph) / ph) * l1 + (p * w01 / ph) * l0
-        neg_term = (p * w10 / ph) * l1 + ((p * w00 - ph) / ph) * l0
-        np.add(impute_term, np.where(r_star == 1, pos_term, neg_term), out=out)
+        at = r_star.astype(np.intp)
+        ph_r = ph * at  # ph r*: ph at r* = 1, 0 at r* = 0
+        c = np.take(w1_at, at)
+        c *= p
+        c -= ph_r
+        c /= ph
+        l1 *= c  # c1 l1
+        np.take(w0_at, at, out=c, mode="clip")  # unbuffered: at is 0 or 1
+        c *= p
+        c -= np.subtract(ph, ph_r, out=ph_r)  # ph (1 - r*)
+        c /= ph
+        l0 *= c  # c0 l0
+        l1 += l0
+        out += l1
 
     return abs(_kernels.cell_sum(fill, truth.size) / truth.size)
 

@@ -4,6 +4,10 @@ The surrogate loss is the unique linear combination of l(f, 1) and l(f, 0)
 whose expectation under the class-conditional flip model recovers the clean
 loss. It may be negative; clamping it would destroy that identity, so we
 never do.
+
+The loss at a 0/1 label without flip rates is one expression in the label,
+never both curves and a select; with flip rates, label_loss and its gradient
+select between the two flip-corrected curves.
 """
 
 from __future__ import annotations
@@ -79,9 +83,24 @@ def _at_label(curves, label, rho: ErrorParams | None):
 
 def label_loss(kind: LossKind, pred: np.ndarray, label,
                rho: ErrorParams | None = None) -> np.ndarray:
-    """Elementwise l(pred, label), or the noise-corrected l~(pred, label)
-    when the flip rates rho are given."""
-    return _at_label(loss_curves(kind, pred), label, rho)
+    """Elementwise l(pred, label) for labels in {0, 1}, or the
+    noise-corrected l~(pred, label) when the flip rates rho are given.
+
+    Without rho the loss is one expression in the label y: (pred - y)^2, or
+    -log(max(y pred + (1 - y)(1 - pred), eps)). At y = 0 or 1 each product
+    with y or 1 - y and each added 0 is exact, so this equals the curve at
+    the label, l(pred, 1) or l(pred, 0), bit for bit, in two passes for the
+    squared loss instead of both curves and a select."""
+    if rho is not None:
+        return _at_label(loss_curves(kind, pred), label, rho)
+    pred = np.asarray(pred, dtype=np.float64)
+    if not inside_unit_interval(pred):
+        raise ValidationError("predictions must lie strictly inside (0, 1)")
+    if kind.variant is LossVariant.SQUARED_ERROR:
+        return (pred - label) ** 2
+    y = np.asarray(label)
+    return -np.log(np.maximum(y * pred + (1.0 - y) * (1.0 - pred),
+                              kind.eps_clip))
 
 
 def label_loss_grad(kind: LossKind, pred: np.ndarray, label,

@@ -6,8 +6,11 @@ Generation is single-threaded per instance with one seeded stream consumed
 in a fixed order, so equal (spec, seed) pairs reproduce instances exactly.
 The propensities are a table of their five values read with np.take, the
 score noise, SKEW draws and perturbation are computed in place, and a given
-gamma is checked against the levels once; each step gives, bit for bit,
-what its whole-matrix formula gives from the same draws.
+gamma is checked against the levels once. The low-rank score product, the
+SKEW scale and the flip kinds' pool and 0.9 count are formed one tile at a
+time (`_kernels.row_tiles`), so none of them builds an n x m float64
+temporary. Each step gives, bit for bit, what its whole-matrix formula
+gives from the same draws.
 """
 
 from __future__ import annotations
@@ -200,13 +203,17 @@ def build_prediction_matrix(kind, gamma, rng) -> PredictionMatrix:
     if kind == "ROTATE":
         r_hat = np.where(gamma >= 0.3, gamma - 0.2, 0.9)
     elif kind == "SKEW":
-        scale = np.subtract(1.0, gamma)
-        if np.any(scale < 0.0):  # what rng.normal rejects as its scale
+        # a scale 1 - gamma below 0 is what rng.normal rejects; that is
+        # gamma > 1, and fmax skips NaN, as that comparison does
+        if np.fmax.reduce(gamma, axis=None, initial=-np.inf) > 1.0:
             raise ValidationError("SKEW needs gamma <= 1")
-        scale /= 2.0
         r_hat = rng.standard_normal(gamma.shape)
-        r_hat *= scale
-        r_hat += gamma
+        z, g = r_hat.ravel(), gamma.ravel()
+        for t in _kernels.row_tiles(g.size, 1):
+            scale = np.subtract(1.0, g[t])
+            scale /= 2.0
+            z[t] *= scale
+            z[t] += g[t]
         np.clip(r_hat, 0.1, 0.9, out=r_hat)
     elif kind == "CRS":
         r_hat = np.where(gamma <= 0.6, 0.2, 0.6)
@@ -214,8 +221,12 @@ def build_prediction_matrix(kind, gamma, rng) -> PredictionMatrix:
         level = {"ONE": 0.1, "THREE": 0.3, "FIVE": 0.5}[kind]
         r_hat = gamma.copy()
         flat = r_hat.ravel()
-        pool = np.flatnonzero(_near(flat, level))
-        n_flip = int(np.count_nonzero(_near(flat, 0.9)))
+        in_pool = np.empty(flat.size, dtype=bool)
+        n_flip = 0
+        for t in _kernels.row_tiles(flat.size, 1):
+            in_pool[t] = _near(flat[t], level)
+            n_flip += int(np.count_nonzero(_near(flat[t], 0.9)))
+        pool = np.flatnonzero(in_pool)
         if pool.size < n_flip:
             warnings.warn(
                 f"only {pool.size} cells at level {level} available for "
@@ -296,12 +307,15 @@ def perturb_propensities(p_true, observed_mask, rng, beta_mode="per_pair",
 def synth_scores(n_users, n_items, rng, rank=3) -> np.ndarray:
     """Low-rank-plus-noise stand-in score matrix for quantile assignment when
     no completed rating matrix is supplied: a @ b + 0.5 z, with the draws of
-    a, b and then z standard normal, z row-major."""
+    a, b and then z standard normal, z row-major. The product is added one
+    row tile at a time, a[t] @ b, which equals (a @ b)[t] with the BLAS
+    library numpy uses (tests pin it), so no n x m product is built."""
     a = rng.normal(size=(n_users, rank))
     b = rng.normal(size=(rank, n_items))
     z = rng.standard_normal((n_users, n_items))
     z *= 0.5
-    z += a @ b
+    for t in _kernels.row_tiles(n_users, n_items):
+        z[t] += a[t] @ b
     return z
 
 

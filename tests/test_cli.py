@@ -10,7 +10,8 @@ import pytest
 from noisyrec import cli
 from noisyrec.cli import main, parse_config_file
 from noisyrec.data import ValidationError
-from noisyrec.synthbench import load_instance
+from noisyrec.losses import LossKind, loss_curves
+from noisyrec.synthbench import BenchmarkSpec, load_instance, sample_instance
 
 
 def write_spec(path, **overrides):
@@ -165,6 +166,22 @@ def instance_dir(tmp_path):
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("loss", [LossKind.squared(),
+                                      LossKind.cross_entropy()])
+    def test_default_imputation_equals_whole_matrix(self, loss):
+        """Written a tile at a time, over several tiles (300 x 129 cells),
+        the default imputation equals r_bar l1 + (1 - r_bar) l0 formed on
+        the whole matrix, bit for bit."""
+        inst = sample_instance(BenchmarkSpec(300, 129, 0.2, 0.1,
+                                             pred_kind="SKEW", seed=2))
+        o = inst.observed_mask
+        r_bar = float((o * inst.observed_ratings).sum() / o.sum())
+        l1, l0 = loss_curves(loss, inst.prediction.r_hat)
+        want = r_bar * l1 + (1.0 - r_bar) * l0
+        got = cli._default_imputation(inst, loss).e_bar
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
     def test_report_values_and_degeneration(self, instance_dir, tmp_path):
         out = tmp_path / "report.csv"
         code = main(["estimate", "--instance", str(instance_dir),

@@ -602,8 +602,10 @@ class TestOracleInputs:
 
 
 def ref_true_inaccuracy(predictions, true_ratings, loss):
-    """true_inaccuracy over the whole matrix at once."""
-    return float(np.mean(label_loss(loss, predictions.r_hat, true_ratings)))
+    """true_inaccuracy over the whole matrix at once: both loss curves, and
+    the one at each true label selected."""
+    l1, l0 = loss_curves(loss, predictions.r_hat)
+    return float(np.mean(np.where(np.asarray(true_ratings) == 1, l1, l0)))
 
 
 def ref_bias_ome_dr_oracle(true_ratings, predictions, p_true, p_hat, e_bar,
@@ -637,16 +639,31 @@ class TestRowTiles:
     def small_tiles(self, monkeypatch):
         monkeypatch.setattr(_kernels, "TILE_CELLS", 130)
 
+    @staticmethod
+    def assert_truth_and_oracle_match(case, loss):
+        truth, pred = case[:2]
+        assert (true_inaccuracy(pred, truth, loss)
+                == ref_true_inaccuracy(pred, truth, loss))
+        assert (bias_ome_dr_oracle(*case, loss)
+                == ref_bias_ome_dr_oracle(*case, loss))
+
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 9])
     @pytest.mark.parametrize("loss", [SQ, LossKind.cross_entropy(0.05)])
     def test_truth_and_oracle_equal_whole_matrix_bitwise(self, n_rows, loss):
         for n_cols in self.N_COLS:
-            case = oracle_case(n_rows, (n_rows, n_cols))
-            truth, pred = case[:2]
-            assert (true_inaccuracy(pred, truth, loss)
-                    == ref_true_inaccuracy(pred, truth, loss))
-            assert (bias_ome_dr_oracle(*case, loss)
-                    == ref_bias_ome_dr_oracle(*case, loss))
+            self.assert_truth_and_oracle_match(
+                oracle_case(n_rows, (n_rows, n_cols)), loss)
+
+    # oracle_case's truth is int8; a bool or float truth gives the same bits
+    @pytest.mark.parametrize("loss", [SQ, LossKind.cross_entropy(0.05)])
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    def test_bool_and_float_truths_equal_whole_matrix_bitwise(self, loss,
+                                                              dtype):
+        for n_rows in (1, 2, 3, 4, 5, 9):
+            for n_cols in self.N_COLS:
+                case = oracle_case(n_rows, (n_rows, n_cols))
+                self.assert_truth_and_oracle_match(
+                    (case[0].astype(dtype),) + case[1:], loss)
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 9])
     def test_estimators_equal_reference_bitwise(self, n_rows):
@@ -697,6 +714,45 @@ def test_peak_memory_below_one_matrix(name):
     finally:
         tracemalloc.stop()
     assert peak < PEAK_SHAPE[0] * PEAK_SHAPE[1] * 8
+
+
+@pytest.mark.parametrize("name", ["true_inaccuracy", "bias_ome_dr_oracle"])
+@pytest.mark.parametrize("dtype", [np.int8, bool])
+def test_truth_check_holds_no_matrix(name, dtype):
+    """An integer or bool truth is checked with two reductions, not with
+    (t == 0) | (t == 1), whose two n x m masks took 2 MB at 1000 x 1000.
+    What is left is the leaf work: the call peaks below seven float64
+    leaves of TILE_CELLS cells (1.75 MiB)."""
+    case = oracle_case(3, PEAK_SHAPE)
+    truth = case[0].astype(dtype)
+    call = {"true_inaccuracy": lambda: true_inaccuracy(case[1], truth, SQ),
+            "bias_ome_dr_oracle": lambda: bias_ome_dr_oracle(
+                truth, *case[1:], SQ)}[name]
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * _kernels.TILE_CELLS * 8
+
+
+@pytest.mark.parametrize("dtype, bad", [
+    (np.int8, 2), (np.int8, -1), (np.int64, 2), (np.uint8, 2),
+    (np.float64, 0.5), (np.float64, np.nan), (np.float64, 2.0)])
+def test_one_bad_truth_cell_rejected(dtype, bad):
+    """A single value off {0, 1}, in the last cell, fails the truth check of
+    the truth, the oracle and the Monte Carlo, whatever the dtype."""
+    case = oracle_case(4, (7, 9))
+    truth = case[0].astype(dtype)
+    truth[-1, -1] = bad
+    case = (truth,) + case[1:]
+    with pytest.raises(ValidationError, match="entries"):
+        true_inaccuracy(case[1], truth, SQ)
+    with pytest.raises(ValidationError, match="entries"):
+        bias_ome_dr_oracle(*case, SQ)
+    with pytest.raises(ValidationError, match="entries"):
+        monte_carlo_ome_dr(*case, SQ, 10, 0)
 
 
 def held_arrays(values):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from noisyrec import _kernels
 from noisyrec.data import (DEFAULT_PROPENSITY_FLOOR, ErrorParams,
                            ValidationError, make_rng)
 from noisyrec.models import SgdConfig, TrainingDivergence
@@ -238,6 +239,15 @@ class TestPredictionMatrices:
         with pytest.raises(ValidationError, match="gamma <= 1"):
             build_prediction_matrix("SKEW", np.array([[0.5, 1.5]]),
                                     make_rng(0))
+        # a NaN beside it hides nothing; a NaN alone passes this check, as
+        # 1 - NaN < 0 is false, and fails the prediction matrix's own
+        with pytest.raises(ValidationError, match="gamma <= 1"):
+            build_prediction_matrix("SKEW", np.array([[np.nan, 1.5]]),
+                                    make_rng(0))
+        with pytest.raises(ValidationError, match="strictly inside"):
+            build_prediction_matrix("SKEW", np.array([[np.nan, 0.5]]),
+                                    make_rng(0))
+        build_prediction_matrix("SKEW", np.array([[1.0, 0.1]]), make_rng(0))
 
     def test_flip_kinds_preserve_counts(self):
         gamma, _ = build_gamma((0.2,) * 5, make_rng(7).random((40, 40)))
@@ -511,6 +521,20 @@ class TestReferenceGenerator:
                                      beta_mode=beta_mode, seed=seed)
                 matched += self._assert_matches(spec)
         assert matched >= 6
+
+    # more cells than one TILE_CELLS tile: the score product spans several
+    # row tiles (254 rows of 129, 32 rows of 1000, one row of 300 001), and
+    # the SKEW scale and the flip pool several flat tiles
+    TILED_SHAPES = ((300, 129), (40, 1000), (1, 300_001))
+
+    @pytest.mark.parametrize("kind", PRED_KINDS)
+    @pytest.mark.parametrize("beta_mode", ["per_pair", "per_run", "none"])
+    def test_generated_scores_over_several_tiles(self, kind, beta_mode):
+        for seed, shape in enumerate(self.TILED_SHAPES):
+            assert shape[0] * shape[1] > _kernels.TILE_CELLS
+            spec = BenchmarkSpec(*shape, 0.2, 0.1, pred_kind=kind,
+                                 beta_mode=beta_mode, seed=seed)
+            assert self._assert_matches(spec)
 
     @pytest.mark.parametrize("kind", PRED_KINDS)
     def test_supplied_scores_and_spec_variants(self, kind):
