@@ -65,8 +65,10 @@ from .training import (
 
 
 def parse_config_file(path) -> dict:
-    """Plain-text `key = value` pairs, nesting via dotted keys."""
+    """Plain-text `key = value` pairs, nesting via dotted keys. A key given
+    twice, as a value or a section, is a ValidationError naming both lines."""
     out: dict = {}
+    first: dict = {}  # dotted key or section -> the line that first gave it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -77,11 +79,19 @@ def parse_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             node = out
             parts = key.split(".")
-            for part in parts[:-1]:
+            for depth, part in enumerate(parts[:-1], start=1):
+                name = ".".join(parts[:depth])
                 node = node.setdefault(part, {})
                 if not isinstance(node, dict):
-                    raise ValidationError(
-                        f"{path}:{lineno}: {part!r} is a value, not a section")
+                    raise ValidationError(f"{path}:{lineno}: {part!r} is a "
+                                          f"value on line {first[name]}, "
+                                          "not a section")
+                first.setdefault(name, lineno)
+            if key in first:
+                raise ValidationError(
+                    f"{path}:{lineno}: {key!r} is already given on line "
+                    f"{first[key]}")
+            first[key] = lineno
             node[parts[-1]] = value
     return out
 
@@ -112,18 +122,15 @@ def _write_report(path, header, rows, manifest: dict) -> None:
 # synth
 # ---------------------------------------------------------------------------
 
-def _spec_from_config(cfg: dict, seed_override=None) -> BenchmarkSpec:
+def _instance_from_config(cfg: dict, seed=None):
+    """The instance of a spec config, with its seed if one is given; a
+    `scores` key names a comma-separated completed score matrix."""
     kwargs = read_fields(
         BenchmarkSpec, {k: v for k, v in cfg.items() if k != "scores"},
         "spec field", required=("n_users", "n_items", "rho01", "rho10"))
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return BenchmarkSpec(**kwargs)
-
-
-def cmd_synth(args) -> int:
-    cfg = parse_config_file(args.spec)
-    spec = _spec_from_config(cfg, args.seed)
+    if seed is not None:
+        kwargs["seed"] = seed
+    spec = BenchmarkSpec(**kwargs)
     scores = None
     if "scores" in cfg:
         try:
@@ -131,7 +138,11 @@ def cmd_synth(args) -> int:
         except ValueError as exc:  # a ragged row or a non-numeric field
             raise ValidationError(
                 f"scores file {cfg['scores']}: {exc}") from exc
-    inst = sample_instance(spec, score_matrix=scores)
+    return sample_instance(spec, score_matrix=scores)
+
+
+def cmd_synth(args) -> int:
+    inst = _instance_from_config(parse_config_file(args.spec), args.seed)
     save_instance(args.out, inst)
     print(f"wrote instance to {args.out}")
     return 0
@@ -343,7 +354,7 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_one(spec_cfg, seed, names, propensities):
-    inst = sample_instance(_spec_from_config(spec_cfg, seed))
+    inst = _instance_from_config(spec_cfg, seed)
     rows = _estimator_rows(inst, propensities, inst.spec.rho, names)
     return [[seed] + row for row in rows]
 

@@ -162,7 +162,8 @@ class ImputationMatrix:
     e_bar: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(float_matrix(self, "e_bar", "imputation"))):
+        e = float_matrix(self, "e_bar", "imputation")  # min, max carry NaN
+        if e.size and not (np.isfinite(e.min()) and np.isfinite(e.max())):
             raise ValidationError("imputed errors must be finite")
 
 
@@ -219,10 +220,15 @@ class RatingDataset:
         return rng.permutation(idx)[:max(1, idx.size // 10)]
 
 
-def is_binary(a: np.ndarray) -> np.ndarray:
-    """Elementwise a in {0, 1}: two comparisons, several times cheaper than
-    np.isin on int8 matrices."""
-    return (a == 0) | (a == 1)
+def is_binary(a: np.ndarray) -> bool:
+    """Every entry of a is 0 or 1: a bool array passes, an int or uint one
+    takes min and max (no n x m temporary), any other dtype is checked entry
+    by entry, where NaN is neither."""
+    if a.dtype.kind == "b" or a.size == 0:
+        return True
+    if a.dtype.kind in "iu":
+        return bool(a.min() >= 0 and a.max() <= 1)
+    return bool(((a == 0) | (a == 1)).all())
 
 
 def validate_dataset(d: RatingDataset) -> list[str]:
@@ -235,10 +241,11 @@ def validate_dataset(d: RatingDataset) -> list[str]:
         out.append(f"observed_mask shape {mask.shape} != {shape}")
     if ratings.shape != shape:
         out.append(f"observed_ratings shape {ratings.shape} != {shape}")
-    if mask.shape == shape and not is_binary(mask).all():
+    if mask.shape == shape and not is_binary(mask):
         out.append("observed_mask entries must be in {0,1}")
-    if mask.shape == shape and ratings.shape == shape:
-        bad = (mask == 1) & ~is_binary(ratings)
+    if mask.shape == shape == ratings.shape and not is_binary(ratings):
+        # an unobserved cell may hold anything: find the first observed one
+        bad = (mask == 1) & (ratings != 0) & (ratings != 1)
         if bad.any():
             u, i = np.argwhere(bad)[0]
             out.append(f"observed rating at ({u},{i}) not in {{0,1}}")
@@ -246,7 +253,7 @@ def validate_dataset(d: RatingDataset) -> list[str]:
         t = np.asarray(d.true_ratings)
         if t.shape != shape:
             out.append(f"true_ratings shape {t.shape} != {shape}")
-        elif not is_binary(t).all():
+        elif not is_binary(t):
             out.append("true_ratings entries must be in {0,1}")
     return out
 

@@ -30,8 +30,9 @@ row-major np.mean of the all-cell formula bit for bit.
 The truth and the oracle evaluate each leaf in as few passes as exactness
 allows: the loss at the true label is one expression in the label
 (`losses.label_loss` without flip rates), and the oracle forms one pair of
-loss coefficients per cell instead of both branches of r* and a select. An
-integer or bool truth is checked with two reductions, not an n x m mask.
+loss coefficients per cell instead of both branches of r* and a select. The
+truth is checked by `data.is_binary`: two reductions for an integer truth,
+none for a bool one, not an n x m mask.
 """
 
 from __future__ import annotations
@@ -152,11 +153,7 @@ def _checked_truth(true_ratings, shape) -> np.ndarray:
         raise ValidationError(f"true ratings shape {truth.shape} != {shape}")
     if truth.size == 0:
         raise ValidationError("no pairs: the pair universe is empty")
-    if truth.dtype.kind in "iu":  # two reductions, no n x m temporary
-        binary = truth.min() >= 0 and truth.max() <= 1
-    else:
-        binary = truth.dtype.kind == "b" or is_binary(truth).all()
-    if not binary:
+    if not is_binary(truth):
         raise ValidationError("true ratings entries must be in {0,1}")
     return truth
 

@@ -10,7 +10,8 @@ gamma is checked against the levels once. The low-rank score product, the
 SKEW scale and the flip kinds' pool and 0.9 count are formed one tile at a
 time (`_kernels.row_tiles`), so none of them builds an n x m float64
 temporary. Each step gives, bit for bit, what its whole-matrix formula
-gives from the same draws.
+gives from the same draws. The generator trains no model: a completed
+score matrix, if any, is the caller's (`synth`'s `scores` key).
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .data import (
     make_rng,
     read_fields,
 )
-from .models import (FactorModel, Optimizer, SgdConfig, epoch_batches,
-                     factor_sgd_step)
 
 GAMMA_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 # the level of each five-scale rating, read with np.take; there is no 0
@@ -157,31 +156,6 @@ def build_gamma(proportions, score_matrix) -> tuple[np.ndarray, np.ndarray]:
         level_idx[ties[c - n_less:]] += 1
     five_scale = np.add(level_idx, 1, dtype=np.int64).reshape(scores.shape)
     return np.take(_LEVEL_OF, five_scale), five_scale
-
-
-def complete_ratings_mf(triples, n_users, n_items, d, config: SgdConfig
-                        ) -> np.ndarray:
-    """Regression matrix factorization (squared loss of the raw scores on
-    the observed triples) producing a dense score matrix for quantile
-    assignment.
-
-    triples: array-like of (user, item, rating) rows, ratings real-valued.
-    """
-    triples = np.asarray(triples)
-    u_all = triples[:, 0].astype(np.int64)
-    i_all = triples[:, 1].astype(np.int64)
-    y_all = triples[:, 2].astype(np.float64)
-    rng = make_rng(config.seed)
-    model = FactorModel.init(n_users, n_items, d, rng)
-    opt = Optimizer(config)
-    for epoch in range(config.max_epochs):
-        for idx in epoch_batches(rng, u_all.shape[0], config):
-            u, i = u_all[idx], i_all[idx]
-            pred = model.scores(u, i)
-            coef = 2.0 * (pred - y_all[idx]) / idx.shape[0]
-            factor_sgd_step(model, u, i, coef, config, opt,
-                            f"rating completion diverged at epoch {epoch}")
-    return model.score_matrix()
 
 
 def _near(flat: np.ndarray, level: float) -> np.ndarray:

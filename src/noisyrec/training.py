@@ -1,6 +1,7 @@
 """Alternating denoise training: interleaved prediction-model steps on the
 corrected doubly-robust objective, extreme-pair refresh, flip-rate
-re-estimation from a pretrained noisy-rate model, and imputation-model steps.
+re-estimation from a pretrained noisy-rate model, and imputation-model steps,
+all on the squared loss `ALT_LOSS`, which no config changes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .noise import (NoisyRateModel, check_k_extreme, rates_at_extremes,
 
 PRETRAIN_METHODS = ("naive", "ips", "dr")
 TRAIN_METHODS = PRETRAIN_METHODS + ("eib",)
+ALT_LOSS = LossKind.squared()
 
 
 @dataclass
@@ -43,7 +45,6 @@ class AltTrainConfig:
     outer_loops: int = 30
     k_extreme: int = 1
     embedding_dim: int = 8
-    loss: LossKind = field(default_factory=LossKind.squared)
     sgd_prediction: SgdConfig = field(default_factory=SgdConfig)
     sgd_imputation: SgdConfig = field(default_factory=SgdConfig)
 
@@ -227,7 +228,7 @@ def alternating_denoise_train(
             idx = rng.choice(n_pairs, size=batch_p, replace=False)
             u, i = np.divmod(idx, m)
             sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
-                               p_flat[idx], None, rho, config.loss,
+                               p_flat[idx], None, rho, ALT_LOSS,
                                config.sgd_prediction, pred_opt)
         dense_pred = pred_model.predict_all()
 
@@ -239,7 +240,7 @@ def alternating_denoise_train(
             u, i = np.divmod(idx, m)
             pred_b = pred_model.forward(u, i)
             sgd_step_imputation(imp_model, u, i, o_flat[idx], r_flat[idx],
-                                p_flat[idx], pred_b, rho, config.loss,
+                                p_flat[idx], pred_b, rho, ALT_LOSS,
                                 config.sgd_imputation, imp_opt)
 
         val_pred = pred_model.forward(vu, vi)
@@ -247,7 +248,7 @@ def alternating_denoise_train(
             np.square(val_pred - r_flat[val_idx]) / p_flat[val_idx]))
         obj = surrogate_objective(
             pred_model, vu, vi, o_flat[val_idx], r_flat[val_idx],
-            p_flat[val_idx], imp_model.scores(vu, vi), rho, config.loss)
+            p_flat[val_idx], imp_model.scores(vu, vi), rho, ALT_LOSS)
         trace.append(TraceRecord(loop, rho.rho01, rho.rho10, obj, val_obj,
                                  clamped))
 

@@ -49,8 +49,22 @@ class TestConfigParsing:
     def test_field_of_a_value_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("sgd = 3\nsgd.seed = 1\n")
-        with pytest.raises(ValidationError, match=":2: 'sgd' is a value"):
+        with pytest.raises(ValidationError,
+                           match=":2: 'sgd' is a value on line 1,"):
             parse_config_file(cfg)
+
+    @pytest.mark.parametrize("text, key", [
+        ("a = 1\nb = 2\na = 3\n", "a"),
+        ("sgd.seed = 1\nb = 2\nsgd.seed = 2\n", "sgd.seed"),
+        ("rho_init.a = 1\nb = 2\nrho_init = 0.2,0.1\n", "rho_init")],
+        ids=["plain", "dotted", "section-then-value"])
+    def test_key_given_twice_rejected_naming_both_lines(self, tmp_path, text,
+                                                         key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value) == f"{cfg}:3: {key!r} is already given on line 1"
 
 
 class TestSynth:
@@ -78,7 +92,7 @@ class TestSynth:
                           gamma_proportions="0.1,0.2,0.3,0.2,0.2")
         out = tmp_path / "inst"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
-        want = cli._spec_from_config(parse_config_file(spec))
+        want = cli._instance_from_config(parse_config_file(spec)).spec
         back = load_instance(out).spec
         assert back == want
         assert back.manifest() == want.manifest()
@@ -99,6 +113,17 @@ class TestSynth:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_repeated_spec_key_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.cfg", rho01=0.2)
+        with open(spec, "a") as fh:
+            fh.write("rho01 = 0.3\n")
+        out = tmp_path / "x"
+        code = main(["synth", "--spec", str(spec), "--out", str(out)])
+        assert code == 2
+        assert ":8: 'rho01' is already given on line 3" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_nan_score_exit_2(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -516,6 +541,23 @@ class TestTrain:
                 config.steps_imputation, config.k_extreme,
                 config.embedding_dim) == (2, 3, 5, 2, 4)
 
+    @pytest.mark.parametrize("text, message", [
+        ("outer_loops = 2\nouter_loops = 3\n",
+         ":2: 'outer_loops' is already given on line 1"),
+        ("rho_init.a = 1\nrho_init = 0.2,0.1\n",
+         ":2: 'rho_init' is already given on line 1")],
+        ids=["value", "section-then-value"])
+    def test_repeated_option_exit_2(self, instance_dir, tmp_path, capsys,
+                                    text, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(instance_dir), "--method",
+                     "naive", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_extreme_option(self, instance_dir, tmp_path):
         # the default is 1, so an explicit 1 writes the same trace
         traces = []
@@ -792,3 +834,40 @@ class TestSweep:
         _, _, rows = read_report(out)
         assert rows[1] == ["0", "snips", "error", "",
                            "unknown estimator 'snips'"]
+
+    @pytest.mark.parametrize("with_scores", [False, True],
+                             ids=["synthetic", "scores"])
+    def test_rows_equal_synth_then_estimate(self, tmp_path, with_scores):
+        """Each seed's sweep rows are what synth --seed s and then estimate
+        write for the same spec, a scores file included."""
+        extra = {}
+        if with_scores:
+            scores = tmp_path / "scores.csv"
+            values = np.arange(20 * 25)[::-1].reshape(20, 25) % 37
+            np.savetxt(scores, values, delimiter=",")
+            extra["scores"] = scores
+        spec = write_spec(tmp_path / "spec.cfg", **extra)
+        names = "naive,ips,ome_dr"
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--spec", str(spec), "--n-seeds", "2",
+                     "--seed", "5", "--estimators", names,
+                     "--out", str(out)]) == 0
+        _, _, rows = read_report(out)
+        for seed in (5, 6):
+            inst, report = tmp_path / f"inst{seed}", tmp_path / f"{seed}.csv"
+            assert main(["synth", "--spec", str(spec), "--seed", str(seed),
+                         "--out", str(inst)]) == 0
+            assert main(["estimate", "--instance", str(inst),
+                         "--estimators", names, "--out", str(report)]) == 0
+            want = read_report(report)[2]
+            assert [r[1:] for r in rows if r[0] == str(seed)] == want
+
+    def test_missing_scores_file_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.cfg",
+                          scores=tmp_path / "nonexistent.csv")
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--spec", str(spec), "--n-seeds", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "nonexistent.csv" in capsys.readouterr().err
+        assert not out.exists()

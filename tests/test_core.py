@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -26,9 +28,12 @@ from noisyrec.data import (
     save_dataset_triples,
     validate_dataset,
 )
+from noisyrec.estimators import true_inaccuracy
 from noisyrec.losses import LossKind, loss_curves
 from noisyrec.models import SgdConfig
 from noisyrec.noise import NoisyRateModel
+from noisyrec.synthbench import BenchmarkSpec
+from noisyrec.training import AltTrainConfig
 
 
 class TestValidateDataset:
@@ -121,6 +126,67 @@ class TestValidateDataset:
                           (d.true_ratings, [[1, 0], [0, 1]])):
             assert arr.dtype == np.int8
             assert np.array_equal(arr, want)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one 0/1 rule, data.is_binary: (dtype, the value of the last cell of a
+# zero matrix, accepted)
+BINARY_TABLE = [
+    (np.int64, 257, False), (np.int8, -1, False), (np.uint8, 2, False),
+    (np.float64, 0.5, False), (np.float64, np.nan, False),
+    (bool, True, True), (np.int8, 1, True), (np.float64, 1.0, True)]
+
+
+class TestBinaryRule:
+    @pytest.mark.parametrize("dtype, value, accepted", BINARY_TABLE)
+    @pytest.mark.parametrize("role", [
+        "observed_mask", "observed_ratings", "true_ratings",
+        "true_inaccuracy"])
+    def test_one_rule_everywhere(self, role, dtype, value, accepted):
+        a = np.zeros((3, 4), dtype=dtype)
+        a[2, 3] = value
+        ones, zeros = np.ones((3, 4)), np.zeros((3, 4))
+        call, message = {
+            "observed_mask": (lambda: RatingDataset(3, 4, a, zeros),
+                              "observed_mask entries must be in {0,1}"),
+            "observed_ratings": (lambda: RatingDataset(3, 4, ones, a),
+                                 "observed rating at (2,3) not in {0,1}"),
+            "true_ratings": (lambda: RatingDataset(3, 4, ones, zeros, a),
+                             "true_ratings entries must be in {0,1}"),
+            "true_inaccuracy": (lambda: true_inaccuracy(
+                PredictionMatrix(np.full((3, 4), 0.5)), a,
+                LossKind.squared()), "true ratings entries must be in {0,1}"),
+        }[role]
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("what", ["dataset", "imputation"])
+    def test_checks_hold_no_matrix(self, what):
+        """Three int8 matrices and an imputation matrix are checked with
+        reductions; a 1000 x 1000 check peaks below 0.1 MiB (the n x m
+        masks took 2.86 and 0.95 MiB)."""
+        rng = make_rng(0)
+        mask, ratings, truth = (
+            (rng.random((1000, 1000)) < 0.5).astype(np.int8)
+            for _ in range(3))
+        e_bar = rng.normal(size=(1000, 1000))
+        call = {"dataset": lambda: RatingDataset(1000, 1000, mask, ratings,
+                                                 truth),
+                "imputation": lambda: ImputationMatrix(e_bar)}[what]
+        assert traced_peak(call) < 0.1 * 2**20
 
 
 class TestObservedIndex:
@@ -414,6 +480,92 @@ class TestImports:
         assert unused_imports((SRC / path).read_text()) == []
 
 
+def public_defs(tree):
+    """(name, node) of a module's public top-level functions and of the
+    public methods of its public classes, a method named Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.FunctionDef)
+                        and not stmt.name.startswith("_")):
+                    yield f"{node.name}.{stmt.name}", stmt
+
+
+def referenced_names(nodes) -> set:
+    """Every name the nodes read, import or take as an attribute, and every
+    dotted part of a string constant (the benchmark names what it traces
+    and patches by string)."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def unreached_defs(modules: dict, outside=()) -> list[str]:
+    """The public defs of `modules` (module name -> source) that no source
+    references outside the def's own body: no module, its own included, and
+    no `outside` source. Matching is by the def's last name part."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    names = {name: referenced_names(ast.walk(tree))
+             for name, tree in trees.items()}
+    outside_names = referenced_names(
+        node for source in outside for node in ast.walk(ast.parse(source)))
+    out = []
+    for mod_name, tree in trees.items():
+        seen = outside_names.union(*(
+            refs for other, refs in names.items() if other != mod_name))
+        for name, node in public_defs(tree):
+            body = {id(sub) for sub in ast.walk(node)}
+            own = referenced_names(
+                sub for sub in ast.walk(tree) if id(sub) not in body)
+            if name.rsplit(".", 1)[-1] not in seen | own:
+                out.append(f"{mod_name}.{name}")
+    return sorted(out)
+
+
+# public defs that no module of the package and no benchmark source reaches,
+# each kept for its reason
+UNREACHED_ALLOWED = {
+    "models.imputation_objective": "the reference objective that the "
+                                   "imputation step tests compare against",
+    "models.propensity_objective": "the reference objective that the "
+                                   "propensity fit tests compare against",
+    "models.load_model": "reads the checkpoint that train writes",
+    "data.PropensityMatrix.clipped": "a public constructor",
+    "losses.LossKind.cross_entropy": "a public constructor",
+}
+
+
+class TestReachedDefs:
+    def test_checker_flags_unreached_and_keeps_reached(self):
+        source = ("def used():\n    pass\n\n\ndef unused():\n    pass\n\n\n"
+                  "def recursive():\n    return recursive()\n\n\n"
+                  "def _private():\n    pass\n\n\nclass C:\n"
+                  "    def method(self):\n        pass\n\n"
+                  "    def called(self):\n        pass\n\n"
+                  "    def traced(self):\n        pass\n\n"
+                  "    def _hidden(self):\n        pass\n\n\nused()\n")
+        modules = {"a": source, "b": "from a import C\nC().called()\n"}
+        assert unreached_defs(modules, ['TARGETS = [("a", "C.traced")]']) == [
+            "a.C.method", "a.recursive", "a.unused"]
+
+    def test_every_public_def_is_reached(self):
+        # an allowlisted def that is gone or has become reached fails too
+        modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+        outside = [p.read_text()
+                   for p in (SRC.parents[1] / "perfbench").glob("*.py")]
+        assert unreached_defs(modules, outside) == sorted(UNREACHED_ALLOWED)
+
+
 def unread_fields(sources, class_names) -> dict:
     """Per named dataclass, its fields that no source reads as an attribute
     outside the class's own __post_init__. Matching is by attribute name."""
@@ -450,6 +602,46 @@ class TestConfigFields:
         classes = {"SgdConfig", "AltTrainConfig", "BenchmarkSpec", "LossKind"}
         assert unread_fields(sources, classes) == {
             name: [] for name in classes}
+
+
+def unsettable_fields(classes, cli_source: str) -> dict:
+    """Per dataclass, its fields that `read_fields` cannot read from config
+    text and that no call of the class in cli_source passes by keyword."""
+    passed = {}
+    for node in ast.walk(ast.parse(cli_source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            passed.setdefault(node.func.id, set()).update(
+                kw.arg for kw in node.keywords if kw.arg)
+
+    def readable(cls, name):
+        try:
+            read_fields(cls, {name: "1"}, "field")
+        except ValidationError:
+            return False
+        return True
+
+    return {cls.__name__: [
+        f.name for f in dataclasses.fields(cls)
+        if not readable(cls, f.name)
+        and f.name not in passed.get(cls.__name__, ())] for cls in classes}
+
+
+@dataclasses.dataclass
+class _Fields:
+    count: int = 0
+    rates: ErrorParams | None = None
+    loss: LossKind | None = None
+
+
+class TestSettableFields:
+    def test_checker_flags_unread_unpassed_field(self):
+        source = "_Fields(rates=r, **read_fields(_Fields, cfg, 'x'))\n"
+        assert unsettable_fields([_Fields], source) == {"_Fields": ["loss"]}
+
+    def test_every_config_field_is_settable(self):
+        classes = [SgdConfig, AltTrainConfig, BenchmarkSpec]
+        assert unsettable_fields(classes, (SRC / "cli.py").read_text()) == {
+            cls.__name__: [] for cls in classes}
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

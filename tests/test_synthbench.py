@@ -8,7 +8,6 @@ from scipy.stats import norm
 from noisyrec import _kernels
 from noisyrec.data import (DEFAULT_PROPENSITY_FLOOR, ErrorParams,
                            ValidationError, make_rng)
-from noisyrec.models import SgdConfig, TrainingDivergence
 from noisyrec.synthbench import (
     GAMMA_LEVELS,
     PRED_KINDS,
@@ -18,7 +17,6 @@ from noisyrec.synthbench import (
     assign_propensities,
     build_gamma,
     build_prediction_matrix,
-    complete_ratings_mf,
     load_instance,
     perturb_propensities,
     sample_instance,
@@ -164,48 +162,6 @@ class TestBuildGammaReference:
         scores = rng.normal(size=(2000, 2000))
         scores[:50] = np.round(scores[:50], 1)  # tied values near each cut
         _assert_same_levels((0.2,) * 5, scores)
-
-
-class TestCompleteRatings:
-    def test_rank1_noiseless_reconstruction(self):
-        rng = make_rng(4)
-        a = rng.uniform(0.5, 1.5, size=8)
-        b = rng.uniform(0.5, 1.5, size=6)
-        target = np.outer(a, b)
-        triples = [(u, i, target[u, i]) for u in range(8) for i in range(6)]
-        cfg = SgdConfig(learning_rate=0.1, batch_size=0, weight_decay=0.0,
-                        max_epochs=5000, seed=0)
-        scores = complete_ratings_mf(triples, 8, 6, d=2, config=cfg)
-        rmse = float(np.sqrt(np.mean((scores - target) ** 2)))
-        assert rmse <= 0.05
-
-    def test_overflowing_step_diverges(self):
-        # one full-batch step at lr 1e308 sends the global bias to +inf
-        cfg = SgdConfig(learning_rate=1e308, batch_size=0, weight_decay=0.0,
-                        max_epochs=1, seed=0)
-        triples = [(0, 0, 4.0), (0, 1, 5.0), (1, 0, 3.0)]
-        with pytest.raises(TrainingDivergence), np.errstate(over="ignore"):
-            complete_ratings_mf(triples, 2, 2, d=2, config=cfg)
-
-    def test_zero_epochs_near_zero_scores(self):
-        cfg = SgdConfig(max_epochs=0, seed=0)
-        scores = complete_ratings_mf([(0, 0, 3.0)], 2, 2, d=2, config=cfg)
-        assert np.all(np.abs(scores) < 0.01)
-
-    def test_half_observed_rank2_completion(self):
-        rng = make_rng(5)
-        a = rng.normal(size=(15, 2))
-        b = rng.normal(size=(2, 12))
-        target = a @ b
-        mask = rng.random((15, 12)) < 0.5
-        triples = [(u, i, target[u, i]) for u in range(15) for i in range(12)
-                   if mask[u, i]]
-        held = [(u, i) for u in range(15) for i in range(12) if not mask[u, i]]
-        cfg = SgdConfig(learning_rate=0.1, batch_size=0, weight_decay=1e-3,
-                        max_epochs=20000, seed=0)
-        scores = complete_ratings_mf(triples, 15, 12, d=2, config=cfg)
-        errs = [scores[u, i] - target[u, i] for u, i in held]
-        assert float(np.sqrt(np.mean(np.square(errs)))) <= 0.2
 
 
 class TestPredictionMatrices:
