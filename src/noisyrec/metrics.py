@@ -40,7 +40,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     Every rank is a half-integer, so sums of ranks are exact."""
     if np.isnan(x).any():
         return np.full(x.shape, np.nan)
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)  # tied values share one rank, in any order
     xs = x[order]
     new_group = np.concatenate(([True], xs[1:] != xs[:-1]))
     bounds = np.append(np.flatnonzero(new_group), x.size)
@@ -52,48 +52,45 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _topk_order(scores: np.ndarray, k: int) -> np.ndarray:
-    # descending score, ties by ascending item index
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:k]
-
-
 def ndcg_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Macro-averaged NDCG@k with log2 discount; users without positives
     are skipped. scores/labels are (n_users, n_items)."""
-    return _ranked_metric(scores, labels, k, _user_ndcg)
+    return _ranked_metric(scores, labels, k, _ndcg)
 
 
 def recall_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Macro-averaged hits@k / positives; users without positives skipped."""
-    return _ranked_metric(scores, labels, k, _user_recall)
+    return _ranked_metric(scores, labels, k, _recall)
 
 
 def _ranked_metric(scores, labels, k, per_user) -> float:
+    """Mean over users with a positive of per_user(hits, n_pos), where hits
+    marks the positives among each user's top min(k, n_items) items."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     labels = np.atleast_2d(np.asarray(labels))
-    vals = []
-    for u in range(scores.shape[0]):
-        pos = int((labels[u] == 1).sum())
-        if pos == 0:
-            continue
-        vals.append(per_user(scores[u], labels[u], k, pos))
-    if not vals:
+    n_pos = (labels == 1).sum(axis=1)
+    users = np.flatnonzero(n_pos)
+    if users.size == 0:
         raise ValidationError("no users with positive labels")
-    return float(np.mean(vals))
+    # descending score, ties by ascending item index: a stable sort of the
+    # negated scores keeps tied items in index order
+    top = np.argsort(-scores[users], axis=1, kind="stable")[:, :k]
+    hits = np.take_along_axis(labels[users], top, axis=1) == 1
+    return float(np.mean(per_user(hits, n_pos[users])))
 
 
-def _user_ndcg(scores, labels, k, n_pos) -> float:
-    top = _topk_order(scores, k)
-    discounts = 1.0 / np.log2(np.arange(2, top.shape[0] + 2))
-    dcg = float(np.sum((labels[top] == 1) * discounts))
-    ideal_hits = min(n_pos, top.shape[0])
-    idcg = float(np.sum(discounts[:ideal_hits]))
-    return dcg / idcg
+def _ndcg(hits, n_pos):
+    discounts = 1.0 / np.log2(np.arange(2, hits.shape[1] + 2))
+    dcg = (hits * discounts).sum(axis=1)
+    # the ideal DCG of h positives is the sum of the first h discounts,
+    # summed once per distinct h
+    ideal_hits, at = np.unique(np.minimum(n_pos, hits.shape[1]),
+                               return_inverse=True)
+    idcg = np.array([discounts[:h].sum() for h in ideal_hits])
+    return dcg / idcg[at]
 
 
-def _user_recall(scores, labels, k, n_pos) -> float:
-    top = _topk_order(scores, k)
-    return float((labels[top] == 1).sum()) / n_pos
+def _recall(hits, n_pos):
+    return hits.sum(axis=1) / n_pos

@@ -340,31 +340,59 @@ def train_propensity(dataset: RatingDataset, config: SgdConfig) -> PropensityMod
     which factor_sgd_step does not decay either. A config asking for
     mini-batches (0 < batch_size < n*m) is a ValidationError.
 
+    The gradient of a_u is (sum_i sigma(a_u + b_i) - c_u) / (n*m), with c_u
+    user u's observation count, and that of b_i is the column form; so from
+    the zero init users with equal counts keep equal logits, as do items.
+    The fit therefore runs on the count grid: one logit A_g per distinct
+    user count c_g and one B_h per distinct item count, with the user-logit
+    gradient (sum_h d_h sigma(A_g + B_h) - c_g) / (n*m), where d_h is how
+    many items have the h-th distinct count, and the column form for B_h.
+    It then expands the grid to one logit per user and per item. In exact
+    arithmetic this is the fit over all n*m cells, under sgd and adam
+    alike. An epoch costs O(G_u * G_i) for G_u distinct user and G_i
+    distinct item counts, each at most 1 + min(n, m), and no n*m buffer is
+    built. The weighted sums are numpy sums, not BLAS calls, so p_hat does
+    not depend on the BLAS thread count.
+
     Each logit steps at twice config.learning_rate, so that a rate means
     what it means for the weight-plus-intercept form
     sigma(w_u + beta_u + w_i + gamma_i) of Schnabel et al. (2016): there w_u
     and beta_u share one gradient and each takes a step, which moves
     a_u = w_u + beta_u twice as far. Doubling is exact in floating point, so
-    the two forms give the same p_hat bit for bit, under sgd and adam alike.
+    the two forms, fitted on the same grid, give the same p_hat bit for bit,
+    under sgd and adam alike.
     """
     n, m = dataset.shape
     n_pairs = n * m
     if config.batch_of(n_pairs) < n_pairs:
         raise ValidationError("the propensity fit is full-batch: batch_size "
                               f"must be 0 or >= {n_pairs}")
-    model = PropensityModel.init(n, m)
+    if n_pairs == 0 and config.max_epochs > 0:
+        # the mean loss over no cells is NaN, so the first epoch diverges;
+        # raised here, before the step would divide 0 by 0
+        raise TrainingDivergence("propensity training diverged at epoch 0")
+    mask = dataset.observed_mask
+    user_count, user_group, users_with = np.unique(
+        mask.sum(axis=1), return_inverse=True, return_counts=True)
+    item_count, item_group, items_with = np.unique(
+        mask.sum(axis=0), return_inverse=True, return_counts=True)
+    grid = PropensityModel.init(user_count.size, item_count.size)
     opt = Optimizer(config, lr_scale=2.0)
-    coef = np.empty((n, m))  # (p - o) / n_pairs, rewritten every epoch
+    p = np.empty((user_count.size, item_count.size))
+    weighted = np.empty_like(p)
     for epoch in range(config.max_epochs):
-        model.predict_all(out=coef)
-        np.subtract(coef, dataset.observed_mask, out=coef)
-        np.divide(coef, n_pairs, out=coef)
-        opt.step(model.params(), {"user_logit": coef.sum(axis=1),
-                                  "item_logit": coef.sum(axis=0)})
-        if not _propensity_objective_finite(model):
+        grid.predict_all(out=p)
+        row = np.multiply(p, items_with, out=weighted).sum(axis=1)
+        col = np.multiply(p, users_with[:, None], out=weighted).sum(axis=0)
+        opt.step(grid.params(), {"user_logit": (row - user_count) / n_pairs,
+                                 "item_logit": (col - item_count) / n_pairs})
+        # the grid holds every value of the expanded logits, so the check
+        # reads the same on it
+        if not _propensity_objective_finite(grid):
             raise TrainingDivergence(
                 f"propensity training diverged at epoch {epoch}")
-    return model
+    return PropensityModel(grid.user_logit[user_group],
+                           grid.item_logit[item_group])
 
 
 # ---------------------------------------------------------------------------

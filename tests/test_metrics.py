@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noisyrec.data import ValidationError, make_rng
-from noisyrec.metrics import auc, ndcg_at_k, recall_at_k
+from noisyrec.metrics import _average_ranks, auc, ndcg_at_k, recall_at_k
 
 
 def auc_brute(scores, labels):
@@ -153,3 +153,89 @@ class TestRankedMetrics:
                 ndcg_brute(scores, labels, k))
             assert recall_at_k(scores, labels, k) == pytest.approx(
                 recall_brute(scores, labels, k))
+
+
+def _topk_order_reference(scores, k):
+    # descending score, ties by ascending item index
+    order = np.lexsort((np.arange(scores.shape[0]), -scores))
+    return order[:k]
+
+
+def _user_ndcg_reference(scores, labels, k, n_pos):
+    top = _topk_order_reference(scores, k)
+    discounts = 1.0 / np.log2(np.arange(2, top.shape[0] + 2))
+    dcg = float(np.sum((labels[top] == 1) * discounts))
+    ideal_hits = min(n_pos, top.shape[0])
+    idcg = float(np.sum(discounts[:ideal_hits]))
+    return dcg / idcg
+
+
+def _user_recall_reference(scores, labels, k, n_pos):
+    top = _topk_order_reference(scores, k)
+    return float((labels[top] == 1).sum()) / n_pos
+
+
+def ranked_reference(scores, labels, k, per_user):
+    """The per-user form of ndcg_at_k and recall_at_k: one lexsort and one
+    metric value per user, then their mean."""
+    vals = []
+    for u in range(scores.shape[0]):
+        pos = int((labels[u] == 1).sum())
+        if pos == 0:
+            continue
+        vals.append(per_user(scores[u], labels[u], k, pos))
+    return float(np.mean(vals))
+
+
+class TestRankedOnePass:
+    """ndcg_at_k and recall_at_k rank every user in one sort, and equal the
+    per-user form bit for bit."""
+
+    # values with ties, both zeros and both infinities
+    LEVELS = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_per_user_reference(self, seed):
+        rng = make_rng(300 + seed)
+        for _ in range(40):
+            n_u = int(rng.integers(1, 12))
+            n_i = int(rng.integers(1, 40))
+            if rng.random() < 0.5:
+                scores = rng.choice(self.LEVELS, size=(n_u, n_i))
+            else:
+                scores = np.round(rng.normal(size=(n_u, n_i)), 1)
+            labels = (rng.random((n_u, n_i))
+                      < rng.uniform(0.0, 1.0, size=(n_u, 1))).astype(int)
+            labels[0, int(rng.integers(n_i))] = 1
+            for k in range(1, n_i + 3):
+                assert ndcg_at_k(scores, labels, k) == ranked_reference(
+                    scores, labels, k, _user_ndcg_reference)
+                assert recall_at_k(scores, labels, k) == ranked_reference(
+                    scores, labels, k, _user_recall_reference)
+
+    def test_equals_reference_at_benchmark_size(self):
+        # 500 users of 500 items, with k past the 8 terms where numpy's
+        # sum turns pairwise
+        rng = make_rng(9)
+        scores = np.round(rng.random((500, 500)), 2)
+        labels = (rng.random((500, 500)) < 0.05).astype(np.int8)
+        for k in (5, 20, 130):
+            assert ndcg_at_k(scores, labels, k) == ranked_reference(
+                scores, labels, k, _user_ndcg_reference)
+            assert recall_at_k(scores, labels, k) == ranked_reference(
+                scores, labels, k, _user_recall_reference)
+
+    def test_signed_zeros_tie(self):
+        # -0.0 and 0.0 are equal scores: item 0 wins by index
+        labels = np.array([[0, 1]])
+        assert recall_at_k(np.array([[0.0, -0.0]]), labels, 1) == 0.0
+        assert recall_at_k(np.array([[-0.0, 0.0]]), labels, 1) == 0.0
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_scipy_with_ties_and_signed_zeros(self, seed):
+        from scipy.stats import rankdata
+        rng = make_rng(400 + seed)
+        x = rng.choice(TestRankedOnePass.LEVELS, size=1000)
+        assert np.array_equal(_average_ranks(x), rankdata(x, method="average"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,9 +336,32 @@ class TestPropensityTraining:
                 train_propensity(d, cfg)
 
 
+def count_grid(mask, axis):
+    """Distinct counts of mask along axis, the group of each row (axis=1)
+    or column (axis=0), and how many rows or columns each count has."""
+    return np.unique(mask.sum(axis=axis), return_inverse=True,
+                     return_counts=True)
+
+
 def fresh_temporaries_propensity(dataset, config):
-    """Reference: train_propensity with (p - o) / n_pairs computed into
-    fresh arrays every epoch, as plain expressions."""
+    """Reference: train_propensity on the count grid, with each epoch's
+    weighted sums computed into fresh arrays, as plain expressions."""
+    n, m = dataset.shape
+    c_u, group_u, size_u = count_grid(dataset.observed_mask, 1)
+    c_i, group_i, size_i = count_grid(dataset.observed_mask, 0)
+    grid = PropensityModel.init(c_u.size, c_i.size)
+    opt = Optimizer(config, lr_scale=2.0)
+    for _ in range(config.max_epochs):
+        p = grid.predict_all()
+        opt.step(grid.params(), {
+            "user_logit": ((p * size_i).sum(axis=1) - c_u) / (n * m),
+            "item_logit": ((p * size_u[:, None]).sum(axis=0) - c_i) / (n * m)})
+    return PropensityModel(grid.user_logit[group_u], grid.item_logit[group_i])
+
+
+def dense_propensity(dataset, config):
+    """Reference: one logit per user and per item at twice the rate, fitted
+    on all n*m cells: (p - o) / (n*m) summed over items and over users."""
     n, m = dataset.shape
     model = PropensityModel.init(n, m)
     opt = Optimizer(config, lr_scale=2.0)
@@ -347,35 +372,38 @@ def fresh_temporaries_propensity(dataset, config):
     return model
 
 
-class TestPropensityBuffer:
-    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-    def test_equals_fresh_temporaries_reference(self, optimizer):
-        # 37 x 41: an axis mix-up in the reused buffer cannot go unnoticed
-        rng = make_rng(37)
-        o = (rng.random((37, 41)) < rng.uniform(0.1, 0.9, size=(37, 1)))
-        d = RatingDataset(37, 41, o.astype(np.int8), np.zeros((37, 41)))
-        cfg = SgdConfig(learning_rate=0.5, batch_size=0, weight_decay=0.0,
-                        max_epochs=60, optimizer=optimizer)
-        got = train_propensity(d, cfg)
-        want = fresh_temporaries_propensity(d, cfg)
-        for name in want.params():
-            assert got.params()[name].shape == want.params()[name].shape
-            assert np.array_equal(got.params()[name], want.params()[name])
-
-    def test_predict_all_into_buffer(self):
-        rng = make_rng(3)
-        model = PropensityModel(rng.normal(size=5), rng.normal(size=7))
-        buf = np.empty((5, 7))
-        assert model.predict_all(out=buf) is buf
-        assert np.array_equal(buf, sigmoid(model.user_logit[:, None]
-                                           + model.item_logit[None, :]))
-
-
 def two_copy_propensity(dataset, config):
-    """Reference: the weight-plus-intercept propensity trainer, with a weight
-    and an intercept per user (w_user, beta_user) and per item (w_item,
-    gamma_item), each stepped at config.learning_rate by full-batch gradient
-    descent. Returns p_hat."""
+    """Reference: the weight-plus-intercept propensity trainer on the count
+    grid, with a weight and an intercept per user count (w_user, beta_user)
+    and per item count (w_item, gamma_item), each stepped at
+    config.learning_rate by full-batch gradient descent. Returns p_hat."""
+    n, m = dataset.shape
+    c_u, group_u, size_u = count_grid(dataset.observed_mask, 1)
+    c_i, group_i, size_i = count_grid(dataset.observed_mask, 0)
+    params = {"w_user": np.zeros(c_u.size), "w_item": np.zeros(c_i.size),
+              "beta_user": np.zeros(c_u.size),
+              "gamma_item": np.zeros(c_i.size)}
+
+    def logits():
+        return (params["w_user"] + params["beta_user"],
+                params["w_item"] + params["gamma_item"])
+
+    opt = Optimizer(config)
+    for _ in range(config.max_epochs):
+        a, b = logits()
+        p = sigmoid(a[:, None] + b[None, :])
+        g_u = ((p * size_i).sum(axis=1) - c_u) / (n * m)
+        g_i = ((p * size_u[:, None]).sum(axis=0) - c_i) / (n * m)
+        opt.step(params, {"w_user": g_u, "beta_user": g_u,
+                          "w_item": g_i, "gamma_item": g_i})
+    a, b = logits()
+    return sigmoid(a[group_u][:, None] + b[group_i][None, :])
+
+
+def dense_two_copy_propensity(dataset, config):
+    """Reference: the weight-plus-intercept propensity trainer on all n*m
+    cells, each of the four vectors stepped at config.learning_rate.
+    Returns p_hat."""
     n, m = dataset.shape
     params = {"w_user": np.zeros(n), "w_item": np.zeros(m),
               "beta_user": np.zeros(n), "gamma_item": np.zeros(m)}
@@ -394,23 +422,173 @@ def two_copy_propensity(dataset, config):
     return predict_all()
 
 
-class TestTwoCopyReference:
-    """One logit per user and per item at twice the rate fits the same
-    propensities as a weight plus an intercept per user and per item."""
+def row_rate_dataset(n, m, seed):
+    """n x m mask whose rows have observation rates drawn from U(0.1, 0.9)."""
+    rng = make_rng(seed)
+    o = (rng.random((n, m)) < rng.uniform(0.1, 0.9, size=(n, 1)))
+    return RatingDataset(n, m, o.astype(np.int8), np.zeros((n, m)))
+
+
+# the shapes, rates and batch sizes the propensity references run on
+REFERENCE_CASES = [
+    (60, 45, 0.1, 0), (60, 45, 1.0, 0), (7, 3, 0.5, 0),
+    (7, 3, 1.0, 4096), (300, 200, 0.5, 0), (500, 500, 0.5, 0),
+]
+
+# Bounds on the relative difference of p_hat between the count-grid fit and
+# the fit over all n*m cells, which sum in a different order. The worst
+# cases over REFERENCE_CASES at 40 and 300 epochs are 8.7e-16 under sgd and
+# 1.5e-11 under adam, whose step m / sqrt(v) magnifies rounding where the
+# gradient is near zero.
+DENSE_RTOL = {"sgd": 1e-14, "adam": 1e-10}
+
+
+class TestPropensityBuffer:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_equals_fresh_temporaries_reference(self, optimizer):
+        # 37 x 41: an axis mix-up in the reused buffers cannot go unnoticed
+        d = row_rate_dataset(37, 41, 37)
+        cfg = SgdConfig(learning_rate=0.5, batch_size=0, weight_decay=0.0,
+                        max_epochs=60, optimizer=optimizer)
+        got = train_propensity(d, cfg)
+        want = fresh_temporaries_propensity(d, cfg)
+        for name in want.params():
+            assert got.params()[name].shape == want.params()[name].shape
+            assert np.array_equal(got.params()[name], want.params()[name])
+
+    def test_predict_all_into_buffer(self):
+        rng = make_rng(3)
+        model = PropensityModel(rng.normal(size=5), rng.normal(size=7))
+        buf = np.empty((5, 7))
+        assert model.predict_all(out=buf) is buf
+        assert np.array_equal(buf, sigmoid(model.user_logit[:, None]
+                                           + model.item_logit[None, :]))
+
+    def test_peak_memory_holds_no_cell_matrix(self):
+        # a dense n*m float64 buffer alone would be 32 MB here
+        rng = make_rng(2000)
+        o = (rng.random((2000, 2000)) < 0.3).astype(np.int8)
+        d = RatingDataset(2000, 2000, o, np.zeros((2000, 2000), np.int8))
+        cfg = SgdConfig(learning_rate=0.5, batch_size=0, weight_decay=0.0,
+                        max_epochs=5)
+        tracemalloc.start()
+        try:
+            train_propensity(d, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+class TestCountGrid:
+    """The fit reads the mask only through its row and column counts."""
 
     @staticmethod
-    def _dataset(n, m, seed):
-        rng = make_rng(seed)
-        o = (rng.random((n, m)) < rng.uniform(0.1, 0.9, size=(n, 1)))
-        return RatingDataset(n, m, o.astype(np.int8), np.zeros((n, m)))
+    def _fit(o, optimizer):
+        n, m = o.shape
+        d = RatingDataset(n, m, o, np.zeros((n, m), np.int8))
+        cfg = SgdConfig(learning_rate=0.5, batch_size=0, weight_decay=0.0,
+                        max_epochs=50, optimizer=optimizer)
+        return train_propensity(d, cfg)
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-    @pytest.mark.parametrize("n,m,lr,batch_size", [
-        (60, 45, 0.1, 0), (60, 45, 1.0, 0), (7, 3, 0.5, 0),
-        (7, 3, 1.0, 4096), (300, 200, 0.5, 0), (500, 500, 0.5, 0),
-    ])
+    def test_equal_counts_equal_logits(self, optimizer):
+        rng = make_rng(21)
+        o = (rng.random((40, 30)) < 0.4).astype(np.int8)
+        swapped = o.copy()
+        done = 0
+        # 2 x 2 swaps [[1, 0], [0, 1]] -> [[0, 1], [1, 0]] keep every row
+        # and column count
+        while done < 200:
+            (u1, u2), (i1, i2) = (rng.choice(40, 2, replace=False),
+                                  rng.choice(30, 2, replace=False))
+            block = swapped[np.ix_([u1, u2], [i1, i2])]
+            if block[0, 0] == block[1, 1] == 1 and block.sum() == 2:
+                swapped[np.ix_([u1, u2], [i1, i2])] = 1 - block
+                done += 1
+        assert not np.array_equal(o, swapped)
+        a, b = self._fit(o, optimizer), self._fit(swapped, optimizer)
+        assert np.array_equal(a.user_logit, b.user_logit)
+        assert np.array_equal(a.item_logit, b.item_logit)
+        # users of one count share one logit
+        counts = o.sum(axis=1)
+        for c in np.unique(counts):
+            assert np.unique(a.user_logit[counts == c]).size == 1
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_permutation_permutes_logits(self, optimizer):
+        rng = make_rng(22)
+        o = (rng.random((35, 25)) < rng.uniform(0.1, 0.9, size=(35, 1)))
+        o = o.astype(np.int8)
+        perm_u, perm_i = rng.permutation(35), rng.permutation(25)
+        a = self._fit(o, optimizer)
+        b = self._fit(o[perm_u][:, perm_i], optimizer)
+        assert np.array_equal(b.user_logit, a.user_logit[perm_u])
+        assert np.array_equal(b.item_logit, a.item_logit[perm_i])
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("epochs", [40, 300])
+    @pytest.mark.parametrize("n,m,lr,batch_size", REFERENCE_CASES)
+    def test_dense_references_within_rounding(self, n, m, lr, batch_size,
+                                              epochs, optimizer):
+        d = row_rate_dataset(n, m, n + m)
+        cfg = SgdConfig(learning_rate=lr, batch_size=batch_size,
+                        weight_decay=0.0, max_epochs=epochs,
+                        optimizer=optimizer)
+        got = train_propensity(d, cfg).predict_all()
+        for want in (dense_propensity(d, cfg).predict_all(),
+                     dense_two_copy_propensity(d, cfg)):
+            np.testing.assert_allclose(got, want, atol=0,
+                                       rtol=DENSE_RTOL[optimizer])
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_full_and_empty_rows_and_columns(self, optimizer):
+        rng = make_rng(23)
+        o = (rng.random((20, 15)) < 0.5).astype(np.int8)
+        o[0, :], o[1, :] = 1, 0
+        o[:, 0], o[:, 1] = 1, 0
+        d = RatingDataset(20, 15, o, np.zeros((20, 15)))
+        cfg = SgdConfig(learning_rate=1.0, batch_size=0, weight_decay=0.0,
+                        max_epochs=200, optimizer=optimizer)
+        model = train_propensity(d, cfg)
+        np.testing.assert_allclose(model.predict_all(),
+                                   dense_propensity(d, cfg).predict_all(),
+                                   atol=0, rtol=DENSE_RTOL[optimizer])
+        # the fullest row and column get the largest logits, the emptiest
+        # the smallest
+        assert model.user_logit[0] == model.user_logit.max()
+        assert model.user_logit[1] == model.user_logit.min()
+        assert model.item_logit[0] == model.item_logit.max()
+        assert model.item_logit[1] == model.item_logit.min()
+
+
+class TestPropensityEdgeCases:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,m", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_universe_diverges_at_epoch_0(self, n, m):
+        d = RatingDataset(n, m, np.zeros((n, m)), np.zeros((n, m)))
+        with pytest.raises(TrainingDivergence,
+                           match="^propensity training diverged at epoch 0$"):
+            train_propensity(d, SgdConfig(batch_size=0, max_epochs=3))
+
+    @pytest.mark.parametrize("n,m", [(4, 6), (0, 5), (5, 0)])
+    def test_zero_epochs_zero_logits(self, n, m):
+        rng = make_rng(24)
+        o = (rng.random((n, m)) < 0.5).astype(np.int8)
+        d = RatingDataset(n, m, o, np.zeros((n, m)))
+        model = train_propensity(d, SgdConfig(batch_size=0, max_epochs=0))
+        assert np.array_equal(model.user_logit, np.zeros(n))
+        assert np.array_equal(model.item_logit, np.zeros(m))
+
+
+class TestTwoCopyReference:
+    """One logit per user count and per item count at twice the rate fits
+    the same propensities as a weight plus an intercept per count."""
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("n,m,lr,batch_size", REFERENCE_CASES)
     def test_full_batch_byte_equal(self, optimizer, n, m, lr, batch_size):
-        d = self._dataset(n, m, n + m)
+        d = row_rate_dataset(n, m, n + m)
         cfg = SgdConfig(learning_rate=lr, batch_size=batch_size,
                         weight_decay=0.0, max_epochs=40, seed=5,
                         optimizer=optimizer)
