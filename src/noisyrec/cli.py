@@ -2,7 +2,8 @@
 training, ingestion, and multi-seed sweeps.
 
 Exit codes: 0 success, 2 validation failure or a file that cannot be read
-or written (any OSError), 3 training divergence.
+or written (any OSError), 3 training divergence (TrainingDivergence only;
+any other error propagates with its traceback).
 Reports are CSV with a leading comment line carrying the manifest hash, so
 golden files diff cleanly.
 """
@@ -12,8 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -52,6 +51,7 @@ from .noise import check_k_extreme, identify_error_params
 from .synthbench import (
     BenchmarkSpec,
     load_instance,
+    manifest_hash,
     sample_instance,
     save_instance,
 )
@@ -104,15 +104,9 @@ def _rates(key: str, value) -> ErrorParams:
     return ErrorParams(*rates)
 
 
-def _manifest_hash(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
-
-
 def _write_report(path, header, rows, manifest: dict) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"# manifest={_manifest_hash(manifest)}\n")
+        fh.write(f"# manifest={manifest_hash(manifest)}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -448,7 +442,7 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDivergence, RuntimeError) as exc:
+    except TrainingDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

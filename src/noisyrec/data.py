@@ -267,13 +267,11 @@ def save_dataset_triples(path, dataset: RatingDataset) -> None:
             fh.write(f"{u}\t{i}\t{int(dataset.observed_ratings[u, i])}\n")
 
 
-def read_triples(path, read_rating, n_users: int | None = None,
-                 n_items: int | None = None) -> tuple[list, list, list]:
+def read_triples(path, read_rating) -> tuple[list, list, list]:
     """The users, items and ratings of a triple file: one `user item rating`
     line per pair, split on tabs, spaces or commas, later fields ignored. A
-    rating read_rating rejects (ValueError), a malformed or negative index
-    (numpy would wrap it) or one past an explicit universe size is a
-    ValidationError naming the line."""
+    rating read_rating rejects (ValueError) or a malformed or negative index
+    (numpy would wrap it) is a ValidationError naming the line."""
     users, items, ratings = [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -284,14 +282,9 @@ def read_triples(path, read_rating, n_users: int | None = None,
                 if len(parts) < 3:
                     raise ValueError(f"expected 3 fields, got {len(parts)}")
                 u, i = int(parts[0]), int(parts[1])
-                for name, idx, size in (("user", u, n_users),
-                                        ("item", i, n_items)):
+                for name, idx in (("user", u), ("item", i)):
                     if idx < 0:
                         raise ValueError(f"negative {name} index {idx}")
-                    if size is not None and idx >= size:
-                        raise ValueError(
-                            f"{name} index {idx} is past the {size} "
-                            f"{name}s of the universe")
                 r = read_rating(parts[2])
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from exc
@@ -308,24 +301,20 @@ def _binary_rating(text: str) -> int:
     return r
 
 
-def load_dataset_triples(path, n_users: int | None = None,
-                         n_items: int | None = None) -> RatingDataset:
-    """Read a triple file of 0/1 ratings; universe size defaults to max
-    index + 1."""
-    return dataset_from_triples(
-        *read_triples(path, _binary_rating, n_users, n_items),
-        n_users, n_items)
+def load_dataset_triples(path) -> RatingDataset:
+    """Read a triple file of 0/1 ratings over the universe of
+    dataset_from_triples."""
+    return dataset_from_triples(*read_triples(path, _binary_rating))
 
 
-def dataset_from_triples(users, items, ratings, n_users: int | None = None,
-                         n_items: int | None = None) -> RatingDataset:
-    """Dense dataset from parallel lists of checked triples; the universe
-    size defaults to max index + 1. A repeated (user, item) pair is rejected,
-    since keeping either rating would drop the other silently."""
+def dataset_from_triples(users, items, ratings) -> RatingDataset:
+    """Dense dataset from parallel lists of checked triples, over max user
+    index + 1 users and max item index + 1 items. A repeated (user, item)
+    pair is rejected, since keeping either rating would drop the other
+    silently."""
     if not users:
         raise ValidationError("no triples")
-    n_users = n_users if n_users is not None else max(users) + 1
-    n_items = n_items if n_items is not None else max(items) + 1
+    n_users, n_items = max(users) + 1, max(items) + 1
     mask = np.zeros((n_users, n_items), dtype=np.int8)
     obs = np.zeros((n_users, n_items), dtype=np.int8)
     mask[users, items] = 1

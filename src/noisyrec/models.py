@@ -61,9 +61,12 @@ def epoch_batches(rng, n: int, config: SgdConfig):
 
 
 def sigmoid(x, out=None):
-    """1 / (1 + exp(-x)) in float64; with `out`, computed in place there."""
+    """1 / (1 + exp(-x)) in float64; with `out`, computed in place there.
+    Below about -709, exp(-x) overflows to inf and the result is 0.0, the
+    exact limit, so that overflow raises no warning; NaN stays NaN."""
     t = np.negative(np.asarray(x, dtype=np.float64), out=out)
-    t = np.exp(t, out=out)
+    with np.errstate(over="ignore"):
+        t = np.exp(t, out=out)
     t = np.add(1.0, t, out=out)
     return np.divide(1.0, t, out=out)
 
@@ -84,12 +87,13 @@ class FactorModel:
     global_bias: float = 0.0
 
     @classmethod
-    def init(cls, n_users, n_items, d, rng, init_scale=0.01):
+    def init(cls, n_users, n_items, d, rng):
+        """N(0, 0.01^2) embeddings and zero biases."""
         if d < 1:
             raise ValidationError("embedding dimension must be >= 1")
         return cls(
-            user_emb=rng.normal(0.0, init_scale, size=(n_users, d)),
-            item_emb=rng.normal(0.0, init_scale, size=(n_items, d)),
+            user_emb=rng.normal(0.0, 0.01, size=(n_users, d)),
+            item_emb=rng.normal(0.0, 0.01, size=(n_items, d)),
             user_bias=np.zeros(n_users),
             item_bias=np.zeros(n_items),
             global_bias=0.0,
@@ -149,9 +153,12 @@ class PropensityModel:
     def params(self):
         return {"user_logit": self.user_logit, "item_logit": self.item_logit}
 
-    def export(self, floor=DEFAULT_PROPENSITY_FLOOR) -> PropensityMatrix:
+    def export(self) -> PropensityMatrix:
+        """The fitted propensities, clipped into [DEFAULT_PROPENSITY_FLOOR,
+        1 - 1e-6]."""
         return PropensityMatrix(
-            np.clip(self.predict_all(), floor, 1.0 - 1e-6), floor)
+            np.clip(self.predict_all(), DEFAULT_PROPENSITY_FLOOR, 1.0 - 1e-6),
+            DEFAULT_PROPENSITY_FLOOR)
 
 
 # ---------------------------------------------------------------------------

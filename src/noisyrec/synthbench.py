@@ -5,12 +5,13 @@ harmonic perturbation, Bernoulli sampling, and label flipping.
 Generation is single-threaded per instance with one seeded stream consumed
 in a fixed order, so equal (spec, seed) pairs reproduce instances exactly.
 The propensities are a table of their five values read with np.take, the
-score noise, SKEW draws and perturbation are computed in place, and a given
+score noise, SKEW draws and perturbation are computed in place, and a loaded
 gamma is checked against the levels once. The low-rank score product, the
 SKEW scale and the flip kinds' pool and 0.9 count are formed one tile at a
 time (`_kernels.row_tiles`), so none of them builds an n x m float64
 temporary. Each step gives, bit for bit, what its whole-matrix formula
-gives from the same draws. The generator trains no model: a completed
+gives from the same draws. Gamma always comes from a score matrix by
+quantile levels (`build_gamma`). The generator trains no model: a completed
 score matrix, if any, is the caller's (`synth`'s `scores` key).
 """
 
@@ -43,6 +44,13 @@ PRED_KINDS = ("ROTATE", "SKEW", "CRS", "ONE", "THREE", "FIVE")
 BETA_MODES = ("per_pair", "per_run", "none")
 
 
+def manifest_hash(payload: dict) -> str:
+    """The first 16 hex digits of the SHA-256 of payload as sorted-key
+    JSON: a spec's spec_hash, and the hash on a report's first line."""
+    return hashlib.sha256(json.dumps(
+        payload, sort_keys=True, default=str).encode()).hexdigest()[:16]
+
+
 def _check_proportions(proportions) -> tuple:
     """The five level shares as floats: each non-negative (NaN is not),
     summing to 1."""
@@ -73,7 +81,6 @@ class BenchmarkSpec:
     p_base: float = 1.0
     alpha: float = 0.5
     beta_mode: str = "per_pair"  # "per_pair", "per_run", or "none"
-    gamma_source: str = "quantile"  # "quantile" or "supplied"
     propensity_floor: float = DEFAULT_PROPENSITY_FLOOR
     seed: int = 0
 
@@ -87,8 +94,6 @@ class BenchmarkSpec:
         _check_propensity_params(self.p_base, self.alpha)
         if self.beta_mode not in BETA_MODES:
             raise ValidationError(f"beta_mode must be one of {BETA_MODES}")
-        if self.gamma_source not in ("quantile", "supplied"):
-            raise ValidationError("gamma_source must be quantile or supplied")
         self.rho  # construction validates the pair
 
     @property
@@ -97,8 +102,7 @@ class BenchmarkSpec:
 
     def manifest(self) -> dict:
         d = asdict(self)
-        d["spec_hash"] = hashlib.sha256(
-            json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+        d["spec_hash"] = manifest_hash(d)
         return d
 
 
@@ -240,15 +244,13 @@ def assign_propensities(p_base, alpha, five_scale) -> np.ndarray:
 
 
 def perturb_propensities(p_true, observed_mask, rng, beta_mode="per_pair",
-                         floor=DEFAULT_PROPENSITY_FLOOR,
-                         beta=None) -> np.ndarray:
+                         floor=DEFAULT_PROPENSITY_FLOOR) -> np.ndarray:
     """Harmonic interpolation between the true propensity and the empirical
     observation rate: 1/p_hat = (1 - beta)/p + beta/p_e, beta ~ U(0, 1).
 
     beta_mode picks a per-pair draw (default, the stronger noise model), a
-    single per-run draw or none (beta = 0); an explicit beta array/scalar
-    overrides all three, and must lie in [0, 1]. An unknown beta_mode and an
-    explicit beta outside [0, 1], NaN included, are ValidationErrors.
+    single per-run draw from rng, or none (beta = 0, so p_hat is p clipped
+    to [floor, 1]). An unknown beta_mode is a ValidationError.
     """
     if beta_mode not in BETA_MODES:
         raise ValidationError(
@@ -257,35 +259,32 @@ def perturb_propensities(p_true, observed_mask, rng, beta_mode="per_pair",
     p_e = float(np.mean(observed_mask))
     if p_e == 0.0:
         raise ValidationError("no observations; empirical rate is zero")
-    drawn = beta is None
-    if drawn:
-        if beta_mode == "none":
-            beta = 0.0
-        elif beta_mode == "per_run":
-            beta = rng.random()
-        else:  # rng.random draws what rng.uniform draws, in fewer steps
-            beta = rng.random(p.shape)
+    if beta_mode == "none":
+        beta = 0.0
+    elif beta_mode == "per_run":
+        beta = rng.random()
+    else:  # rng.random draws what rng.uniform draws, in fewer steps
+        beta = rng.random(p.shape)
     beta = np.asarray(beta, dtype=np.float64)
-    if not drawn and not ((beta >= 0.0) & (beta <= 1.0)).all():
-        raise ValidationError("beta must lie in [0, 1]")
     # (1 - beta)/p + beta/p_e, its reciprocal and the clip, in one array;
-    # a per-pair beta drawn here is divided by p_e in place
+    # a per-pair beta is divided by p_e in place
     out = np.empty(np.broadcast_shapes(p.shape, beta.shape))
     np.subtract(1.0, beta, out=out)
     out /= p
-    out += np.divide(beta, p_e, out=beta if drawn and beta.ndim else None)
+    out += np.divide(beta, p_e, out=beta if beta.ndim else None)
     np.divide(1.0, out, out=out)
     return np.clip(out, floor, 1.0, out=out)
 
 
-def synth_scores(n_users, n_items, rng, rank=3) -> np.ndarray:
-    """Low-rank-plus-noise stand-in score matrix for quantile assignment when
+def synth_scores(n_users, n_items, rng) -> np.ndarray:
+    """Rank-3-plus-noise stand-in score matrix for quantile assignment when
     no completed rating matrix is supplied: a @ b + 0.5 z, with the draws of
-    a, b and then z standard normal, z row-major. The product is added one
-    row tile at a time, a[t] @ b, which equals (a @ b)[t] with the BLAS
-    library numpy uses (tests pin it), so no n x m product is built."""
-    a = rng.normal(size=(n_users, rank))
-    b = rng.normal(size=(rank, n_items))
+    a (n_users x 3), b (3 x n_items) and then z standard normal, z
+    row-major. The product is added one row tile at a time, a[t] @ b,
+    which equals (a @ b)[t] with the BLAS library numpy uses (tests pin it),
+    so no n x m product is built."""
+    a = rng.normal(size=(n_users, 3))
+    b = rng.normal(size=(3, n_items))
     z = rng.standard_normal((n_users, n_items))
     z *= 0.5
     for t in _kernels.row_tiles(n_users, n_items):
@@ -293,12 +292,11 @@ def synth_scores(n_users, n_items, rng, rank=3) -> np.ndarray:
     return z
 
 
-def _five_scale(gamma: np.ndarray, shape,
-                what: str = "supplied gamma") -> np.ndarray:
-    """Level index + 1 of each cell of a given gamma, which must have the
-    spec's shape and hold only the five GAMMA_LEVELS: one plus the number
-    of mids between levels below the cell, checked against the level it
-    names, which rejects NaN and every value off the levels."""
+def _five_scale(gamma: np.ndarray, shape, what: str) -> np.ndarray:
+    """Level index + 1 of each cell of a loaded gamma (file `what`), which
+    must have the spec's shape and hold only the five GAMMA_LEVELS: one
+    plus the number of mids between levels below the cell, checked against
+    the level it names, which rejects NaN and every value off the levels."""
     if gamma.shape != shape:
         raise ValidationError(f"{what} must hold the five levels")
     five = np.ones(shape, dtype=np.int8)
@@ -312,10 +310,11 @@ def _five_scale(gamma: np.ndarray, shape,
 
 
 def sample_instance(spec: BenchmarkSpec,
-                    score_matrix: np.ndarray | None = None,
-                    gamma_matrix: np.ndarray | None = None
+                    score_matrix: np.ndarray | None = None
                     ) -> BenchmarkInstance:
-    """Generate one full benchmark instance from the spec's seed.
+    """Generate one full benchmark instance from the spec's seed. Gamma
+    holds the quantile levels of score_matrix, or of synth_scores drawn from
+    the seed when none is given.
 
     The full matrix is flipped, including unobserved entries, so the
     linkage between noisy and true positive rates is testable everywhere;
@@ -323,20 +322,11 @@ def sample_instance(spec: BenchmarkSpec,
     """
     rng = make_rng(spec.seed)
     shape = (spec.n_users, spec.n_items)
-    if spec.gamma_source == "supplied":
-        if gamma_matrix is None or score_matrix is not None:
-            raise ValidationError("gamma_source=supplied needs gamma_matrix "
-                                  "and takes no score_matrix")
-        gamma = np.asarray(gamma_matrix, dtype=np.float64)
-        five_scale = _five_scale(gamma, shape)
-    elif gamma_matrix is not None:
-        raise ValidationError("gamma_matrix needs gamma_source=supplied")
-    else:
-        if score_matrix is None:
-            score_matrix = synth_scores(spec.n_users, spec.n_items, rng)
-        elif np.asarray(score_matrix).shape != shape:
-            raise ValidationError("score matrix shape mismatch")
-        gamma, five_scale = build_gamma(spec.gamma_proportions, score_matrix)
+    if score_matrix is None:
+        score_matrix = synth_scores(spec.n_users, spec.n_items, rng)
+    elif np.asarray(score_matrix).shape != shape:
+        raise ValidationError("score matrix shape mismatch")
+    gamma, five_scale = build_gamma(spec.gamma_proportions, score_matrix)
 
     prediction = build_prediction_matrix(spec.pred_kind, gamma, rng)
     p_true = assign_propensities(spec.p_base, spec.alpha, five_scale)
@@ -394,7 +384,9 @@ def save_instance(out_dir, inst: BenchmarkInstance) -> None:
 def _load_spec(path) -> BenchmarkSpec:
     """The spec of a manifest that save_instance wrote: a JSON object with
     every BenchmarkSpec field, each of its field's type, and at most a
-    spec_hash besides. Anything else is a ValidationError naming the file."""
+    spec_hash and a gamma_source besides, both dropped: earlier versions
+    wrote gamma_source, and synth always wrote it as "quantile". Anything
+    else is a ValidationError naming the file."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -402,6 +394,7 @@ def _load_spec(path) -> BenchmarkSpec:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(manifest, dict):
         manifest.pop("spec_hash", None)
+        manifest.pop("gamma_source", None)
     try:
         return BenchmarkSpec(**read_fields(
             BenchmarkSpec, manifest, "field",

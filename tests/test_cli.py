@@ -14,6 +14,9 @@ from noisyrec.losses import LossKind, loss_curves
 from noisyrec.synthbench import BenchmarkSpec, load_instance, sample_instance
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def write_spec(path, **overrides):
     base = {
         "n_users": 20, "n_items": 25, "rho01": 0.2, "rho10": 0.1,
@@ -106,6 +109,15 @@ class TestSynth:
         main(["synth", "--spec", str(spec), "--out", str(out2),
               "--seed", "99"])
         assert (out1 / "o.npy").read_bytes() != (out2 / "o.npy").read_bytes()
+
+    @pytest.mark.parametrize("source", ["quantile", "supplied"])
+    def test_gamma_source_key_exit_2(self, tmp_path, capsys, source):
+        # gamma always comes from a score matrix; the key is no spec field
+        spec = write_spec(tmp_path / "spec.cfg", gamma_source=source)
+        out = tmp_path / "x"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "unknown spec field 'gamma_source'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_spec_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.cfg", rho01=0.7, rho10=0.5)
@@ -413,6 +425,26 @@ class TestEstimate:
         assert (f"observed rating at ({u},{i}) not in {{0,1}}"
                 in capsys.readouterr().err)
 
+    def test_instance_with_gamma_source_estimates_as_before(self, tmp_path):
+        # an instance written while the manifest still held gamma_source,
+        # beside the report that version's estimate wrote: the rows are
+        # the same, and so is a fresh synth's report, manifest line and all
+        fixture = DATA / "instance_4x5"
+        assert json.loads((fixture / "manifest.json").read_text())[
+            "gamma_source"] == "quantile"
+        old = tmp_path / "old.csv"
+        assert main(["estimate", "--instance", str(fixture),
+                     "--out", str(old)]) == 0
+        fresh = tmp_path / "inst"
+        assert main(["synth", "--spec", str(DATA / "spec_4x5.cfg"),
+                     "--out", str(fresh)]) == 0
+        assert main(["estimate", "--instance", str(fresh),
+                     "--out", str(tmp_path / "fresh.csv")]) == 0
+        _, header, rows = read_report(old)
+        assert (header, rows) == read_report(
+            DATA / "instance_4x5_estimate.csv")[1:]
+        assert old.read_text() == (tmp_path / "fresh.csv").read_text()
+
     @pytest.mark.parametrize("case", [
         "missing", "unknown", "broken", "alpha", "gamma_proportions",
         "propensity_floor", "n_users"])
@@ -610,6 +642,19 @@ class TestTrain:
         assert ("need at least one positive and one negative"
                 in capsys.readouterr().err)
         assert not out.exists()  # no checkpoint of an unscorable run
+
+    @pytest.mark.parametrize("error", [RuntimeError, NotImplementedError,
+                                       RecursionError])
+    def test_other_runtime_errors_not_divergence(self, monkeypatch, tmp_path,
+                                                 error):
+        # exit 3 means training divergence; a broken worker pool, a
+        # recursion limit or a missing method propagates as itself
+        def fail(args):
+            raise error("not a divergence")
+
+        monkeypatch.setattr(cli, "cmd_train", fail)
+        with pytest.raises(error, match="not a divergence"):
+            main(["train", "--data", str(tmp_path), "--out", str(tmp_path)])
 
     @pytest.mark.parametrize("method, rate, message", [
         ("naive", "1e308", "noisy-rate pretraining diverged"),

@@ -352,11 +352,13 @@ class TestTriplesFormat:
     def test_roundtrip(self, tmp_path):
         rng = make_rng(0)
         mask = (rng.random((6, 9)) < 0.5).astype(np.int8)
+        mask[-1, -1] = 1  # the inferred universe is all 6 x 9
         ratings = (rng.random((6, 9)) < 0.4).astype(np.int8) * mask
         d = RatingDataset(6, 9, mask, ratings)
         path = tmp_path / "data.tsv"
         save_dataset_triples(path, d)
-        loaded = load_dataset_triples(path, n_users=6, n_items=9)
+        loaded = load_dataset_triples(path)
+        assert loaded.shape == (6, 9)
         assert np.array_equal(loaded.observed_mask, d.observed_mask)
         assert np.array_equal(
             loaded.observed_ratings * loaded.observed_mask,
@@ -391,14 +393,6 @@ class TestTriplesFormat:
         with pytest.raises(ValidationError, match="line 2: negative user"):
             load_dataset_triples(path)
 
-    @pytest.mark.parametrize("name", ["user", "item"])
-    def test_index_past_explicit_universe_rejected(self, tmp_path, name):
-        path = tmp_path / "bad.tsv"
-        line = "6\t0\t1" if name == "user" else "0\t9\t1"
-        path.write_text(f"0\t0\t1\n{line}\n")
-        with pytest.raises(ValidationError, match=f"line 2: {name} index"):
-            load_dataset_triples(path, n_users=6, n_items=9)
-
     def test_non_binary_rating_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("0\t0\t5\n")
@@ -423,16 +417,18 @@ class TestTriplesFormat:
                                      max_size=len(cells)))
         users = [c // m for c in cells]
         items = [c % m for c in cells]
+        # the universe is inferred: max index + 1 on each side
+        n, m = max(users) + 1, max(items) + 1
         mask = np.zeros((n, m), dtype=np.int8)
         obs = np.zeros((n, m), dtype=np.int8)
         mask[users, items] = 1
         obs[users, items] = ratings
-        built = dataset_from_triples(users, items, ratings, n, m)
+        built = dataset_from_triples(users, items, ratings)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.tsv"
             path.write_text("".join(f"{u}\t{i}\t{r}\n"
                                     for u, i, r in zip(users, items, ratings)))
-            loaded = load_dataset_triples(path, n_users=n, n_items=m)
+            loaded = load_dataset_triples(path)
         for d in (built, loaded):
             assert d.shape == (n, m)
             assert np.array_equal(d.observed_mask, mask)
@@ -443,7 +439,6 @@ class TestTriplesFormat:
         assert d.shape == (3, 2)
         assert np.array_equal(d.observed_mask, [[0, 1], [0, 0], [1, 0]])
         assert np.array_equal(d.observed_ratings, [[0, 1], [0, 0], [0, 0]])
-        assert dataset_from_triples([0], [0], [1], 2, 4).shape == (2, 4)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "noisyrec"
@@ -564,6 +559,132 @@ class TestReachedDefs:
         outside = [p.read_text()
                    for p in (SRC.parents[1] / "perfbench").glob("*.py")]
         assert unreached_defs(modules, outside) == sorted(UNREACHED_ALLOWED)
+
+
+def defaulted_params(tree):
+    """(qualified name, called name, def node, positional parameters,
+    defaulted parameters) of every def in a module, nested ones too. A
+    method's positional parameters leave out self or cls, and a class's
+    __init__ is called by the class's name."""
+    out = []
+
+    def visit(node, prefix, cls):
+        for stmt in ast.iter_child_nodes(node):
+            if isinstance(stmt, ast.ClassDef):
+                visit(stmt, f"{prefix}{stmt.name}.", stmt.name)
+            elif isinstance(stmt, ast.FunctionDef):
+                args = stmt.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if cls and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in stmt.decorator_list):
+                    positional = positional[1:]
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a.arg for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults) if d]
+                called = cls if stmt.name == "__init__" else stmt.name
+                out.append((f"{prefix}{stmt.name}", called, stmt, positional,
+                            named))
+                visit(stmt, f"{prefix}{stmt.name}.", None)
+            else:
+                visit(stmt, prefix, cls)
+
+    visit(tree, "", None)
+    return out
+
+
+def unset_params(modules: dict, outside=()) -> list[str]:
+    """The defaulted parameters of the defs of `modules` (module name ->
+    source), as "module.def(param)", that no call in `modules` or in an
+    `outside` source sets, by keyword or by position. A call matches every
+    def of its called name's last part; a position at or past a *args is
+    unknown and a **kwargs sets nothing. A call that passes on a defaulted
+    parameter of the def it sits in, under its own name, sets the callee's
+    parameter only where that one is set."""
+    trees = [ast.parse(source) for source in (*modules.values(), *outside)]
+    by_name, of_node = {}, {}
+    for module, tree in zip(modules, trees):
+        for qual, called, node, positional, named in defaulted_params(tree):
+            of_node[node] = (f"{module}.{qual}", positional, named)
+            by_name.setdefault(called, []).append(of_node[node])
+    direct, forwards = set(), []
+
+    def visit(node, enclosing):
+        enclosing = of_node.get(node, enclosing)
+        if isinstance(node, ast.Call):
+            fn = node.func
+            called = fn.attr if isinstance(fn, ast.Attribute) else getattr(
+                fn, "id", None)
+            for qual, positional, named in by_name.get(called, ()):
+                given = [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+                for param, arg in zip(positional, node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    given.append((param, arg))
+                for param, arg in given:
+                    if param not in named:
+                        continue
+                    if (enclosing and isinstance(arg, ast.Name)
+                            and arg.id in enclosing[2]):
+                        forwards.append(((enclosing[0], arg.id),
+                                         (qual, param)))
+                    else:
+                        direct.add((qual, param))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for tree in trees:
+        visit(tree, None)
+    reached, grown = direct, True
+    while grown:
+        more = {b for a, b in forwards if a in reached} - reached
+        reached, grown = reached | more, bool(more)
+    return sorted(f"{qual}({param})" for qual, _, named in of_node.values()
+                  for param in named if (qual, param) not in reached)
+
+
+# defaulted parameters that no call in the package or the benchmark sets,
+# each kept for its reason
+UNSET_ALLOWED = {
+    "cli.main(argv)": "the entry point: the console script passes no "
+                      "argv, and tests pass their own",
+    "losses.LossKind.cross_entropy(eps_clip)": "a public constructor",
+    "data.PropensityMatrix.clipped(floor)": "a public constructor",
+    "models.surrogate_objective(weight_decay)": "the reference objective "
+                                                "the gradient tests compare "
+                                                "against",
+    "models.imputation_objective(weight_decay)": "the reference objective "
+                                                 "the gradient tests "
+                                                 "compare against",
+}
+
+
+class TestSetParams:
+    def test_checker_flags_unset_and_keeps_set(self):
+        # f's by_pos is set by position, its by_kw by keyword in module b;
+        # a *args hides the positions after it and **kwargs sets nothing;
+        # passes_on sets f's kw_only through its own set z, not f's unset
+        # through its unset y; C(3) and .method(2) count past self
+        source = (
+            "def f(a, by_pos=1, by_kw=2, unset=3, *, kw_only=4):\n"
+            "    pass\n\n\n"
+            "def passes_on(x, y=0, z=0):\n    f(x, unset=y, kw_only=z)\n\n\n"
+            "class C:\n"
+            "    def __init__(self, size=1):\n        pass\n\n"
+            "    def method(self, step=1, skipped=2):\n        pass\n\n\n"
+            "f(0, 1)\nf(*args, 9, 9)\nf(0, **options)\n"
+            "passes_on(0, z=1)\nC(3).method(2)\n")
+        modules = {"a": source, "b": "from a import f\nf(0, by_kw=5)\n"}
+        assert unset_params(modules) == [
+            "a.C.method(skipped)", "a.f(unset)", "a.passes_on(y)"]
+        assert unset_params(modules, ["a.passes_on(0, 1)"]) == [
+            "a.C.method(skipped)"]
+
+    def test_every_defaulted_param_is_set(self):
+        # an allowlisted parameter that is gone or has become set fails too
+        modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+        outside = [p.read_text()
+                   for p in (SRC.parents[1] / "perfbench").glob("*.py")]
+        assert unset_params(modules, outside) == sorted(UNSET_ALLOWED)
 
 
 def unread_fields(sources, class_names) -> dict:

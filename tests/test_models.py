@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ def random_factor_model(seed, n=6, m=7, d=3):
     return model
 
 
+def zero_factor_model(n, m, d, seed):
+    """FactorModel.init's model with its embeddings zeroed: every score
+    is the global bias."""
+    model = FactorModel.init(n, m, d, make_rng(seed))
+    model.user_emb[:] = 0.0
+    model.item_emb[:] = 0.0
+    return model
+
+
 def flat_params(model):
     return np.concatenate([model.user_emb.ravel(), model.item_emb.ravel(),
                            model.user_bias, model.item_bias,
@@ -100,15 +110,15 @@ def fd_grad(objective, model, h=1e-5):
 
 class TestForward:
     def test_zero_params_sigmoid_half(self):
-        model = FactorModel.init(3, 4, 2, make_rng(0), init_scale=0.0)
+        model = zero_factor_model(3, 4, 2, 0)
         assert np.allclose(model.predict_all(), 0.5)
 
     def test_zero_params_linear_zero(self):
-        model = FactorModel.init(3, 4, 2, make_rng(0), init_scale=0.0)
+        model = zero_factor_model(3, 4, 2, 0)
         assert np.array_equal(model.score_matrix(), np.zeros((3, 4)))
 
     def test_global_bias_two(self):
-        model = FactorModel.init(3, 4, 2, make_rng(0), init_scale=0.0)
+        model = zero_factor_model(3, 4, 2, 0)
         model.global_bias = 2.0
         assert np.allclose(model.predict_all(), 0.8807970779778823)
 
@@ -131,6 +141,20 @@ class TestForward:
     def test_bad_dimension(self):
         with pytest.raises(ValidationError):
             FactorModel.init(3, 4, 0, make_rng(0))
+
+    def test_sigmoid_overflow_gives_zero_without_warning(self):
+        # exp(1000) overflows to inf, and 1 / (1 + inf) = 0.0 is the exact
+        # limit, so the overflow is no fault to warn of; NaN propagates
+        x = np.array([-1000.0, -np.inf, 0.0, np.nan, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(-1000.0) == 0.0
+            got = sigmoid(x.copy())
+            out = x.copy()
+            assert sigmoid(out, out=out) is out
+        assert np.array_equal(got, [0.0, 0.0, 0.5, np.nan, 1.0],
+                              equal_nan=True)
+        assert out.tobytes() == got.tobytes()
 
 
 class TestSurrogateStep:
@@ -193,7 +217,7 @@ class TestSurrogateStep:
 
 class TestImputationStep:
     def test_zero_gradient_at_global_minimum(self):
-        model = FactorModel.init(4, 4, 2, make_rng(5), init_scale=0.0)
+        model = zero_factor_model(4, 4, 2, 5)
         u = np.array([0, 1, 2])
         i = np.array([1, 2, 3])
         o = np.ones(3)

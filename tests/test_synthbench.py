@@ -1,13 +1,13 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from noisyrec import _kernels
-from noisyrec.data import (DEFAULT_PROPENSITY_FLOOR, ErrorParams,
-                           ValidationError, make_rng)
+from noisyrec.data import ErrorParams, ValidationError, make_rng
 from noisyrec.synthbench import (
     GAMMA_LEVELS,
     PRED_KINDS,
@@ -276,10 +276,17 @@ class TestPropensities:
         p = np.full((2, 2), 0.5)
         o = np.zeros((2, 2))
         o[0, 0] = 1  # p_e = 0.25
-        rng = make_rng(0)
-        assert np.allclose(perturb_propensities(p, o, rng, beta=0.0), 0.5)
-        assert np.allclose(perturb_propensities(p, o, rng, beta=1.0), 0.25)
-        assert np.allclose(perturb_propensities(p, o, rng, beta=0.5), 1 / 3)
+        # beta = 0: p_hat is p
+        assert np.allclose(perturb_propensities(p, o, make_rng(0),
+                                                beta_mode="none"), 0.5)
+        # a drawn beta, read from a twin generator: 1/p_hat is
+        # (1 - beta)/p + beta/p_e, between 1/p and 1/p_e
+        for mode, draw in (("per_run", lambda g: g.random()),
+                           ("per_pair", lambda g: g.random((2, 2)))):
+            beta = draw(make_rng(3))
+            got = perturb_propensities(p, o, make_rng(3), beta_mode=mode)
+            assert np.allclose(got, 1.0 / ((1.0 - beta) / 0.5 + beta / 0.25))
+            assert np.all((got >= 0.25) & (got <= 0.5))
 
     def test_perturb_requires_observations(self):
         with pytest.raises(ValidationError):
@@ -292,26 +299,7 @@ class TestPropensities:
         with pytest.raises(ValidationError, match="beta_mode"):
             perturb_propensities(p, o, make_rng(0), beta_mode="per-run")
         with pytest.raises(ValidationError, match="beta_mode"):
-            perturb_propensities(p, o, make_rng(0), beta_mode="x", beta=0.5)
-
-    @pytest.mark.parametrize("beta", [np.nan, 2.0, -0.1, 1.0 + 1e-12,
-                                      [[0.5, np.nan], [0.1, 0.2]],
-                                      [[0.5, 1.5], [0.1, 0.2]]])
-    def test_explicit_beta_outside_unit_interval_rejected(self, beta):
-        # NaN gave an all-NaN p_hat, 2 a clipped 0.25
-        with pytest.raises(ValidationError, match="beta"):
-            perturb_propensities(np.full((2, 2), 0.5), np.eye(2),
-                                 make_rng(0), beta=beta)
-
-    def test_explicit_beta_array_left_unchanged(self):
-        beta = make_rng(1).uniform(size=(3, 4))
-        kept = beta.copy()
-        p = np.full((3, 4), 0.4)
-        got = perturb_propensities(p, np.eye(3, 4), make_rng(0), beta=beta)
-        assert np.array_equal(beta, kept)
-        want = np.clip(1.0 / ((1.0 - beta) / p + beta / 0.25),
-                       DEFAULT_PROPENSITY_FLOOR, 1.0)
-        assert got.tobytes() == want.tobytes()
+            perturb_propensities(p, o, make_rng(0), beta_mode="x")
 
 
 class TestSampling:
@@ -331,25 +319,13 @@ class TestSampling:
 
     def test_flip_rates_on_all_positive_gamma(self):
         spec = BenchmarkSpec(400, 250, 0.2, 0.1, seed=3,
-                             gamma_source="supplied")
-        inst = sample_instance(spec, gamma_matrix=np.full((400, 250), 0.9))
+                             gamma_proportions=(0, 0, 0, 0, 1))
+        inst = sample_instance(spec)
+        assert np.all(inst.gamma == 0.9)
         pos = inst.true_ratings == 1
         rate = float(inst.observed_ratings[pos].mean())
         se = np.sqrt(0.8 * 0.2 / pos.sum())
         assert abs(rate - 0.8) < 3 * se
-
-    def test_gamma_matrix_needs_supplied_source(self):
-        # a quantile spec would draw its own levels and drop the matrix
-        spec = BenchmarkSpec(6, 5, 0.2, 0.1)
-        with pytest.raises(ValidationError,
-                           match="gamma_matrix needs gamma_source=supplied"):
-            sample_instance(spec, gamma_matrix=np.full((6, 5), 0.9))
-
-    def test_supplied_source_takes_no_score_matrix(self):
-        spec = BenchmarkSpec(6, 5, 0.2, 0.1, gamma_source="supplied")
-        with pytest.raises(ValidationError, match="takes no score_matrix"):
-            sample_instance(spec, score_matrix=np.zeros((6, 5)),
-                            gamma_matrix=np.full((6, 5), 0.9))
 
     def test_noisy_rate_linkage(self):
         spec = BenchmarkSpec(300, 300, 0.2, 0.1, seed=4)
@@ -369,28 +345,20 @@ class TestSampling:
         assert not np.array_equal(a.observed_mask, c.observed_mask)
 
 
-def _reference_instance(spec, score_matrix=None, gamma_matrix=None):
+def _reference_instance(spec, score_matrix=None):
     """Reference: the generator written as whole-matrix expressions, one
     per step, drawing from the spec's seed in sample_instance's order. It
     returns the eight matrices in BenchmarkInstance's order, and the
     messages of the warnings it gave."""
     rng = make_rng(spec.seed)
     shape = (spec.n_users, spec.n_items)
-    levels = np.asarray(GAMMA_LEVELS)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if gamma_matrix is not None:
-            gamma = np.asarray(gamma_matrix, dtype=np.float64)
-            if not np.isin(gamma, levels).all():
-                raise ValidationError("supplied gamma must hold the levels")
-            five = (np.searchsorted(levels, gamma) + 1).astype(np.int64)
-        else:
-            if score_matrix is None:
-                a = rng.normal(size=(shape[0], 3))
-                b = rng.normal(size=(3, shape[1]))
-                score_matrix = a @ b + 0.5 * rng.normal(size=shape)
-            gamma, five = _argsort_gamma(spec.gamma_proportions,
-                                         score_matrix)
+        if score_matrix is None:
+            a = rng.normal(size=(shape[0], 3))
+            b = rng.normal(size=(3, shape[1]))
+            score_matrix = a @ b + 0.5 * rng.normal(size=shape)
+        gamma, five = _argsort_gamma(spec.gamma_proportions, score_matrix)
         kind = spec.pred_kind
         if kind == "ROTATE":
             r_hat = np.where(gamma >= 0.3, gamma - 0.2, 0.9)
@@ -508,12 +476,18 @@ class TestReferenceGenerator:
 
     @pytest.mark.parametrize("kind", PRED_KINDS)
     def test_supplied_gamma(self, kind):
+        # a level matrix given as the score matrix, with the shares of its
+        # own levels as the proportions, comes back as gamma: any gamma of
+        # the five levels is reached through a score matrix
         for seed, shape in enumerate(self.SHAPES + ((60, 70),)):
             gamma = np.asarray(GAMMA_LEVELS)[
                 make_rng(50 + seed).integers(0, 5, size=shape)]
+            shares = [np.count_nonzero(gamma == level) / gamma.size
+                      for level in GAMMA_LEVELS]
+            assert build_gamma(shares, gamma)[0].tobytes() == gamma.tobytes()
             spec = BenchmarkSpec(*shape, 0.2, 0.1, pred_kind=kind, seed=seed,
-                                 gamma_source="supplied")
-            self._assert_matches(spec, gamma_matrix=gamma)
+                                 gamma_proportions=shares)
+            self._assert_matches(spec, score_matrix=gamma)
 
     # at level 0 a cell at the tolerance is near: isclose's <=, not <
     @pytest.mark.parametrize("level", [0.0, 0.1, 0.3, 0.5, 0.9])
@@ -542,7 +516,7 @@ class TestFiveScale:
     def test_levels_equal_searchsorted(self, shape):
         gamma = np.asarray(GAMMA_LEVELS)[
             make_rng(15).integers(0, 5, size=shape)]
-        got = _five_scale(gamma, shape)
+        got = _five_scale(gamma, shape, "gamma.npy")
         want = _isin_five_scale(gamma, shape)
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
@@ -557,14 +531,25 @@ class TestFiveScale:
         with pytest.raises(ValidationError):
             _isin_five_scale(gamma, gamma.shape)
         with pytest.raises(ValidationError, match="five levels"):
-            _five_scale(gamma, gamma.shape)
+            _five_scale(gamma, gamma.shape, "gamma.npy")
 
     def test_rejects_wrong_shape(self):
         gamma = np.full((4, 6), 0.5)
         with pytest.raises(ValidationError, match="five levels"):
-            _five_scale(gamma, (6, 4))
+            _five_scale(gamma, (6, 4), "gamma.npy")
         with pytest.raises(ValidationError, match="five levels"):
-            _five_scale(gamma.ravel(), (4, 6))
+            _five_scale(gamma.ravel(), (4, 6), "gamma.npy")
+
+
+def _assert_same_matrices(back, inst):
+    """Every matrix of two instances, dtype, shape and bytes."""
+    pairs = [(back.prediction.r_hat, inst.prediction.r_hat)]
+    pairs += [(getattr(back, name), getattr(inst, name)) for name in (
+        "gamma", "five_scale", "p_true", "p_hat", "observed_mask",
+        "true_ratings", "observed_ratings")]
+    for a, b in pairs:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestSerialization:
@@ -576,13 +561,7 @@ class TestSerialization:
             save_instance(out, inst)
             back = load_instance(out)
             assert back.spec == spec
-            pairs = [(back.prediction.r_hat, inst.prediction.r_hat)]
-            pairs += [(getattr(back, name), getattr(inst, name)) for name in (
-                "gamma", "five_scale", "p_true", "p_hat", "observed_mask",
-                "true_ratings", "observed_ratings")]
-            for a, b in pairs:
-                assert (a.dtype, a.shape) == (b.dtype, b.shape)
-                assert a.tobytes() == b.tobytes()
+            _assert_same_matrices(back, inst)
             for fname in ("o.npy", "r_true.npy", "r_obs.npy"):
                 assert np.load(out / fname).dtype == np.int8
 
@@ -598,6 +577,15 @@ class TestSerialization:
         assert back.manifest() == spec.manifest()
         assert json.loads((tmp_path / "inst" / "manifest.json").read_text()
                           ) == json.loads(json.dumps(back.manifest()))
+
+    def test_manifest_with_gamma_source_loads(self):
+        # written while the spec had a gamma_source field: the key is
+        # dropped, and the matrices are sample_instance's for that spec
+        path = Path(__file__).resolve().parent / "data" / "instance_4x5"
+        back = load_instance(path)
+        spec = BenchmarkSpec(4, 5, 0.2, 0.1)
+        assert back.spec == spec
+        _assert_same_matrices(back, sample_instance(spec))
 
     def test_missing_p_hat_tolerated(self, tmp_path):
         spec = BenchmarkSpec(6, 6, 0.1, 0.1, seed=8)
