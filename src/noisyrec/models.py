@@ -53,11 +53,26 @@ class SgdConfig:
         return min(self.batch_size or n, n)
 
 
-def epoch_batches(rng, n: int, config: SgdConfig):
-    """One epoch of n rows: rng.permutation(n) in slices of batch_of(n)."""
+def epoch_batches(rng, live: np.ndarray, config: SgdConfig):
+    """One epoch over the n cells of the boolean mask `live`:
+    rng.permutation(n) in slices of batch_of(n), of which only the live
+    cells are kept. The epoch's live cells are found once, in permutation
+    order, and each slice is cut from them by searchsorted on its edges.
+
+    Returns (cells, batches): cells holds the live cells in permutation
+    order, and batches one (rows, at, size) per slice, where cells[rows] are
+    the slice's live cells, at their positions in the slice and size its
+    length.
+    """
+    n = live.shape[0]
     order = rng.permutation(n)
+    pos = np.flatnonzero(live[order])
     batch = max(config.batch_of(n), 1)  # over 0 rows, no batch and no error
-    return (order[start:start + batch] for start in range(0, n, batch))
+    starts = range(0, n, batch)
+    edges = np.searchsorted(pos, [*starts, n])
+    batches = [(slice(lo, hi), pos[lo:hi] - start, min(batch, n - start))
+               for start, lo, hi in zip(starts, edges[:-1], edges[1:])]
+    return order[pos], batches
 
 
 def sigmoid(x, out=None):
@@ -69,6 +84,12 @@ def sigmoid(x, out=None):
         t = np.exp(t, out=out)
     t = np.add(1.0, t, out=out)
     return np.divide(1.0, t, out=out)
+
+
+def _clipped_sigmoid(s):
+    """sigmoid(s) clipped into [EPS_OUT, 1 - EPS_OUT], in place in s, a
+    fresh float64 score array."""
+    return np.clip(sigmoid(s, out=s), EPS_OUT, 1.0 - EPS_OUT, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +133,21 @@ class FactorModel:
         )
 
     def forward(self, u_idx, i_idx):
-        return np.clip(sigmoid(self.scores(u_idx, i_idx)),
-                       EPS_OUT, 1.0 - EPS_OUT)
+        return _clipped_sigmoid(self.scores(u_idx, i_idx))
 
     def score_matrix(self):
-        """Raw scores of every (user, item) pair, as a dense matrix."""
-        return (self.user_emb @ self.item_emb.T
-                + self.user_bias[:, None] + self.item_bias[None, :]
-                + self.global_bias)
+        """Raw scores of every (user, item) pair, as a dense matrix. The
+        biases are added in place to the fresh matmul product, in the order
+        of ue @ ie.T + ub[:, None] + ib[None, :] + gb, so the sums are that
+        expression's bit for bit."""
+        s = self.user_emb @ self.item_emb.T
+        s += self.user_bias[:, None]
+        s += self.item_bias[None, :]
+        s += self.global_bias
+        return s
 
     def predict_all(self):
-        return np.clip(sigmoid(self.score_matrix()), EPS_OUT, 1.0 - EPS_OUT)
+        return _clipped_sigmoid(self.score_matrix())
 
     def params(self):
         return {
@@ -200,24 +225,33 @@ class Optimizer:
 
 
 def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
-                    opt: Optimizer, error: str) -> None:
+                    opt: Optimizer, error: str, at=None, size=None) -> None:
     """One optimizer step on a batch whose objective has d/d(score) = coef
-    per example; L2 decay applies to embeddings only, not biases. Rows whose
-    coefficient is exactly 0 skip the backward kernel; the step is the same
-    bit for bit.
+    per example; L2 decay applies to embeddings only, not biases.
+
+    u_idx, i_idx and coef are the batch's rows, or with `at`, the rows at
+    positions `at` (ascending) of a batch of `size` rows whose other rows
+    have coefficient 0. The global-bias gradient is the pairwise sum of the
+    batch's whole coefficient vector, zeros in place, since a sum over fewer
+    terms can round differently. Rows whose coefficient is exactly 0 skip
+    the backward kernel, which adds nothing for them; so the step is the
+    whole batch's bit for bit.
 
     Raises TrainingDivergence(error) on a non-finite coef, and
     TrainingDivergence when the step leaves the global bias non-finite.
     """
     if not np.all(np.isfinite(coef)):
         raise TrainingDivergence(error)
-    # a zero coefficient adds nothing to any gradient, so only the other rows
-    # go through the kernel; the global-bias gradient sums the full batch,
-    # because a pairwise sum over fewer terms can round differently
+    batch = coef
+    if at is not None and coef.shape[0] < size:
+        batch = np.zeros(size)
+        batch[at] = coef
+    g_b0 = float(batch.sum())
     rows = np.flatnonzero(coef)
+    if rows.size < coef.shape[0]:
+        u_idx, i_idx, coef = u_idx[rows], i_idx[rows], coef[rows]
     g_ue, g_ie, g_ub, g_ib, _ = _kernels.factor_backward(
-        u_idx[rows], i_idx[rows], model.user_emb, model.item_emb, coef[rows])
-    g_b0 = float(coef.sum())
+        u_idx, i_idx, model.user_emb, model.item_emb, coef)
     wd = config.weight_decay
     if wd > 0.0:
         g_ue = g_ue + wd * model.user_emb
@@ -250,40 +284,45 @@ def surrogate_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
     return obj
 
 
-def dr_grad_coefs(model: FactorModel, u_idx, i_idx, w, grad, imputed=None):
-    """d(objective)/d(score) per batch example for the doubly-robust
-    objective mean_b [(1 - w_b) l(f_b, e_b) + w_b l_b(f_b)] of the sigmoid
-    outputs f, given grad(f, rows) = d l_b/d f and imputed(f, rows) =
-    d l(f, e)/d f at the imputed target e, on `rows` of the batch.
+def dr_grad_coefs(model: FactorModel, u_idx, i_idx, w, grad, size: int,
+                  imputed=None):
+    """d(objective)/d(score) on the given rows of a batch of `size` rows,
+    for the doubly-robust objective mean_b [(1 - w_b) l(f_b, e_b) +
+    w_b l_b(f_b)] of the sigmoid outputs f, given grad(f) = d l_b/d f and
+    imputed(f) = d l(f, e)/d f at the imputed target e, on those rows.
 
-    imputed=None drops the imputed term. Then only the rows with a non-zero
-    weight are scored; the others get the coefficient 0 that w_b = 0 gives
-    them. A non-finite weight is non-zero, so its row is scored and its
-    coefficient is non-finite too, which factor_sgd_step rejects.
+    imputed=None drops the imputed term; then a row with w_b = 0 has
+    coefficient 0, so a caller may leave such rows out and score only the
+    others (a non-finite weight is not 0: its row stays, and its
+    coefficient is non-finite too, which factor_sgd_step rejects).
     """
-    rows = np.flatnonzero(w) if imputed is None else slice(None)
-    f = model.forward(u_idx[rows], i_idx[rows])
-    dldf = w[rows] * grad(f, rows)
+    f = model.forward(u_idx, i_idx)
+    dldf = w * grad(f)
     if imputed is not None:
-        dldf = (1.0 - w[rows]) * imputed(f, rows) + dldf
-    coef = np.zeros(u_idx.shape[0])
-    coef[rows] = dldf * f * (1.0 - f) / u_idx.shape[0]
-    return coef
+        dldf = (1.0 - w) * imputed(f) + dldf
+    return dldf * f * (1.0 - f) / size
 
 
 def sgd_step_surrogate(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
                        rho: ErrorParams, loss: LossKind, config: SgdConfig,
-                       opt: Optimizer) -> FactorModel:
+                       opt: Optimizer, at=None, size=None) -> FactorModel:
     """One gradient step on the mini-batch corrected-DR objective: weights
     o/p on the surrogate loss, and no imputed term, since that carries no
-    prediction-model gradient; so the unobserved rows, where o/p = 0, are
-    not scored. e_bar is unused; it stays in the signature for existing
-    positional callers."""
-    coef = dr_grad_coefs(
-        model, u_idx, i_idx, o / p_hat,
-        lambda f, rows: label_loss_grad(loss, f, r[rows], rho))
+    prediction-model gradient; so the rows where o/p = 0 are not scored.
+
+    The arrays hold a whole batch, of which this step keeps the rows with a
+    non-zero o/p; or with `at`, the rows at positions `at` (ascending) of a
+    batch of `size` rows whose other rows have o/p = 0, all of them kept.
+    e_bar is unused; it stays in the signature for existing positional
+    callers."""
+    w = o / p_hat
+    if at is None:
+        at, size = np.flatnonzero(w), w.shape[0]
+        u_idx, i_idx, r, w = u_idx[at], i_idx[at], r[at], w[at]
+    coef = dr_grad_coefs(model, u_idx, i_idx, w,
+                         lambda f: label_loss_grad(loss, f, r, rho), size)
     factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
-                    "non-finite gradient in prediction step")
+                    "non-finite gradient in prediction step", at, size)
     return model
 
 

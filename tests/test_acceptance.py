@@ -389,8 +389,8 @@ def test_criterion_08_gradient_oracles():
         model.user_bias = rng.normal(size=n)
         model.item_bias = rng.normal(size=m)
         model.global_bias = float(rng.normal())
-        coef = dr_grad_coefs(model, u, i, o / p, lambda f, rows:
-                             label_loss_grad(SQ, f, r[rows], rho))
+        coef = dr_grad_coefs(model, u, i, o / p, lambda f:
+                             label_loss_grad(SQ, f, r, rho), batch)
         g = _kernels.factor_backward(u, i, model.user_emb, model.item_emb,
                                      coef)
         analytic = np.concatenate([g[0].ravel(), g[1].ravel(), g[2], g[3],
@@ -405,9 +405,8 @@ def test_criterion_08_gradient_oracles():
         # w = o/p and eib's w = o on alternate draws
         r_bar = float(np.mean(r))
         w = o / p if draw % 2 else o
-        coef = dr_grad_coefs(model, u, i, w,
-                             lambda f, rows: _xent_grad(f, r[rows]),
-                             lambda f, rows: _xent_grad(f, r_bar))
+        coef = dr_grad_coefs(model, u, i, w, lambda f: _xent_grad(f, r),
+                             batch, lambda f: _xent_grad(f, r_bar))
         g = _kernels.factor_backward(u, i, model.user_emb, model.item_emb,
                                      coef)
         analytic = np.concatenate([g[0].ravel(), g[1].ravel(), g[2], g[3],

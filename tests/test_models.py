@@ -138,6 +138,54 @@ class TestForward:
                               np.clip(sigmoid(s), EPS_OUT, 1.0 - EPS_OUT))
         assert np.any(model.predict_all() == 1.0 - EPS_OUT)
 
+    @staticmethod
+    def extreme_model():
+        # scores past +-709, where exp overflows, and NaN and +-inf biases
+        model = random_factor_model(3)
+        model.user_emb[0] *= 400.0
+        model.item_emb[1] *= 400.0
+        model.user_bias[1] = 800.0
+        model.user_bias[2] = -800.0
+        model.user_bias[3] = np.nan
+        model.item_bias[2] = np.inf
+        model.item_bias[3] = -np.inf
+        return model
+
+    @pytest.mark.parametrize("global_bias", [0.3, -750.0, np.nan])
+    def test_dense_and_batch_outputs_equal_expressions(self, global_bias):
+        # bit for bit the out-of-place expressions, including where the
+        # sigmoid overflows and where a bias is non-finite
+        model = self.extreme_model()
+        model.global_bias = global_bias
+        s = (model.user_emb @ model.item_emb.T + model.user_bias[:, None]
+             + model.item_bias[None, :] + model.global_bias)
+        with np.errstate(invalid="ignore"):
+            want = np.clip(sigmoid(s), EPS_OUT, 1.0 - EPS_OUT)
+            got_s, got = model.score_matrix(), model.predict_all()
+            u, i = np.divmod(np.arange(s.size), s.shape[1])
+            got_f = model.forward(u, i)
+            want_f = np.clip(sigmoid(model.scores(u, i)), EPS_OUT,
+                             1.0 - EPS_OUT)
+        finite = np.abs(s[np.isfinite(s)])
+        assert finite.size == 0 or finite.max() > 709
+        assert got_s.tobytes() == s.tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert got_f.tobytes() == want_f.tobytes()
+
+    def test_outputs_are_fresh_arrays(self):
+        # writing into a returned array changes neither the model nor a
+        # later call
+        model = random_factor_model(4)
+        before = flat_params(model).copy()
+        u, i = np.array([0, 2, 5]), np.array([1, 1, 6])
+        for call in (model.score_matrix, model.predict_all,
+                     lambda: model.forward(u, i)):
+            first = call()
+            want = first.copy()
+            first[...] = 7.0
+            assert np.array_equal(flat_params(model), before)
+            assert call().tobytes() == want.tobytes()
+
     def test_bad_dimension(self):
         with pytest.raises(ValidationError):
             FactorModel.init(3, 4, 0, make_rng(0))
@@ -175,9 +223,9 @@ class TestSurrogateStep:
         o, p = np.ones(1), np.ones(1)
         r = np.ones(1)
         f = model.forward(u, i)
-        coef = dr_grad_coefs(model, u, i, o / p, lambda f, rows:
-                             label_loss_grad(SQ, f, r[rows],
-                                             ErrorParams(0.0, 0.0)))
+        coef = dr_grad_coefs(model, u, i, o / p, lambda f:
+                             label_loss_grad(SQ, f, r, ErrorParams(0.0, 0.0)),
+                             1)
         expected = 2.0 * (f - 1.0) * f * (1.0 - f)
         assert np.allclose(coef, expected)
 
@@ -192,8 +240,8 @@ class TestSurrogateStep:
             return surrogate_objective(m, u, i, o, r, p, e_bar, rho, SQ,
                                        weight_decay=wd)
 
-        coef = dr_grad_coefs(model, u, i, o / p, lambda f, rows:
-                             label_loss_grad(SQ, f, r[rows], rho))
+        coef = dr_grad_coefs(model, u, i, o / p, lambda f:
+                             label_loss_grad(SQ, f, r, rho), u.shape[0])
         analytic = analytic_factor_grad(model, u, i, coef)
         n_emb = model.user_emb.size + model.item_emb.size
         analytic[:n_emb] += wd * np.concatenate(
@@ -728,19 +776,25 @@ class TestEpochBatches:
     @pytest.mark.parametrize("batch_size,n", [(0, 23), (7, 23), (23, 23),
                                               (100, 23), (5, 0), (0, 0)])
     def test_slices_of_one_permutation(self, batch_size, n):
+        # each batch is a slice of one permutation, cut to its live cells
         cfg = SgdConfig(batch_size=batch_size)
-        got = list(epoch_batches(make_rng(4), n, cfg))
         order = make_rng(4).permutation(n)
         size = cfg.batch_of(n)
-        assert [len(b) for b in got] == [
-            min(size, n - start) for start in range(0, n, max(size, 1))]
-        assert np.array_equal(np.concatenate(got or [[]]), order)
+        slices = [order[start:start + size]
+                  for start in range(0, n, max(size, 1))]
+        for live in (np.ones(n, dtype=bool), make_rng(9).random(n) < 0.3):
+            cells, batches = epoch_batches(make_rng(4), live, cfg)
+            assert np.array_equal(cells, order[live[order]])
+            assert len(batches) == len(slices)
+            for (rows, at, length), want in zip(batches, slices):
+                assert length == want.size
+                assert np.array_equal(at, np.flatnonzero(live[want]))
+                assert np.array_equal(cells[rows], want[at])
 
     def test_one_permutation_per_epoch(self):
         # the rng moves on by exactly one permutation of n per epoch
         rng = make_rng(5)
-        for _ in epoch_batches(rng, 30, SgdConfig(batch_size=4)):
-            pass
+        epoch_batches(rng, np.ones(30, dtype=bool), SgdConfig(batch_size=4))
         ref = make_rng(5)
         ref.permutation(30)
         assert rng.random() == ref.random()

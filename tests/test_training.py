@@ -1,17 +1,19 @@
 import csv
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from noisyrec.data import (
+    EPS_OUT,
     ErrorParams,
     RatingDataset,
     ValidationError,
     make_rng,
 )
 from noisyrec import _kernels
-from noisyrec.losses import LossKind, label_loss_grad
+from noisyrec.losses import LossKind, label_loss, label_loss_grad
 from noisyrec.metrics import auc
 from noisyrec.models import (
     FactorModel,
@@ -21,8 +23,10 @@ from noisyrec.models import (
     dr_grad_coefs,
     sgd_step_imputation,
     sgd_step_surrogate,
+    sigmoid,
 )
 from noisyrec.training import (
+    ALT_LOSS,
     AltTrainConfig,
     TrainTrace,
     TraceRecord,
@@ -31,7 +35,8 @@ from noisyrec.training import (
     pretrain_noisy_model,
     train_noisy_factor_model,
 )
-from noisyrec.noise import NoisyRateModel, NoSeparationWarning
+from noisyrec.noise import (NoisyRateModel, NoSeparationWarning,
+                            rates_at_extremes)
 
 
 def additive_truth(seed, n=80, m=80, scale=1.0):
@@ -347,9 +352,91 @@ class TestTrace:
         assert len(rows) == 3
 
 
+class TestLoopEqualsReference:
+    """The alternating loop scores only the live rows of each prediction
+    batch and forms its dense predictions in place, yet gives the
+    reference loop's models and trace bit for bit."""
+
+    n, m = 30, 25
+
+    def inputs(self):
+        d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=self.n, m=self.m)
+        rng = make_rng(11)
+        p_hat = rng.uniform(0.2, 1.0, size=d.shape)
+        noisy = NoisyRateModel(0.1 + 0.7 * d.true_ratings
+                               + rng.uniform(0.0, 0.05, size=d.shape))
+        return d, p_hat, noisy
+
+    def config(self, optimizer, k_extreme, batch):
+        return AltTrainConfig(
+            rho_init=ErrorParams(0.0, 0.0), steps_prediction=4,
+            steps_imputation=3, outer_loops=3, embedding_dim=4,
+            k_extreme=k_extreme,
+            sgd_prediction=SgdConfig(learning_rate=0.5, batch_size=batch,
+                                     weight_decay=1e-3, seed=5,
+                                     optimizer=optimizer),
+            sgd_imputation=SgdConfig(learning_rate=0.02, batch_size=batch // 4,
+                                     weight_decay=1e-4, seed=5,
+                                     optimizer=optimizer))
+
+    @staticmethod
+    def bits(model):
+        return [a.tobytes() for a in factor_params(model)]
+
+    @pytest.mark.parametrize("batch", [64, 0, 1000],
+                             ids=["small", "all", "past-universe"])
+    @pytest.mark.parametrize("k_extreme", [1, 20])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_equals_reference(self, optimizer, k_extreme, batch):
+        d, p_hat, noisy = self.inputs()
+        config = self.config(optimizer, k_extreme, batch)
+        pred, imp, trace = alternating_denoise_train(d, p_hat, noisy, config)
+        want_pred, want_imp, want_records = ref_alternating_denoise_train(
+            d, p_hat, noisy, config)
+        assert self.bits(pred) == self.bits(want_pred)
+        assert self.bits(imp) == self.bits(want_imp)
+
+        def fields(rec):
+            return [v.hex() if isinstance(v, float) else v
+                    for v in dataclasses.astuple(rec)]
+
+        assert len(trace.records) == config.outer_loops
+        assert ([fields(r) for r in trace.records]
+                == [fields(r) for r in want_records])
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+    def test_bad_propensity_on_unobserved_cell_diverges(self, bad):
+        # o/p is 0/0 or 0/NaN = NaN on that cell, which the first prediction
+        # batch, the whole universe, holds
+        d, p_hat, noisy = self.inputs()
+        p_hat[np.unravel_index(np.argmin(d.observed_mask), d.shape)] = bad
+        config = self.config("sgd", 1, 0)
+        messages = []
+        for train in (alternating_denoise_train,
+                      ref_alternating_denoise_train):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    TrainingDivergence) as exc:
+                train(d, p_hat, noisy, config)
+            messages.append(str(exc.value))
+        assert messages == ["non-finite gradient in prediction step"] * 2
+
+
 # Reference bodies: the training steps as they were before zero-coefficient
-# rows skipped the kernels, scoring and back-propagating every batch row. The
-# library must equal them bit for bit.
+# rows skipped the kernels, scoring and back-propagating every batch row, and
+# the predictions as one out-of-place expression. The library must equal them
+# bit for bit.
+
+def ref_forward(model, u_idx, i_idx):
+    return np.clip(sigmoid(model.scores(u_idx, i_idx)), EPS_OUT,
+                   1.0 - EPS_OUT)
+
+
+def ref_predict_all(model):
+    return np.clip(sigmoid(model.user_emb @ model.item_emb.T
+                           + model.user_bias[:, None]
+                           + model.item_bias[None, :] + model.global_bias),
+                   EPS_OUT, 1.0 - EPS_OUT)
+
 
 def ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt, error):
     if not np.all(np.isfinite(coef)):
@@ -370,7 +457,7 @@ def ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt, error):
 
 
 def ref_surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho, loss):
-    f = model.forward(u_idx, i_idx)
+    f = ref_forward(model, u_idx, i_idx)
     dval = label_loss_grad(loss, f, r, rho)
     return (o / p_hat) * dval * f * (1.0 - f) / u_idx.shape[0]
 
@@ -403,7 +490,7 @@ def ref_train_noisy_factor_model(dataset, method, config, d=8, p_hat=None):
             idx = order[start:start + batch]
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
-            f = model.forward(u, i)
+            f = ref_forward(model, u, i)
             g_obs = _xent_grad(f, rb)
             if method == "naive":
                 weight = ob * n_pairs / n_obs
@@ -422,6 +509,68 @@ def ref_train_noisy_factor_model(dataset, method, config, d=8, p_hat=None):
                 model, u, i, coef, config, opt,
                 f"noisy-rate pretraining diverged at epoch {epoch}")
     return model
+
+
+def ref_sgd_step_imputation(model, u_idx, i_idx, o, r, p_hat, pred, rho,
+                            loss, config, opt):
+    if not np.all(np.isfinite(pred)):
+        raise TrainingDivergence("non-finite gradient in imputation step")
+    target = label_loss(loss, pred, r, rho)
+    e_bar = model.scores(u_idx, i_idx)
+    coef = -2.0 * o * (target - e_bar) / p_hat / u_idx.shape[0]
+    ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
+                        "non-finite gradient in imputation step")
+
+
+def ref_alternating_denoise_train(dataset, p_hat, noisy_model, config):
+    """The alternating loop as it was when every prediction batch went
+    whole through the prediction step."""
+    n, m = dataset.shape
+    p_flat = np.asarray(p_hat, dtype=np.float64).ravel()
+    q = np.asarray(noisy_model.q, dtype=np.float64).ravel()
+    rng = make_rng(config.sgd_prediction.seed)
+    pred_model = FactorModel.init(n, m, config.embedding_dim, rng)
+    imp_model = FactorModel.init(n, m, config.embedding_dim, rng)
+    pred_opt = Optimizer(config.sgd_prediction)
+    imp_opt = Optimizer(config.sgd_imputation)
+    o_flat = dataset.observed_mask.ravel()
+    r_flat = dataset.observed_ratings.ravel()
+    n_pairs = n * m
+    obs_idx = np.flatnonzero(o_flat)
+    val_idx = rng.permutation(obs_idx)[:max(1, obs_idx.size // 10)]
+    vu, vi = np.divmod(val_idx, m)
+    rho = config.rho_init
+    records = []
+    batch_p = min(config.sgd_prediction.batch_size or n_pairs, n_pairs)
+    batch_i = min(config.sgd_imputation.batch_size or obs_idx.size,
+                  obs_idx.size)
+    for loop in range(config.outer_loops):
+        for _ in range(config.steps_prediction):
+            idx = rng.choice(n_pairs, size=batch_p, replace=False)
+            u, i = np.divmod(idx, m)
+            ref_sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
+                                   p_flat[idx], None, rho, ALT_LOSS,
+                                   config.sgd_prediction, pred_opt)
+        dense_pred = ref_predict_all(pred_model)
+        rho, clamped = rates_at_extremes(q, config.k_extreme, dense_pred)
+        for _ in range(config.steps_imputation):
+            idx = obs_idx[rng.choice(obs_idx.size, size=batch_i,
+                                     replace=False)]
+            u, i = np.divmod(idx, m)
+            pred_b = ref_forward(pred_model, u, i)
+            ref_sgd_step_imputation(imp_model, u, i, o_flat[idx], r_flat[idx],
+                                    p_flat[idx], pred_b, rho, ALT_LOSS,
+                                    config.sgd_imputation, imp_opt)
+        val_pred = ref_forward(pred_model, vu, vi)
+        val_obj = float(np.mean(
+            np.square(val_pred - r_flat[val_idx]) / p_flat[val_idx]))
+        e_bar = imp_model.scores(vu, vi)
+        w = o_flat[val_idx] / p_flat[val_idx]
+        obj = float(np.mean((1.0 - w) * e_bar + w * label_loss(
+            ALT_LOSS, val_pred, r_flat[val_idx], rho)))
+        records.append(TraceRecord(loop, rho.rho01, rho.rho10, obj, val_obj,
+                                   clamped))
+    return pred_model, imp_model, records
 
 
 def factor_params(model):
@@ -497,15 +646,19 @@ class TestZeroCoefficientSkip:
                         "factor_backward": 2 * n_obs}
 
     def test_zero_propensity_on_unobserved_cell_diverges(self):
-        # o/p = 0/0 is NaN, as it was when every row was scored
+        # o/p = 0/0 and 0/NaN are NaN, as they were when every row was
+        # scored, so the cell stays live
         d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
-        p_hat = np.full(d.shape, 0.3)
-        p_hat[np.unravel_index(np.argmin(d.observed_mask), d.shape)] = 0.0
         cfg = SgdConfig(learning_rate=0.5, batch_size=64, max_epochs=1)
-        for train in (train_noisy_factor_model, ref_train_noisy_factor_model):
-            with np.errstate(invalid="ignore"), pytest.raises(
-                    TrainingDivergence, match="pretraining diverged at epoch 0"):
-                train(d, "ips", cfg, 4, p_hat=p_hat)
+        for bad in (0.0, np.nan):
+            p_hat = np.full(d.shape, 0.3)
+            p_hat[np.unravel_index(np.argmin(d.observed_mask), d.shape)] = bad
+            for train in (train_noisy_factor_model,
+                          ref_train_noisy_factor_model):
+                with np.errstate(invalid="ignore"), pytest.raises(
+                        TrainingDivergence,
+                        match="pretraining diverged at epoch 0"):
+                    train(d, "ips", cfg, 4, p_hat=p_hat)
 
     @pytest.mark.parametrize("loss", [LossKind.squared(),
                                       LossKind.cross_entropy()],
@@ -526,8 +679,8 @@ class TestZeroCoefficientSkip:
             p = rng.uniform(0.05, 1.0, size=batch)
             got, want = unit_model(seed, n, m), unit_model(seed, n, m)
             assert np.array_equal(
-                dr_grad_coefs(got, u, i, o / p, lambda f, rows:
-                              label_loss_grad(loss, f, r[rows], rho)),
+                dr_grad_coefs(got, u, i, o / p, lambda f:
+                              label_loss_grad(loss, f, r, rho), batch),
                 ref_surrogate_grad_coefs(want, u, i, o, r, p, rho, loss))
             got_opt, want_opt = Optimizer(cfg), Optimizer(cfg)
             for _ in range(3):
