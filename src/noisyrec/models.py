@@ -53,26 +53,11 @@ class SgdConfig:
         return min(self.batch_size or n, n)
 
 
-def epoch_batches(rng, live: np.ndarray, config: SgdConfig):
-    """One epoch over the n cells of the boolean mask `live`:
-    rng.permutation(n) in slices of batch_of(n), of which only the live
-    cells are kept. The epoch's live cells are found once, in permutation
-    order, and each slice is cut from them by searchsorted on its edges.
-
-    Returns (cells, batches): cells holds the live cells in permutation
-    order, and batches one (rows, at, size) per slice, where cells[rows] are
-    the slice's live cells, at their positions in the slice and size its
-    length.
-    """
-    n = live.shape[0]
+def epoch_batches(rng, n: int, config: SgdConfig):
+    """One epoch of n rows: rng.permutation(n) in slices of batch_of(n)."""
     order = rng.permutation(n)
-    pos = np.flatnonzero(live[order])
     batch = max(config.batch_of(n), 1)  # over 0 rows, no batch and no error
-    starts = range(0, n, batch)
-    edges = np.searchsorted(pos, [*starts, n])
-    batches = [(slice(lo, hi), pos[lo:hi] - start, min(batch, n - start))
-               for start, lo, hi in zip(starts, edges[:-1], edges[1:])]
-    return order[pos], batches
+    return (order[start:start + batch] for start in range(0, n, batch))
 
 
 def sigmoid(x, out=None):
@@ -305,20 +290,15 @@ def dr_grad_coefs(model: FactorModel, u_idx, i_idx, w, grad, size: int,
 
 def sgd_step_surrogate(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
                        rho: ErrorParams, loss: LossKind, config: SgdConfig,
-                       opt: Optimizer, at=None, size=None) -> FactorModel:
+                       opt: Optimizer) -> FactorModel:
     """One gradient step on the mini-batch corrected-DR objective: weights
     o/p on the surrogate loss, and no imputed term, since that carries no
-    prediction-model gradient; so the rows where o/p = 0 are not scored.
-
-    The arrays hold a whole batch, of which this step keeps the rows with a
-    non-zero o/p; or with `at`, the rows at positions `at` (ascending) of a
-    batch of `size` rows whose other rows have o/p = 0, all of them kept.
-    e_bar is unused; it stays in the signature for existing positional
-    callers."""
+    prediction-model gradient; so of the batch only the rows with a non-zero
+    o/p, the live rows, are scored and stepped. e_bar is unused; it stays
+    in the signature for existing positional callers."""
     w = o / p_hat
-    if at is None:
-        at, size = np.flatnonzero(w), w.shape[0]
-        u_idx, i_idx, r, w = u_idx[at], i_idx[at], r[at], w[at]
+    at, size = np.flatnonzero(w), w.shape[0]
+    u_idx, i_idx, r, w = u_idx[at], i_idx[at], r[at], w[at]
     coef = dr_grad_coefs(model, u_idx, i_idx, w,
                          lambda f: label_loss_grad(loss, f, r, rho), size)
     factor_sgd_step(model, u_idx, i_idx, coef, config, opt,

@@ -120,11 +120,10 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     Every method draws its batches from all n*m cells, one permutation per
     epoch, through epoch_batches. naive and ips keep no r_bar term, so a
     cell whose w is exactly 0 adds nothing to the step: only the others are
-    live. For ips these are the observed cells and any whose o/p_hat is NaN
-    (p_hat 0 or NaN), so such a p_hat still diverges at epoch 0. eib and dr
-    keep every cell. w is formed once over all cells, and an epoch gathers
-    u, i, w and r once for its live cells; each batch steps on its live
-    rows, with coefficients divided by the full batch size, so the model is
+    live, and a batch gathers and scores only its live cells, dividing by
+    the full batch size. For naive these are the observed cells; for ips
+    also any whose o/p_hat is NaN (p_hat 0 or NaN), so such a p_hat still
+    diverges at epoch 0. eib and dr step on the whole batch. The model is
     bit for bit the one that scoring every row gives.
     """
     if method not in TRAIN_METHODS:
@@ -145,26 +144,33 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     p_flat = None if p_hat is None else _cells(dataset, p_hat, "propensity")
     imputed = ((lambda f: _xent_grad(f, r_bar))
                if method in ("eib", "dr") else None)
+    live = None
     if method == "naive":
-        # int8 o times a Python int stays int8 and would overflow
-        weight = o_flat * (n_pairs / n_obs)
-    elif method == "eib":
-        weight = o_flat
-    else:
-        weight = o_flat / p_flat
-    # without the r_bar term a cell of weight 0 adds nothing; NaN is not 0
-    live = weight != 0 if imputed is None else np.ones(n_pairs, dtype=bool)
+        live = o_flat
+    elif method == "ips":
+        # a cell whose o/p_hat is NaN is live too, since NaN is not 0; the
+        # batch's own division warns as it did
+        with np.errstate(divide="ignore", invalid="ignore"):
+            live = o_flat / p_flat != 0
     for epoch in range(config.max_epochs):
-        cells, batches = epoch_batches(rng, live, config)
-        u, i = np.divmod(cells, m)
-        w, r = weight[cells], r_flat[cells]
-        for rows, at, size in batches:
-            ub, ib = u[rows], i[rows]
-            coef = dr_grad_coefs(model, ub, ib, w[rows],
-                                 lambda f: _xent_grad(f, r[rows]), size,
-                                 imputed)
+        for idx in epoch_batches(rng, n_pairs, config):
+            at, size = None, idx.shape[0]
+            if live is not None:
+                at = np.flatnonzero(live[idx])
+                idx = idx[at]
+            u, i = np.divmod(idx, m)
+            ob, rb = o_flat[idx], r_flat[idx]
+            if method == "naive":
+                # int8 ob times a Python int stays int8 and would overflow
+                w = ob * (n_pairs / n_obs)
+            elif method == "eib":
+                w = ob
+            else:
+                w = ob / p_flat[idx]
+            coef = dr_grad_coefs(model, u, i, w,
+                                 lambda f: _xent_grad(f, rb), size, imputed)
             factor_sgd_step(
-                model, ub, ib, coef, config, opt,
+                model, u, i, coef, config, opt,
                 f"noisy-rate pretraining diverged at epoch {epoch}", at, size)
     return model
 
@@ -231,21 +237,15 @@ def alternating_denoise_train(
     trace = TrainTrace()
     batch_p = config.sgd_prediction.batch_of(n_pairs)
     batch_i = config.sgd_imputation.batch_of(obs_idx.size)
-    # the cells a prediction step scores: those whose o/p is not 0 (NaN is
-    # not); the step's own division warns as it did
-    with np.errstate(divide="ignore", invalid="ignore"):
-        live = o_flat / p_flat != 0
 
     for loop in range(config.outer_loops):
         # prediction phase
         for _ in range(config.steps_prediction):
             idx = rng.choice(n_pairs, size=batch_p, replace=False)
-            at = np.flatnonzero(live[idx])
-            cells = idx[at]
-            u, i = np.divmod(cells, m)
-            sgd_step_surrogate(pred_model, u, i, o_flat[cells], r_flat[cells],
-                               p_flat[cells], None, rho, ALT_LOSS,
-                               config.sgd_prediction, pred_opt, at, batch_p)
+            u, i = np.divmod(idx, m)
+            sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
+                               p_flat[idx], None, rho, ALT_LOSS,
+                               config.sgd_prediction, pred_opt)
         dense_pred = pred_model.predict_all()
 
         # imputation phase: refresh rho first, then step the imputation model

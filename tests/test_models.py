@@ -776,25 +776,19 @@ class TestEpochBatches:
     @pytest.mark.parametrize("batch_size,n", [(0, 23), (7, 23), (23, 23),
                                               (100, 23), (5, 0), (0, 0)])
     def test_slices_of_one_permutation(self, batch_size, n):
-        # each batch is a slice of one permutation, cut to its live cells
         cfg = SgdConfig(batch_size=batch_size)
+        got = list(epoch_batches(make_rng(4), n, cfg))
         order = make_rng(4).permutation(n)
         size = cfg.batch_of(n)
-        slices = [order[start:start + size]
-                  for start in range(0, n, max(size, 1))]
-        for live in (np.ones(n, dtype=bool), make_rng(9).random(n) < 0.3):
-            cells, batches = epoch_batches(make_rng(4), live, cfg)
-            assert np.array_equal(cells, order[live[order]])
-            assert len(batches) == len(slices)
-            for (rows, at, length), want in zip(batches, slices):
-                assert length == want.size
-                assert np.array_equal(at, np.flatnonzero(live[want]))
-                assert np.array_equal(cells[rows], want[at])
+        assert [len(b) for b in got] == [
+            min(size, n - start) for start in range(0, n, max(size, 1))]
+        assert np.array_equal(np.concatenate(got or [[]]), order)
 
     def test_one_permutation_per_epoch(self):
         # the rng moves on by exactly one permutation of n per epoch
         rng = make_rng(5)
-        epoch_batches(rng, np.ones(30, dtype=bool), SgdConfig(batch_size=4))
+        for _ in epoch_batches(rng, 30, SgdConfig(batch_size=4)):
+            pass
         ref = make_rng(5)
         ref.permutation(30)
         assert rng.random() == ref.random()

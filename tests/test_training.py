@@ -647,18 +647,31 @@ class TestZeroCoefficientSkip:
 
     def test_zero_propensity_on_unobserved_cell_diverges(self):
         # o/p = 0/0 and 0/NaN are NaN, as they were when every row was
-        # scored, so the cell stays live
+        # scored, so the cell stays live. The live index is formed without
+        # a warning: only the division of the batch holding the cell warns,
+        # as the reference's does, so with no epoch nothing warns.
         d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
-        cfg = SgdConfig(learning_rate=0.5, batch_size=64, max_epochs=1)
         for bad in (0.0, np.nan):
             p_hat = np.full(d.shape, 0.3)
             p_hat[np.unravel_index(np.argmin(d.observed_mask), d.shape)] = bad
-            for train in (train_noisy_factor_model,
-                          ref_train_noisy_factor_model):
-                with np.errstate(invalid="ignore"), pytest.raises(
-                        TrainingDivergence,
-                        match="pretraining diverged at epoch 0"):
-                    train(d, "ips", cfg, 4, p_hat=p_hat)
+            for epochs in (0, 1):
+                cfg = SgdConfig(learning_rate=0.5, batch_size=64,
+                                max_epochs=epochs)
+                caught = []
+                for train in (train_noisy_factor_model,
+                              ref_train_noisy_factor_model):
+                    with warnings.catch_warnings(record=True) as got:
+                        warnings.simplefilter("always")
+                        if epochs == 0:
+                            train(d, "ips", cfg, 4, p_hat=p_hat)
+                        else:
+                            with pytest.raises(
+                                    TrainingDivergence,
+                                    match="pretraining diverged at epoch 0"):
+                                train(d, "ips", cfg, 4, p_hat=p_hat)
+                    caught.append([(w.category, str(w.message)) for w in got])
+                assert caught[0] == caught[1]
+                assert bool(caught[0]) == (epochs > 0 and bad == 0.0)
 
     @pytest.mark.parametrize("loss", [LossKind.squared(),
                                       LossKind.cross_entropy()],
