@@ -162,12 +162,6 @@ def _default_imputation(inst, loss: LossKind) -> ImputationMatrix:
     return ImputationMatrix(e_bar.reshape(r_hat.shape))
 
 
-def _as_given(p_arr, floor) -> PropensityMatrix:
-    """The propensities as they are: the floor is lowered to their smallest
-    entry, so nothing is clipped, and each entry must lie in (0, 1]."""
-    return PropensityMatrix(p_arr, floor=min(float(np.min(p_arr)), floor))
-
-
 def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
     if given is not None and mode != "given":
         raise ValidationError(f"--rho needs --rho-mode given, not {mode}")
@@ -177,15 +171,14 @@ def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
         if given is None:
             raise ValidationError("--rho required with rho-mode=given")
         return _rates("--rho", given)
-    # estimated: pretrain a noisy-rate model and read off the extremes
+    # estimated: pretrain a noisy-rate model, which checks the propensities
+    # as estimation does, and read off the extremes
     dataset = inst.to_dataset()
-    p_arr = _as_given(inst.p_hat if inst.p_hat is not None else inst.p_true,
-                      inst.spec.propensity_floor).p_hat
     q = pretrain_noisy_model(
         dataset, "ips",
         SgdConfig(learning_rate=0.1, batch_size=8192, max_epochs=30,
                   seed=seed),
-        p_hat=p_arr)
+        p_hat=inst.p_hat if inst.p_hat is not None else inst.p_true)
     k = max(1, int(0.001 * dataset.n_users * dataset.n_items))
     return identify_error_params(q, k_extreme=k)
 
@@ -200,8 +193,7 @@ def _estimator_rows(inst, propensities, rho_hat, names) -> list:
         dataset=inst.to_dataset(),
         predictions=inst.prediction,
         loss=loss,
-        p_hat=None if p_arr is None else _as_given(
-            p_arr, inst.spec.propensity_floor),
+        p_hat=None if p_arr is None else PropensityMatrix(p_arr, floor=0.0),
         e_bar=_default_imputation(inst, loss),
         rho_hat=rho_hat,
     )
@@ -244,12 +236,13 @@ def _load_training_data(path, seed):
         inst = load_instance(path)
         return inst.to_dataset(), np.asarray(inst.true_ratings)
     dataset = load_dataset_triples(path)
-    test_mask = np.zeros(dataset.shape, dtype=np.int8)
-    test_mask.flat[dataset.held_out_cells(make_rng(seed))] = 1
-    train_mask = dataset.observed_mask * (1 - test_mask)
+    held_out = dataset.held_out_cells(make_rng(seed))
+    train_mask = dataset.observed_mask.copy()
+    train_mask.flat[held_out] = 0
+    labels = np.full(dataset.shape, -1, dtype=np.int8)
+    labels.flat[held_out] = dataset.observed_ratings.flat[held_out]
     train = RatingDataset(dataset.n_users, dataset.n_items, train_mask,
                           dataset.observed_ratings)
-    labels = np.where(test_mask == 1, dataset.observed_ratings, -1)
     return train, labels
 
 

@@ -218,9 +218,9 @@ def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
     positions `at` (ascending) of a batch of `size` rows whose other rows
     have coefficient 0. The global-bias gradient is the pairwise sum of the
     batch's whole coefficient vector, zeros in place, since a sum over fewer
-    terms can round differently. Rows whose coefficient is exactly 0 skip
-    the backward kernel, which adds nothing for them; so the step is the
-    whole batch's bit for bit.
+    terms can round differently. The backward kernel sees only the given
+    rows; a left-out row would add nothing to it, so the step is the whole
+    batch's bit for bit.
 
     Raises TrainingDivergence(error) on a non-finite coef, and
     TrainingDivergence when the step leaves the global bias non-finite.
@@ -232,9 +232,6 @@ def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
         batch = np.zeros(size)
         batch[at] = coef
     g_b0 = float(batch.sum())
-    rows = np.flatnonzero(coef)
-    if rows.size < coef.shape[0]:
-        u_idx, i_idx, coef = u_idx[rows], i_idx[rows], coef[rows]
     g_ue, g_ie, g_ub, g_ib, _ = _kernels.factor_backward(
         u_idx, i_idx, model.user_emb, model.item_emb, coef)
     wd = config.weight_decay
@@ -277,9 +274,9 @@ def dr_grad_coefs(model: FactorModel, u_idx, i_idx, w, grad, size: int,
     imputed(f) = d l(f, e)/d f at the imputed target e, on those rows.
 
     imputed=None drops the imputed term; then a row with w_b = 0 has
-    coefficient 0, so a caller may leave such rows out and score only the
-    others (a non-finite weight is not 0: its row stays, and its
-    coefficient is non-finite too, which factor_sgd_step rejects).
+    coefficient 0 and adds nothing to the step, so a caller leaves such rows
+    out and scores only the others: the observed rows, for a weight o/p_hat
+    with p_hat in (0, 1].
     """
     f = model.forward(u_idx, i_idx)
     dldf = w * grad(f)

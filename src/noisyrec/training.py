@@ -13,6 +13,7 @@ import numpy as np
 
 from .data import (
     ErrorParams,
+    PropensityMatrix,
     RatingDataset,
     ValidationError,
     make_rng,
@@ -95,6 +96,15 @@ def _cells(dataset: RatingDataset, a, what: str) -> np.ndarray:
     return a.ravel()
 
 
+def _propensity_cells(dataset: RatingDataset, p_hat) -> np.ndarray:
+    """p_hat as flat float64 cells, checked by estimation's rule: the
+    dataset's shape, then every entry in (0, 1], with no floor. So o/p_hat
+    is finite everywhere and 0 exactly where o is."""
+    p = _cells(dataset, p_hat, "propensity")
+    PropensityMatrix(p.reshape(dataset.shape), floor=0.0)
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Pretraining the noisy-rate model
 # ---------------------------------------------------------------------------
@@ -117,19 +127,20 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     (w = o n_pairs / n_obs, the mean over the observed set) and ips
     (w = o / p_hat) drop it; eib (w = o) and dr (w = o / p_hat) keep it.
 
-    Every method draws its batches from all n*m cells, one permutation per
-    epoch, through epoch_batches. naive and ips keep no r_bar term, so a
-    cell whose w is exactly 0 adds nothing to the step: only the others are
-    live, and a batch gathers and scores only its live cells, dividing by
-    the full batch size. For naive these are the observed cells; for ips
-    also any whose o/p_hat is NaN (p_hat 0 or NaN), so such a p_hat still
-    diverges at epoch 0. eib and dr step on the whole batch. The model is
-    bit for bit the one that scoring every row gives.
+    A given p_hat must pass _propensity_cells, else ValidationError before
+    any step. Every method draws its batches from all n*m cells, one
+    permutation per epoch, through epoch_batches. naive and ips keep no
+    r_bar term, and their w is 0 exactly on the unobserved cells, which add
+    nothing to the step: a batch gathers and scores only its observed cells,
+    taken from the mask, dividing by the full batch size. eib and dr step on
+    the whole batch. The model is bit for bit the one that scoring every row
+    gives.
     """
     if method not in TRAIN_METHODS:
         raise ValidationError(f"unknown training method {method!r}")
     if method in ("ips", "dr") and p_hat is None:
         raise ValidationError(f"method {method!r} needs propensities")
+    p_flat = None if p_hat is None else _propensity_cells(dataset, p_hat)
     n, m = dataset.shape
     rng = make_rng(config.seed)
     model = FactorModel.init(n, m, d, rng)
@@ -141,22 +152,13 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
         raise ValidationError("no observed pairs")
     r_bar = float((o_flat * r_flat).sum() / n_obs)
     n_pairs = n * m
-    p_flat = None if p_hat is None else _cells(dataset, p_hat, "propensity")
     imputed = ((lambda f: _xent_grad(f, r_bar))
                if method in ("eib", "dr") else None)
-    live = None
-    if method == "naive":
-        live = o_flat
-    elif method == "ips":
-        # a cell whose o/p_hat is NaN is live too, since NaN is not 0; the
-        # batch's own division warns as it did
-        with np.errstate(divide="ignore", invalid="ignore"):
-            live = o_flat / p_flat != 0
     for epoch in range(config.max_epochs):
         for idx in epoch_batches(rng, n_pairs, config):
             at, size = None, idx.shape[0]
-            if live is not None:
-                at = np.flatnonzero(live[idx])
+            if imputed is None:
+                at = np.flatnonzero(o_flat[idx])
                 idx = idx[at]
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
@@ -172,6 +174,9 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
             factor_sgd_step(
                 model, u, i, coef, config, opt,
                 f"noisy-rate pretraining diverged at epoch {epoch}", at, size)
+        # for eib and dr idx views this epoch's permutation, which would
+        # stay alive while the next one is drawn
+        del idx
     return model
 
 
@@ -206,14 +211,15 @@ def alternating_denoise_train(
     from the frozen noisy-rate model, then imputation steps on the
     propensity-weighted squared residual against the surrogate loss.
 
-    Extreme pairs are computed over all pairs from the dense predictions once
-    per prediction phase (rather than per mini-batch), which is deterministic
-    and matches the definition of the identification extremes. The
-    noisy-rate model is frozen, so a flat one raises NoSeparationWarning
-    once, before the loop.
+    p_hat must pass _propensity_cells, else ValidationError before any
+    step. Extreme pairs are computed over all pairs from the dense
+    predictions once per prediction phase (rather than per mini-batch),
+    which is deterministic and matches the definition of the identification
+    extremes. The noisy-rate model is frozen, so a flat one raises
+    NoSeparationWarning once, before the loop.
     """
     n, m = dataset.shape
-    p_flat = _cells(dataset, p_hat, "propensity")
+    p_flat = _propensity_cells(dataset, p_hat)
     q = _cells(dataset, noisy_model.q, "noisy-rate")
     check_k_extreme(config.k_extreme, n * m)
     warn_if_flat(q)

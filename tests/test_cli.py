@@ -9,7 +9,8 @@ import pytest
 
 from noisyrec import cli
 from noisyrec.cli import main, parse_config_file
-from noisyrec.data import ValidationError
+from noisyrec.data import (RatingDataset, ValidationError,
+                           load_dataset_triples, make_rng)
 from noisyrec.losses import LossKind, loss_curves
 from noisyrec.synthbench import BenchmarkSpec, load_instance, sample_instance
 
@@ -687,6 +688,39 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert (out / "eval.csv").exists()
+
+    @pytest.mark.parametrize("method", ["ips", "ome_alt"])
+    def test_triples_split_as_mask_product(self, tmp_path, monkeypatch,
+                                           method):
+        # the split formed, as it once was, from a 0/1 held-out mask: the
+        # training mask as a product, the labels by np.where
+        def product_split(path, seed):
+            dataset = load_dataset_triples(path)
+            test_mask = np.zeros(dataset.shape, dtype=np.int8)
+            test_mask.flat[dataset.held_out_cells(make_rng(seed))] = 1
+            train_mask = dataset.observed_mask * (1 - test_mask)
+            train = RatingDataset(dataset.n_users, dataset.n_items,
+                                  train_mask, dataset.observed_ratings)
+            return train, np.where(test_mask == 1,
+                                   dataset.observed_ratings, -1)
+
+        rng = np.random.default_rng(2)
+        triples = tmp_path / "data.tsv"
+        triples.write_text("".join(
+            f"{u}\t{i}\t{int(rng.random() < 0.5)}\n"
+            for u in range(17) for i in range(13) if rng.random() < 0.6))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("sgd.max_epochs = 3\npropensity_epochs = 10\nk = 3\n"
+                       "outer_loops = 2\n")
+        runs = []
+        for split in (cli._load_training_data, product_split):
+            monkeypatch.setattr(cli, "_load_training_data", split)
+            out = tmp_path / f"run{len(runs)}"
+            assert main(["train", "--data", str(triples), "--method", method,
+                         "--config", str(cfg), "--out", str(out)]) == 0
+            runs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert set(runs[0]) >= {"checkpoint.npz", "eval.csv"}
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("sep, extra", [(",", ""), (", ", ""),
                                             ("\t", "\t881250949"),

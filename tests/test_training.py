@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -404,22 +405,6 @@ class TestLoopEqualsReference:
         assert ([fields(r) for r in trace.records]
                 == [fields(r) for r in want_records])
 
-    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
-    def test_bad_propensity_on_unobserved_cell_diverges(self, bad):
-        # o/p is 0/0 or 0/NaN = NaN on that cell, which the first prediction
-        # batch, the whole universe, holds
-        d, p_hat, noisy = self.inputs()
-        p_hat[np.unravel_index(np.argmin(d.observed_mask), d.shape)] = bad
-        config = self.config("sgd", 1, 0)
-        messages = []
-        for train in (alternating_denoise_train,
-                      ref_alternating_denoise_train):
-            with np.errstate(invalid="ignore"), pytest.raises(
-                    TrainingDivergence) as exc:
-                train(d, p_hat, noisy, config)
-            messages.append(str(exc.value))
-        assert messages == ["non-finite gradient in prediction step"] * 2
-
 
 # Reference bodies: the training steps as they were before zero-coefficient
 # rows skipped the kernels, scoring and back-propagating every batch row, and
@@ -628,8 +613,10 @@ class TestZeroCoefficientSkip:
             want = train_noisy_factor_model(d, "eib", cfg, 4)
             assert_same_model(got, want)
 
-    @pytest.mark.parametrize("method", ["naive", "ips"])
+    @pytest.mark.parametrize("method", ["naive", "ips", "eib", "dr"])
     def test_kernels_see_only_observed_rows(self, method, monkeypatch):
+        # naive and ips score and step only the observed rows, eib and dr
+        # the whole batch; the backward kernel sees the rows scored
         d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
         rows = {"factor_scores": 0, "factor_backward": 0}
         for name in rows:
@@ -641,37 +628,10 @@ class TestZeroCoefficientSkip:
                         seed=6)
         train_noisy_factor_model(d, method, cfg, 4,
                                  p_hat=np.full(d.shape, 0.3))
-        n_obs = int(d.observed_mask.sum())
-        assert rows == {"factor_scores": 2 * n_obs,
-                        "factor_backward": 2 * n_obs}
-
-    def test_zero_propensity_on_unobserved_cell_diverges(self):
-        # o/p = 0/0 and 0/NaN are NaN, as they were when every row was
-        # scored, so the cell stays live. The live index is formed without
-        # a warning: only the division of the batch holding the cell warns,
-        # as the reference's does, so with no epoch nothing warns.
-        d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
-        for bad in (0.0, np.nan):
-            p_hat = np.full(d.shape, 0.3)
-            p_hat[np.unravel_index(np.argmin(d.observed_mask), d.shape)] = bad
-            for epochs in (0, 1):
-                cfg = SgdConfig(learning_rate=0.5, batch_size=64,
-                                max_epochs=epochs)
-                caught = []
-                for train in (train_noisy_factor_model,
-                              ref_train_noisy_factor_model):
-                    with warnings.catch_warnings(record=True) as got:
-                        warnings.simplefilter("always")
-                        if epochs == 0:
-                            train(d, "ips", cfg, 4, p_hat=p_hat)
-                        else:
-                            with pytest.raises(
-                                    TrainingDivergence,
-                                    match="pretraining diverged at epoch 0"):
-                                train(d, "ips", cfg, 4, p_hat=p_hat)
-                    caught.append([(w.category, str(w.message)) for w in got])
-                assert caught[0] == caught[1]
-                assert bool(caught[0]) == (epochs > 0 and bad == 0.0)
+        live = (int(d.observed_mask.sum()) if method in ("naive", "ips")
+                else d.n_users * d.n_items)
+        assert rows == {"factor_scores": 2 * live,
+                        "factor_backward": 2 * live}
 
     @pytest.mark.parametrize("loss", [LossKind.squared(),
                                       LossKind.cross_entropy()],
@@ -758,3 +718,85 @@ class TestZeroCoefficientSkip:
             sgd_step_imputation(model, u, i, np.ones(3), np.ones(3),
                                 np.full(3, 0.5), pred, ErrorParams(0.1, 0.1),
                                 LossKind.squared(), cfg, Optimizer(cfg))
+
+
+class TestPropensityCheck:
+    """Both training entry points check p_hat by estimation's rule, every
+    entry in (0, 1], before any step: a bad entry on an observed or an
+    unobserved cell is a ValidationError, and nothing warns."""
+
+    bad = pytest.mark.parametrize(
+        "bad", [0.0, np.nan, -0.1, 1.5],
+        ids=["zero", "nan", "negative", "above-one"])
+    observed = pytest.mark.parametrize("observed", [True, False],
+                                       ids=["observed", "unobserved"])
+
+    @staticmethod
+    def inputs(bad, observed):
+        d, _ = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
+        p_hat = make_rng(11).uniform(0.2, 1.0, size=d.shape)
+        p_hat.flat[(np.argmax if observed else np.argmin)(
+            d.observed_mask)] = bad
+        return d, p_hat, NoisyRateModel(0.1 + 0.7 * d.true_ratings)
+
+    @staticmethod
+    def rejects(train, monkeypatch):
+        steps = []
+        monkeypatch.setattr(_kernels, "factor_backward",
+                            lambda *args: steps.append(args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError,
+                               match=r"propensities must lie in \(0, 1\]"):
+                train()
+        assert steps == []
+        assert [w for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+
+    @observed
+    @bad
+    @pytest.mark.parametrize("method", ["naive", "ips", "eib", "dr"])
+    def test_pretraining_rejects(self, method, bad, observed, monkeypatch):
+        d, p_hat, _ = self.inputs(bad, observed)
+        cfg = SgdConfig(learning_rate=0.5, batch_size=64, max_epochs=1,
+                        seed=6)
+        self.rejects(lambda: train_noisy_factor_model(d, method, cfg, 4,
+                                                      p_hat=p_hat),
+                     monkeypatch)
+
+    @observed
+    @bad
+    def test_alternating_rejects(self, bad, observed, monkeypatch):
+        d, p_hat, noisy = self.inputs(bad, observed)
+        config = AltTrainConfig(rho_init=ErrorParams(0.0, 0.0),
+                                outer_loops=1, embedding_dim=4,
+                                sgd_prediction=SgdConfig(batch_size=0))
+        self.rejects(lambda: alternating_denoise_train(d, p_hat, noisy,
+                                                       config),
+                     monkeypatch)
+
+
+class TestPretrainingMemory:
+    """Pretraining holds one n*m permutation at a time and, for every
+    method, no other n*m array."""
+
+    @staticmethod
+    def peak(method, epochs):
+        rng = make_rng(12)
+        o = (rng.random((400, 500)) < 0.1).astype(np.int8)
+        d = RatingDataset(400, 500, o, (rng.random(o.shape) < 0.5) * o)
+        p_hat = np.full(d.shape, 0.1)
+        cfg = SgdConfig(batch_size=4096, max_epochs=epochs, seed=0)
+        tracemalloc.start()
+        try:
+            train_noisy_factor_model(d, method, cfg, 8, p_hat=p_hat)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("method", ["naive", "ips", "eib", "dr"])
+    def test_second_epoch_holds_one_permutation(self, method):
+        assert self.peak(method, 2) <= 1.05 * self.peak(method, 1)
+
+    def test_ips_holds_no_live_index(self):
+        assert self.peak("ips", 1) <= 1.05 * self.peak("naive", 1)
