@@ -47,7 +47,7 @@ from .models import (
     save_model,
     train_propensity,
 )
-from .noise import check_k_extreme, identify_error_params
+from .noise import check_k_extreme, default_k_extreme, identify_error_params
 from .synthbench import (
     BenchmarkSpec,
     load_instance,
@@ -162,7 +162,7 @@ def _default_imputation(inst, loss: LossKind) -> ImputationMatrix:
     return ImputationMatrix(e_bar.reshape(r_hat.shape))
 
 
-def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
+def _resolve_rho(inst, dataset, p_hat, mode, given, seed) -> ErrorParams:
     if given is not None and mode != "given":
         raise ValidationError(f"--rho needs --rho-mode given, not {mode}")
     if mode == "true":
@@ -171,32 +171,24 @@ def _resolve_rho(inst, mode, given, seed) -> ErrorParams:
         if given is None:
             raise ValidationError("--rho required with rho-mode=given")
         return _rates("--rho", given)
-    # estimated: pretrain a noisy-rate model, which checks the propensities
-    # as estimation does, and read off the extremes
-    dataset = inst.to_dataset()
-    q = pretrain_noisy_model(
-        dataset, "ips",
-        SgdConfig(learning_rate=0.1, batch_size=8192, max_epochs=30,
-                  seed=seed),
-        p_hat=inst.p_hat if inst.p_hat is not None else inst.p_true)
-    k = max(1, int(0.001 * dataset.n_users * dataset.n_items))
-    return identify_error_params(q, k_extreme=k)
+    # estimated: the extremes of q, pretrained by IPS on p_hat (checked)
+    q = pretrain_noisy_model(dataset, "ips", SgdConfig(seed=seed), p_hat=p_hat)
+    return identify_error_params(q, default_k_extreme(q.q.size))
 
 
-def _estimator_rows(inst, propensities, rho_hat, names) -> list:
+def _estimator_rows(inst, propensities, names, rho_mode="true", rho=None,
+                    seed=0) -> list:
     """One [name, value, target, relative_error] row per estimator name, with
-    the chosen propensities used as given."""
+    the chosen propensities used as given, by the flip-rate step too."""
+    dataset = inst.to_dataset()
+    p_arr = inst.p_true if propensities == "true" else inst.p_hat
+    rho_hat = _resolve_rho(inst, dataset, p_arr, rho_mode, rho, seed)
     loss = LossKind.squared()
     target = true_inaccuracy(inst.prediction, inst.true_ratings, loss)
-    p_arr = inst.p_true if propensities == "true" else inst.p_hat
     inputs = EstimatorInputs(
-        dataset=inst.to_dataset(),
-        predictions=inst.prediction,
-        loss=loss,
+        dataset=dataset, predictions=inst.prediction, loss=loss,
         p_hat=None if p_arr is None else PropensityMatrix(p_arr, floor=0.0),
-        e_bar=_default_imputation(inst, loss),
-        rho_hat=rho_hat,
-    )
+        e_bar=_default_imputation(inst, loss), rho_hat=rho_hat)
     rows = []
     for name in names:
         fn = ESTIMATORS.get(name)
@@ -215,8 +207,8 @@ def _estimator_rows(inst, propensities, rho_hat, names) -> list:
 def cmd_estimate(args) -> int:
     inst = load_instance(args.instance)
     names = [n.strip() for n in args.estimators.split(",")]
-    rho_hat = _resolve_rho(inst, args.rho_mode, args.rho, args.seed)
-    rows = _estimator_rows(inst, args.propensities, rho_hat, names)
+    rows = _estimator_rows(inst, args.propensities, names, args.rho_mode,
+                           args.rho, args.seed)
     _write_report(args.out, ["estimator", "value", "target", "relative_error"],
                   rows, {"instance": inst.spec.manifest(),
                          "estimators": names, "rho_mode": args.rho_mode})
@@ -265,31 +257,32 @@ def cmd_train(args) -> int:
         return read_value(key, cfg.pop(key, default), kind)
 
     sgd = dataclasses.replace(
-        SgdConfig(learning_rate=0.1, batch_size=4096, max_epochs=30,
-                  seed=args.seed),
+        SgdConfig(seed=args.seed),
         **read_fields(SgdConfig, cfg.pop("sgd", {}), "sgd option", "sgd."))
     pretrain_method = option("pretrain_method", "ips", str)
     propensity_epochs = option("propensity_epochs", 100)
     k = option("k", 5)
+    rho_init = _rates("rho_init", cfg.pop("rho_init", "0.1,0.1"))
     # the keys left are AltTrainConfig's loop counts; one a config leaves
-    # out keeps the dataclass default
-    alt_cfg = AltTrainConfig(
-        rho_init=_rates("rho_init", cfg.pop("rho_init", "0.1,0.1")),
-        sgd_prediction=sgd, sgd_imputation=sgd,
-        **read_fields(AltTrainConfig, cfg, "train option"))
+    # out keeps the dataclass default, and k_extreme the universe's default
+    loop = read_fields(AltTrainConfig, cfg, "train option")
     _check_at_least("k", k, 1)
     _check_at_least("propensity_epochs", propensity_epochs, 0)
     check_pretrain_method(pretrain_method)
     dataset, labels = _load_training_data(args.data, args.seed)
     class_counts(labels[labels >= 0])  # AUC needs both, checked before output
+    n_pairs = dataset.n_users * dataset.n_items
+    loop.setdefault("k_extreme", default_k_extreme(n_pairs))
+    alt_cfg = AltTrainConfig(rho_init=rho_init, sgd_prediction=sgd,
+                             sgd_imputation=sgd, **loop)
     if args.method == "ome_alt":  # before any training or output
-        check_k_extreme(alt_cfg.k_extreme, dataset.n_users * dataset.n_items)
+        check_k_extreme(alt_cfg.k_extreme, n_pairs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     prop = train_propensity(
-        dataset, SgdConfig(learning_rate=0.5, batch_size=0, weight_decay=0.0,
-                           max_epochs=propensity_epochs, seed=args.seed))
+        dataset, SgdConfig(learning_rate=0.5, batch_size=0,
+                           max_epochs=propensity_epochs))
     p_hat = prop.export().p_hat
 
     d = alt_cfg.embedding_dim
@@ -342,8 +335,7 @@ def cmd_ingest(args) -> int:
 
 def _sweep_one(spec_cfg, seed, names, propensities):
     inst = _instance_from_config(spec_cfg, seed)
-    rows = _estimator_rows(inst, propensities, inst.spec.rho, names)
-    return [[seed] + row for row in rows]
+    return [[seed] + row for row in _estimator_rows(inst, propensities, names)]
 
 
 def cmd_sweep(args) -> int:

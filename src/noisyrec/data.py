@@ -133,10 +133,9 @@ class PropensityMatrix:
         # negated so that NaN, which makes min and max NaN, is rejected
         lo, hi = (p.min(), p.max()) if p.size else (1.0, 1.0)
         if not (lo > 0.0 and lo >= self.floor and hi <= 1.0):
-            raise ValidationError(
-                f"propensities must lie in (0, 1] and not below the floor "
-                f"{self.floor:g}"
-            )
+            floor = (f" and not below the floor {self.floor:g}"
+                     if self.floor > 0 else "")
+            raise ValidationError(f"propensities must lie in (0, 1]{floor}")
 
     @classmethod
     def clipped(cls, p: np.ndarray, floor: float = DEFAULT_PROPENSITY_FLOOR):

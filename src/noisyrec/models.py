@@ -30,12 +30,14 @@ class TrainingDivergence(RuntimeError):
     """Loss became non-finite during training."""
 
 
+# The defaults are the one recipe of `train` and of the noisy-rate
+# pretraining behind `estimate --rho-mode estimated`.
 @dataclass
 class SgdConfig:
-    learning_rate: float = 0.05
+    learning_rate: float = 0.1
     batch_size: int = 4096
     weight_decay: float = 1e-5
-    max_epochs: int = 50
+    max_epochs: int = 30
     seed: int = 0
     optimizer: str = "sgd"  # "sgd" or "adam"
 

@@ -34,6 +34,11 @@ class NoisyRateModel:
             raise ValidationError("noisy-rate entries must lie in (0, 1)")
 
 
+def default_k_extreme(n_pairs: int) -> int:
+    """Extreme cells per end unless a config names them: 0.1%, at least 1."""
+    return max(1, int(0.001 * n_pairs))
+
+
 def check_k_extreme(k_extreme: int, n_pairs: int) -> None:
     """Past n_pairs/2 the k lowest and the k highest cells overlap."""
     if not (1 <= k_extreme <= n_pairs // 2):
@@ -102,13 +107,12 @@ def rates_at_extremes(q, k_extreme: int, by) -> tuple[ErrorParams, bool]:
                               float(np.mean(q[lo])))
 
 
-def identify_error_params(q: NoisyRateModel, k_extreme: int = 1) -> ErrorParams:
-    """Estimate the flip rates from the k most extreme noisy-rate entries:
-    rho01 = 1 - mean of the k largest, rho10 = mean of the k smallest, as
-    `extreme_cells` selects them (which tied entries is immaterial to the
-    means). k = 1 is the single argmin/argmax identification; larger k
-    (e.g. 0.1% of the universe) is recommended when q is itself estimated,
-    since single-entry extremes are high-variance."""
+def identify_error_params(q: NoisyRateModel, k_extreme: int) -> ErrorParams:
+    """Estimate the flip rates from the k most extreme noisy-rate entries,
+    as `extreme_cells` selects them: rho01 = 1 - mean of the k largest,
+    rho10 = mean of the k smallest. k = 1 is the argmin/argmax rule; an
+    estimated q's single extremes are high-variance, so the CLI passes
+    default_k_extreme of the universe."""
     params, _ = rates_at_extremes(q.q, k_extreme, q.q)
     warn_if_flat(q.q)
     return params

@@ -40,11 +40,14 @@ ALT_LOSS = LossKind.squared()
 
 @dataclass
 class AltTrainConfig:
+    """k_extreme, the extreme cells per end of each rho refresh, has no
+    default: the CLI passes noise.default_k_extreme unless a config does."""
+
     rho_init: ErrorParams
+    k_extreme: int
     steps_prediction: int = 10
     steps_imputation: int = 10
     outer_loops: int = 30
-    k_extreme: int = 1
     embedding_dim: int = 8
     sgd_prediction: SgdConfig = field(default_factory=SgdConfig)
     sgd_imputation: SgdConfig = field(default_factory=SgdConfig)

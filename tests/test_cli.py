@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import pickle
 from pathlib import Path
@@ -12,6 +13,7 @@ from noisyrec.cli import main, parse_config_file
 from noisyrec.data import (RatingDataset, ValidationError,
                            load_dataset_triples, make_rng)
 from noisyrec.losses import LossKind, loss_curves
+from noisyrec.models import SgdConfig
 from noisyrec.synthbench import BenchmarkSpec, load_instance, sample_instance
 
 
@@ -550,7 +552,6 @@ class TestTrain:
         class Shifted(cli.AltTrainConfig):
             steps_prediction: int = 3
             steps_imputation: int = 2
-            k_extreme: int = 2
             embedding_dim: int = 4
 
         seen = []
@@ -571,8 +572,8 @@ class TestTrain:
         assert code == 0
         (config,) = seen
         assert (config.outer_loops, config.steps_prediction,
-                config.steps_imputation, config.k_extreme,
-                config.embedding_dim) == (2, 3, 5, 2, 4)
+                config.steps_imputation,
+                config.embedding_dim) == (2, 3, 5, 4)
 
     @pytest.mark.parametrize("text, message", [
         ("outer_loops = 2\nouter_loops = 3\n",
@@ -592,7 +593,8 @@ class TestTrain:
         assert not out.exists()
 
     def test_k_extreme_option(self, instance_dir, tmp_path):
-        # the default is 1, so an explicit 1 writes the same trace
+        # at 500 pairs the default rule gives 1, so an explicit 1 writes
+        # the same trace
         traces = []
         for line in ("", "k_extreme = 1\n", "k_extreme = 10\n"):
             cfg = tmp_path / "train.cfg"
@@ -808,6 +810,93 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "unknown train option 'top_k'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRhoRecipe:
+    """train --method ome_alt and estimate --rho-mode estimated pretrain the
+    noisy-rate model q with one config, on the chosen propensities, and read
+    it at one extreme-cell count."""
+
+    @staticmethod
+    def spy(monkeypatch, names):
+        """Record the bound arguments of each named CLI call, by name."""
+        seen = {name: [] for name in names}
+        for name in names:
+            real = getattr(cli, name)
+
+            def record(*args, _real=real, _name=name, **kwargs):
+                bound = inspect.signature(_real).bind(*args, **kwargs)
+                seen[_name].append(bound.arguments)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, record)
+        return seen
+
+    @pytest.fixture
+    def instance_100(self, tmp_path):
+        # 10 000 cells: more than one 4096-cell batch, and k = 10
+        spec = write_spec(tmp_path / "spec100.cfg", n_users=100,
+                          n_items=100)
+        out = tmp_path / "inst100"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        return out
+
+    def test_train_and_estimate_share_config_and_k(self, instance_100,
+                                                   tmp_path, monkeypatch):
+        seen = self.spy(monkeypatch, ["pretrain_noisy_model",
+                                      "alternating_denoise_train",
+                                      "identify_error_params"])
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("outer_loops = 1\npropensity_epochs = 5\n")
+        assert main(["train", "--data", str(instance_100), "--method",
+                     "ome_alt", "--config", str(cfg), "--seed", "4",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["estimate", "--instance", str(instance_100),
+                     "--rho-mode", "estimated", "--seed", "4",
+                     "--out", str(tmp_path / "report.csv")]) == 0
+        train_cfg, estimate_cfg = [
+            call["config"] for call in seen["pretrain_noisy_model"]]
+        assert train_cfg == estimate_cfg == SgdConfig(seed=4)
+        (loop,) = seen["alternating_denoise_train"]
+        assert loop["config"].k_extreme == 10
+        (identify,) = seen["identify_error_params"]
+        assert identify["k_extreme"] == 10
+
+    def test_explicit_k_extreme_reaches_the_loop(self, instance_100,
+                                                 tmp_path, monkeypatch):
+        seen = self.spy(monkeypatch, ["alternating_denoise_train"])
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("outer_loops = 1\npropensity_epochs = 5\n"
+                       "sgd.max_epochs = 1\nk_extreme = 3\n")
+        assert main(["train", "--data", str(instance_100), "--method",
+                     "ome_alt", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+        (loop,) = seen["alternating_denoise_train"]
+        assert loop["config"].k_extreme == 3
+
+    @pytest.mark.parametrize("propensities", ["true", "perturbed"])
+    def test_estimated_rho_pretrains_on_chosen_propensities(
+            self, instance_dir, tmp_path, monkeypatch, propensities):
+        seen = self.spy(monkeypatch, ["pretrain_noisy_model"])
+        assert main(["estimate", "--instance", str(instance_dir),
+                     "--rho-mode", "estimated", "--propensities",
+                     propensities, "--out", str(tmp_path / "r.csv")]) == 0
+        inst = load_instance(instance_dir)
+        want = inst.p_true if propensities == "true" else inst.p_hat
+        assert not np.array_equal(inst.p_true, inst.p_hat)
+        (call,) = seen["pretrain_noisy_model"]
+        assert np.array_equal(call["p_hat"], want)
+
+    def test_estimated_rho_without_p_hat_exit_2(self, instance_dir,
+                                                tmp_path, capsys):
+        (instance_dir / "p_hat.npy").unlink()
+        out = tmp_path / "report.csv"
+        code = main(["estimate", "--instance", str(instance_dir),
+                     "--rho-mode", "estimated", "--propensities",
+                     "perturbed", "--out", str(out)])
+        assert code == 2
+        assert "needs propensities" in capsys.readouterr().err
         assert not out.exists()
 
 

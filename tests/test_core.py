@@ -235,12 +235,24 @@ class TestMatrices:
     def test_propensity_outside_unit_interval_rejected(self, bad):
         p = np.full((3, 4), 0.5)
         p[1, 2] = bad
-        # the estimate/sweep policy: lower the floor to the smallest entry
+        # the interval holds whatever the floor, even one as low as the
+        # smallest entry
         floor = min(float(np.min(p)), DEFAULT_PROPENSITY_FLOOR)
         with pytest.raises(ValidationError, match=r"\(0, 1\]"):
             PropensityMatrix(p, floor=floor)
         with pytest.raises(ValidationError):
             PropensityMatrix(p, floor=0.0)
+
+    def test_propensity_error_names_a_floor_above_zero_only(self):
+        p = np.full((2, 2), 0.5)
+        p[0, 1] = 1.5
+        with pytest.raises(ValidationError) as exc:
+            PropensityMatrix(p, floor=0.0)
+        assert str(exc.value) == "propensities must lie in (0, 1]"
+        p[0, 1] = 0.01
+        with pytest.raises(ValidationError, match=r"\(0, 1\] and not below "
+                           r"the floor 0\.05$"):
+            PropensityMatrix(p)
 
     def test_prediction_open_interval(self):
         with pytest.raises(ValidationError):

@@ -155,11 +155,13 @@ class TestPretraining:
 class TestAltTrainConfig:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValidationError):
-            AltTrainConfig(rho_init=ErrorParams(0, 0), steps_prediction=0)
+            AltTrainConfig(rho_init=ErrorParams(0, 0), k_extreme=1,
+                           steps_prediction=0)
 
     def test_rejects_zero_embedding_dim(self):
         with pytest.raises(ValidationError, match="embedding dimension"):
-            AltTrainConfig(rho_init=ErrorParams(0, 0), embedding_dim=0)
+            AltTrainConfig(rho_init=ErrorParams(0, 0), k_extreme=1,
+                           embedding_dim=0)
 
 
 def alt_config(seed, outer_loops=30, k_extreme=400):
@@ -768,7 +770,7 @@ class TestPropensityCheck:
     @bad
     def test_alternating_rejects(self, bad, observed, monkeypatch):
         d, p_hat, noisy = self.inputs(bad, observed)
-        config = AltTrainConfig(rho_init=ErrorParams(0.0, 0.0),
+        config = AltTrainConfig(rho_init=ErrorParams(0.0, 0.0), k_extreme=1,
                                 outer_loops=1, embedding_dim=4,
                                 sgd_prediction=SgdConfig(batch_size=0))
         self.rejects(lambda: alternating_denoise_train(d, p_hat, noisy,
