@@ -172,6 +172,10 @@ def _resolve_rho(inst, dataset, p_hat, mode, given, seed) -> ErrorParams:
             raise ValidationError("--rho required with rho-mode=given")
         return _rates("--rho", given)
     # estimated: the extremes of q, pretrained by IPS on p_hat (checked)
+    if p_hat is None:
+        raise ValidationError(
+            "--rho-mode estimated needs propensities, but the instance has "
+            "no p_hat.npy: pass --propensities true to use p_true.npy")
     q = pretrain_noisy_model(dataset, "ips", SgdConfig(seed=seed), p_hat=p_hat)
     return identify_error_params(q, default_k_extreme(q.q.size))
 

@@ -56,7 +56,9 @@ class SgdConfig:
 
 
 def epoch_batches(rng, n: int, config: SgdConfig):
-    """One epoch of n rows: rng.permutation(n) in slices of batch_of(n)."""
+    """One epoch of n rows: rng.permutation(n) in slices of batch_of(n),
+    the last possibly shorter. The rows are positions: pretraining passes
+    n*m for all cells, or n_obs for positions in observed_index."""
     order = rng.permutation(n)
     batch = max(config.batch_of(n), 1)  # over 0 rows, no batch and no error
     return (order[start:start + batch] for start in range(0, n, batch))

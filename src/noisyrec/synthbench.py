@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +117,17 @@ class BenchmarkInstance:
     observed_mask: np.ndarray
     true_ratings: np.ndarray
     observed_ratings: np.ndarray
+    _dataset: RatingDataset | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def to_dataset(self) -> RatingDataset:
-        return RatingDataset(
-            self.spec.n_users, self.spec.n_items,
-            self.observed_mask, self.observed_ratings, self.true_ratings)
+        """The binary matrices as a RatingDataset, checked when it is built,
+        on the first call (or by load_instance); later calls return it."""
+        if self._dataset is None:
+            self._dataset = RatingDataset(
+                self.spec.n_users, self.spec.n_items,
+                self.observed_mask, self.observed_ratings, self.true_ratings)
+        return self._dataset
 
 
 def build_gamma(proportions, score_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -446,11 +452,12 @@ def load_instance(in_dir) -> BenchmarkInstance:
         # float64, as sample_instance makes them
         arrays[key] = (arr if key in _BINARY_KEYS
                        else np.asarray(arr, dtype=np.float64))
-    # checked as read, then stored as int8
+    # checked as read, then stored as int8; the instance keeps the dataset,
+    # so that to_dataset does not check the matrices again
     binary = RatingDataset(spec.n_users, spec.n_items,
                            arrays["observed_mask"], arrays["observed_ratings"],
                            arrays["true_ratings"])
-    return BenchmarkInstance(
+    inst = BenchmarkInstance(
         spec,
         arrays["gamma"],
         _five_scale(arrays["gamma"], shape,
@@ -462,3 +469,5 @@ def load_instance(in_dir) -> BenchmarkInstance:
         binary.true_ratings,
         binary.observed_ratings,
     )
+    inst._dataset = binary
+    return inst

@@ -7,7 +7,7 @@ all on the squared loss `ALT_LOSS`, which no config changes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,13 +131,17 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     (w = o / p_hat) drop it; eib (w = o) and dr (w = o / p_hat) keep it.
 
     A given p_hat must pass _propensity_cells, else ValidationError before
-    any step. Every method draws its batches from all n*m cells, one
-    permutation per epoch, through epoch_batches. naive and ips keep no
-    r_bar term, and their w is 0 exactly on the unobserved cells, which add
-    nothing to the step: a batch gathers and scores only its observed cells,
-    taken from the mask, dividing by the full batch size. eib and dr step on
-    the whole batch. The model is bit for bit the one that scoring every row
-    gives.
+    any step. Let B = config.batch_of(n*m). eib and dr draw each epoch
+    through epoch_batches over all n*m cells, one permutation per epoch,
+    and divide each batch by its own size, a short last one too. naive and
+    ips keep no r_bar term, and their w is 0 exactly on the unobserved
+    cells, which add nothing to the step; so they draw each epoch through
+    epoch_batches over dataset.observed_index alone, one permutation of
+    n_obs, in batches of b = max(1, round(B * n_obs / (n*m))) observed
+    cells, and divide every batch by B, the short last one too. Each
+    observed cell thus carries weight 1/B per epoch, an epoch takes about
+    n*m/B steps, and a step's expected weight is the all-cell batch's, so
+    the objective is the all-cell mean in expectation.
     """
     if method not in TRAIN_METHODS:
         raise ValidationError(f"unknown training method {method!r}")
@@ -157,12 +161,18 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     n_pairs = n * m
     imputed = ((lambda f: _xent_grad(f, r_bar))
                if method in ("eib", "dr") else None)
+    if imputed is None:
+        full = config.batch_of(n_pairs)
+        live = replace(config, batch_size=max(
+            1, round(full * n_obs / n_pairs)))
     for epoch in range(config.max_epochs):
-        for idx in epoch_batches(rng, n_pairs, config):
-            at, size = None, idx.shape[0]
-            if imputed is None:
-                at = np.flatnonzero(o_flat[idx])
-                idx = idx[at]
+        if imputed is None:
+            batches = ((dataset.observed_index[b], full)
+                       for b in epoch_batches(rng, n_obs, live))
+        else:
+            batches = ((b, b.shape[0])
+                       for b in epoch_batches(rng, n_pairs, config))
+        for idx, size in batches:
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
             if method == "naive":
@@ -176,7 +186,7 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
                                  lambda f: _xent_grad(f, rb), size, imputed)
             factor_sgd_step(
                 model, u, i, coef, config, opt,
-                f"noisy-rate pretraining diverged at epoch {epoch}", at, size)
+                f"noisy-rate pretraining diverged at epoch {epoch}")
         # for eib and dr idx views this epoch's permutation, which would
         # stay alive while the next one is drawn
         del idx
@@ -215,7 +225,11 @@ def alternating_denoise_train(
     propensity-weighted squared residual against the surrogate loss.
 
     p_hat must pass _propensity_cells, else ValidationError before any
-    step. Extreme pairs are computed over all pairs from the dense
+    step. Each prediction step draws batch_of(n*m) cells uniformly with
+    replacement from all cells, and each imputation step batch_of(n_obs)
+    cells uniformly with replacement from the observed cells, so a batch
+    may hold a cell twice, even a batch as large as its universe. Extreme
+    pairs are computed over all pairs from the dense
     predictions once per prediction phase (rather than per mini-batch),
     which is deterministic and matches the definition of the identification
     extremes. The noisy-rate model is frozen, so a flat one raises
@@ -250,7 +264,7 @@ def alternating_denoise_train(
     for loop in range(config.outer_loops):
         # prediction phase
         for _ in range(config.steps_prediction):
-            idx = rng.choice(n_pairs, size=batch_p, replace=False)
+            idx = rng.integers(n_pairs, size=batch_p)
             u, i = np.divmod(idx, m)
             sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
                                p_flat[idx], None, rho, ALT_LOSS,
@@ -260,8 +274,7 @@ def alternating_denoise_train(
         # imputation phase: refresh rho first, then step the imputation model
         rho, clamped = rates_at_extremes(q, config.k_extreme, dense_pred)
         for _ in range(config.steps_imputation):
-            idx = obs_idx[rng.choice(obs_idx.size, size=batch_i,
-                                     replace=False)]
+            idx = obs_idx[rng.integers(obs_idx.size, size=batch_i)]
             u, i = np.divmod(idx, m)
             pred_b = pred_model.forward(u, i)
             sgd_step_imputation(imp_model, u, i, o_flat[idx], r_flat[idx],

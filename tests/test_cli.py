@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisyrec import cli
+from noisyrec import cli, data
 from noisyrec.cli import main, parse_config_file
 from noisyrec.data import (RatingDataset, ValidationError,
                            load_dataset_triples, make_rng)
@@ -514,6 +514,20 @@ class TestEstimate:
         assert by_name["ips"][1] == "error"
         assert by_name["ome_dr"][1] == "error"
 
+    @pytest.mark.parametrize("rho_mode", ["true", "estimated"])
+    def test_one_validation_pass(self, instance_dir, tmp_path, monkeypatch,
+                                 rho_mode):
+        # load_instance checks the binary matrices, and the dataset it
+        # built is the one every later step reads
+        calls = []
+        real = data.validate_dataset
+        monkeypatch.setattr(data, "validate_dataset",
+                            lambda d: calls.append(d) or real(d))
+        assert main(["estimate", "--instance", str(instance_dir),
+                     "--rho-mode", rho_mode,
+                     "--out", str(tmp_path / "report.csv")]) == 0
+        assert len(calls) == 1
+
 
 class TestTrain:
     def test_naive_training_smoke(self, instance_dir, tmp_path):
@@ -898,6 +912,16 @@ class TestRhoRecipe:
         assert code == 2
         assert "needs propensities" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_estimated_rho_without_p_hat_names_the_way_out(
+            self, instance_dir, tmp_path, capsys):
+        (instance_dir / "p_hat.npy").unlink()
+        assert main(["estimate", "--instance", str(instance_dir),
+                     "--rho-mode", "estimated",
+                     "--out", str(tmp_path / "report.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "p_hat.npy" in err
+        assert "--propensities true" in err
 
 
 class TestIngest:

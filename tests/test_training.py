@@ -13,7 +13,7 @@ from noisyrec.data import (
     ValidationError,
     make_rng,
 )
-from noisyrec import _kernels
+from noisyrec import _kernels, training
 from noisyrec.losses import LossKind, label_loss, label_loss_grad
 from noisyrec.metrics import auc
 from noisyrec.models import (
@@ -305,15 +305,14 @@ class TestAlternatingTraining:
                       obs_idx.size)
         for _ in range(config.outer_loops):
             for _ in range(config.steps_prediction):
-                idx = rng.choice(n_pairs, size=batch_p, replace=False)
+                idx = rng.integers(n_pairs, size=batch_p)
                 u, i = u_grid[idx], i_grid[idx]
                 sgd_step_surrogate(
                     pred_model, u, i, o_flat[idx], r_flat[idx], p_flat[idx],
                     None, rho0, loss, config.sgd_prediction, pred_opt)
             pred_model.predict_all()
             for _ in range(config.steps_imputation):
-                idx = obs_idx[rng.choice(obs_idx.size, size=batch_i,
-                                         replace=False)]
+                idx = obs_idx[rng.integers(obs_idx.size, size=batch_i)]
                 u, i = u_grid[idx], i_grid[idx]
                 sgd_step_imputation(
                     imp_model, u, i, o_flat[idx], r_flat[idx], p_flat[idx],
@@ -471,9 +470,16 @@ def ref_train_noisy_factor_model(dataset, method, config, d=8, p_hat=None):
     r_flat = r.ravel()
     p_flat = None if p_hat is None else np.asarray(p_hat).ravel()
     batch = config.batch_size if config.batch_size > 0 else n_pairs
+    # naive and ips draw from the observed cells only, in batches of their
+    # share of the all-cell batch, each divided by the all-cell batch
+    live = method in ("naive", "ips")
+    cells = np.flatnonzero(o_flat) if live else np.arange(n_pairs)
+    full = min(batch, n_pairs)
+    if live:
+        batch = max(1, round(full * n_obs / n_pairs))
     for epoch in range(config.max_epochs):
-        order = rng.permutation(n_pairs)
-        for start in range(0, n_pairs, batch):
+        order = cells[rng.permutation(cells.size)]
+        for start in range(0, cells.size, batch):
             idx = order[start:start + batch]
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
@@ -491,7 +497,7 @@ def ref_train_noisy_factor_model(dataset, method, config, d=8, p_hat=None):
                 g_imp = _xent_grad(f, r_bar)
                 w = ob / p_flat[idx]
                 dldf = (1.0 - w) * g_imp + w * g_obs
-            coef = dldf * f * (1.0 - f) / idx.shape[0]
+            coef = dldf * f * (1.0 - f) / (full if live else idx.shape[0])
             ref_factor_sgd_step(
                 model, u, i, coef, config, opt,
                 f"noisy-rate pretraining diverged at epoch {epoch}")
@@ -533,7 +539,7 @@ def ref_alternating_denoise_train(dataset, p_hat, noisy_model, config):
                   obs_idx.size)
     for loop in range(config.outer_loops):
         for _ in range(config.steps_prediction):
-            idx = rng.choice(n_pairs, size=batch_p, replace=False)
+            idx = rng.integers(n_pairs, size=batch_p)
             u, i = np.divmod(idx, m)
             ref_sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
                                    p_flat[idx], None, rho, ALT_LOSS,
@@ -541,8 +547,7 @@ def ref_alternating_denoise_train(dataset, p_hat, noisy_model, config):
         dense_pred = ref_predict_all(pred_model)
         rho, clamped = rates_at_extremes(q, config.k_extreme, dense_pred)
         for _ in range(config.steps_imputation):
-            idx = obs_idx[rng.choice(obs_idx.size, size=batch_i,
-                                     replace=False)]
+            idx = obs_idx[rng.integers(obs_idx.size, size=batch_i)]
             u, i = np.divmod(idx, m)
             pred_b = ref_forward(pred_model, u, i)
             ref_sgd_step_imputation(imp_model, u, i, o_flat[idx], r_flat[idx],
@@ -779,8 +784,9 @@ class TestPropensityCheck:
 
 
 class TestPretrainingMemory:
-    """Pretraining holds one n*m permutation at a time and, for every
-    method, no other n*m array."""
+    """Pretraining holds at most one permutation at a time, of the n*m cells
+    for eib and dr and of the observed cells for naive and ips, and for
+    every method no other n*m array."""
 
     @staticmethod
     def peak(method, epochs):
@@ -802,3 +808,38 @@ class TestPretrainingMemory:
 
     def test_ips_holds_no_live_index(self):
         assert self.peak("ips", 1) <= 1.05 * self.peak("naive", 1)
+
+    @pytest.mark.parametrize("method", ["naive", "ips"])
+    def test_observed_epochs_hold_no_cell_permutation(self, method):
+        # at 10 % observed, one int64 permutation of the 400 x 500 cells
+        # alone is 1.6 MB
+        assert self.peak(method, 2) < 400 * 500 * 8
+
+
+class TestLoopSamplers:
+    """Both samplers of the alternating loop draw uniformly with
+    replacement: a batch as large as its universe repeats a cell."""
+
+    def test_batches_repeat_cells(self, monkeypatch):
+        d, p_hat = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
+        rows = {"sgd_step_surrogate": [], "sgd_step_imputation": []}
+        for name, seen in rows.items():
+            def spy(model, u, i, *args, _fn=getattr(training, name),
+                    _seen=seen):
+                _seen.append(u * d.n_items + i)
+                return _fn(model, u, i, *args)
+            monkeypatch.setattr(training, name, spy)
+        config = AltTrainConfig(
+            rho_init=ErrorParams(0.0, 0.0), k_extreme=1, outer_loops=1,
+            embedding_dim=4, sgd_prediction=SgdConfig(batch_size=0),
+            sgd_imputation=SgdConfig(batch_size=0))
+        alternating_denoise_train(
+            d, p_hat, NoisyRateModel(0.1 + 0.7 * d.true_ratings), config)
+        observed = set(d.observed_index)
+        for name, batches in rows.items():
+            assert len(batches) == 10
+            for cells in batches:
+                assert cells.size == (d.n_observed if "imputation" in name
+                                      else d.n_users * d.n_items)
+                assert np.unique(cells).size < cells.size
+        assert all(set(c) <= observed for c in rows["sgd_step_imputation"])
