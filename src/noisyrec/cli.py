@@ -39,7 +39,7 @@ from .estimators import (
     relative_error,
     true_inaccuracy,
 )
-from .losses import LossKind, loss_curves
+from .losses import LossKind, soft_label_loss
 from .metrics import auc, class_counts, ndcg_at_k, recall_at_k
 from .models import (
     SgdConfig,
@@ -147,18 +147,14 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _default_imputation(inst, loss: LossKind) -> ImputationMatrix:
-    """Imputed error against the mean observed rating as a soft label:
-    r_bar l(f, 1) + (1 - r_bar) l(f, 0), written into one matrix a tile of
-    cells at a time."""
-    o = inst.observed_mask
-    n_obs = int(o.sum())
-    r_bar = float((o * inst.observed_ratings).sum() / max(n_obs, 1))
+    """Imputed error against the dataset's positive rate r_bar as a soft
+    label, losses.soft_label_loss, written into one matrix a tile of cells
+    at a time."""
+    r_bar = inst.to_dataset().positive_rate
     r_hat = inst.prediction.r_hat
     f, e_bar = r_hat.ravel(), np.empty(r_hat.size)
     for t in row_tiles(f.size, 1):
-        l1, l0 = loss_curves(loss, f[t])
-        np.multiply(r_bar, l1, out=e_bar[t])
-        e_bar[t] += (1.0 - r_bar) * l0
+        e_bar[t] = soft_label_loss(loss, f[t], r_bar)
     return ImputationMatrix(e_bar.reshape(r_hat.shape))
 
 

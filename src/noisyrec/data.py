@@ -209,6 +209,13 @@ class RatingDataset:
         at a fraction of the cost."""
         return np.flatnonzero(self.observed_mask.view(bool))
 
+    @cached_property
+    def positive_rate(self) -> float:
+        """The share of observed cells rated 1, r_bar; 0.0 when no cell is
+        observed."""
+        return float(np.take(self.observed_ratings, self.observed_index).sum()
+                     / max(self.observed_index.size, 1))
+
     def observed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Row-major (u, i) index arrays of the observed set."""
         return np.divmod(self.observed_index, self.n_items)

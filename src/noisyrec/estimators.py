@@ -6,10 +6,10 @@ noise-corrected counterparts built on the surrogate loss, the closed-form
 bias oracle for the corrected doubly-robust estimator, and the relative
 error used by the benchmark.
 
-The six EIB/IPS/DR estimators are one doubly-robust mean,
-mean((1 - o/p) e_bar + o l / p) over all cells (`_dr_mean`): EIB takes p = 1,
-IPS drops the e_bar term, and the OME family takes for l the surrogate loss
-where the plain family takes the loss at the observed label. The plain
+The six EIB/IPS/DR estimators are one doubly-robust mean, the all-cell
+mean of `losses.dr_term` (`_dr_mean`): EIB takes p = 1, IPS drops the e_bar
+term, and the OME family takes for l the surrogate loss where the plain
+family takes the loss at the observed label. The plain
 family is therefore the corrected one at rho_hat = (0, 0), bit for bit,
 because the surrogate at zero flip rates is the loss itself.
 
@@ -22,8 +22,8 @@ all-cell mean (the estimators, the truth and the bias oracle) is a
 (by the observed count for the naive mean). cell_sum asks for the per-cell
 terms one leaf range at a time: an estimator's fill copies the range of
 e_bar (or zeros), which is the term at o = 0, and overwrites the range's
-observed cells, found by np.searchsorted on the observed index, with their
-term at o = 1. No n x m matrix of terms is built, and results are
+observed cells, found by np.searchsorted on the observed index, with
+dr_term at o = 1. No n x m matrix of terms is built, and results are
 deterministic and do not depend on which cells were computed: they equal a
 row-major np.mean of the all-cell formula bit for bit.
 
@@ -52,7 +52,8 @@ from .data import (
     ValidationError,
     is_binary,
 )
-from .losses import LossKind, label_loss, loss_curves, surrogate_curves
+from .losses import (LossKind, dr_term, label_loss, loss_curves,
+                     surrogate_curves)
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,9 @@ class EstimatorInputs:
 
 def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
              corrected: bool) -> float:
-    """mean((1 - o/p) e_bar + o l / p) over all cells, where l is the loss
-    at the observed label, or the surrogate loss when corrected; p = 1
-    unless weighted, and the e_bar term is dropped unless imputed."""
+    """The all-cell mean of dr_term(o, p, l, e_bar), where l is the loss at
+    the observed label, or the surrogate loss when corrected; p = 1 unless
+    weighted, and the e_bar term is dropped unless imputed."""
     if weighted and inputs.p_hat is None:
         raise ValidationError("propensities required")
     if imputed and inputs.e_bar is None:
@@ -118,25 +119,19 @@ def _dr_mean(inputs: EstimatorInputs, *, weighted: bool, imputed: bool,
 
 
 def _dr_sum(inputs: EstimatorInputs, loss: np.ndarray, p_flat, e_flat) -> float:
-    """The row-major cell sum of (1 - o/p) e_bar + o l / p, for l = loss on
+    """The row-major cell sum of dr_term(o, p, l, e_bar), for l = loss on
     the observed cells; p = 1 when p_flat is None, and the e_bar term is
     dropped when e_flat is None."""
     idx = inputs.observed[0]
 
     def fill(start, stop, out):
-        if e_flat is None:
-            out.fill(0.0)
-        else:
-            out[:] = e_flat[start:stop]
+        out[:] = 0.0 if e_flat is None else e_flat[start:stop]
         lo, hi = np.searchsorted(idx, (start, stop))
         cells = idx[lo:hi]
         local = cells - start
         p = 1.0 if p_flat is None else np.take(p_flat, cells)
-        # the all-cell expression at o = 1, term for term
-        at_obs = loss[lo:hi] / p
-        if e_flat is not None:
-            at_obs = (1.0 - 1.0 / p) * np.take(out, local) + at_obs
-        out[local] = at_obs
+        out[local] = dr_term(1.0, p, loss[lo:hi],
+                             None if e_flat is None else np.take(out, local))
 
     return _kernels.cell_sum(fill, inputs.predictions.r_hat.size)
 

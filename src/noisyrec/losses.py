@@ -7,7 +7,12 @@ never do.
 
 The loss at a 0/1 label without flip rates is one expression in the label,
 never both curves and a select; with flip rates, label_loss and its gradient
-select between the two flip-corrected curves.
+select between the two flip-corrected curves. The loss at a soft label t is
+the mix t l(f, 1) + (1 - t) l(f, 0) of the two curves.
+
+`dr_term` is the one doubly-robust term (1 - o/p) e + o l / p behind every
+estimator and every trainer's objective. It is linear in (l, e), so given
+the derivatives of l and e it gives the term's derivative.
 """
 
 from __future__ import annotations
@@ -121,3 +126,35 @@ def surrogate_curves(
         l~(f, 0) = [(1 - rho01) l(f, 0) - rho10 l(f, 1)] / (1 - rho01 - rho10)
     """
     return _flip(*loss_curves(kind, pred), rho)
+
+
+def _mix(curves, t):
+    """t c(., 1) + (1 - t) c(., 0) of a pair of curves."""
+    c1, c0 = curves
+    return t * c1 + (1.0 - t) * c0
+
+
+def soft_label_loss(kind: LossKind, pred: np.ndarray, t) -> np.ndarray:
+    """Elementwise t l(pred, 1) + (1 - t) l(pred, 0), the loss at a soft
+    label t in [0, 1]."""
+    return _mix(loss_curves(kind, pred), t)
+
+
+def soft_label_loss_grad(kind: LossKind, pred: np.ndarray, t) -> np.ndarray:
+    """Elementwise d/dpred of soft_label_loss(kind, pred, t)."""
+    return _mix(loss_curve_grads(kind, pred), t)
+
+
+def dr_term(o, p, observed, imputed=None):
+    """Elementwise doubly-robust term (1 - o/p) imputed + o observed / p, for
+    observation indicators o and propensities p; imputed=None drops the
+    first term.
+
+    With observed = l and imputed = e it is the per-cell term of the
+    estimators (p = 1 for EIB, no e for IPS, the surrogate loss for l in
+    the OME family); with their derivatives it is the term's derivative.
+    """
+    term = o * observed / p
+    if imputed is None:
+        return term
+    return (1.0 - o / p) * imputed + term

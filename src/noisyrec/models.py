@@ -23,7 +23,7 @@ from .data import (
     RatingDataset,
     ValidationError,
 )
-from .losses import LossKind, label_loss, label_loss_grad
+from .losses import LossKind, dr_term, label_loss, label_loss_grad
 
 
 class TrainingDivergence(RuntimeError):
@@ -222,22 +222,22 @@ def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
     positions `at` (ascending) of a batch of `size` rows whose other rows
     have coefficient 0. The global-bias gradient is the pairwise sum of the
     batch's whole coefficient vector, zeros in place, since a sum over fewer
-    terms can round differently. The backward kernel sees only the given
-    rows; a left-out row would add nothing to it, so the step is the whole
-    batch's bit for bit.
+    terms can round differently: the backward kernel's sum unless `at`
+    leaves rows out. The backward kernel sees only the given rows; a
+    left-out row would add nothing to it, so the step is the whole batch's
+    bit for bit.
 
     Raises TrainingDivergence(error) on a non-finite coef, and
     TrainingDivergence when the step leaves the global bias non-finite.
     """
     if not np.all(np.isfinite(coef)):
         raise TrainingDivergence(error)
-    batch = coef
+    g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
+        u_idx, i_idx, model.user_emb, model.item_emb, coef)
     if at is not None and coef.shape[0] < size:
         batch = np.zeros(size)
         batch[at] = coef
-    g_b0 = float(batch.sum())
-    g_ue, g_ie, g_ub, g_ib, _ = _kernels.factor_backward(
-        u_idx, i_idx, model.user_emb, model.item_emb, coef)
+        g_b0 = float(batch.sum())
     wd = config.weight_decay
     if wd > 0.0:
         g_ue = g_ue + wd * model.user_emb
@@ -255,38 +255,37 @@ def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
 # Objectives and analytic gradients
 # ---------------------------------------------------------------------------
 
-def surrogate_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
-                        rho: ErrorParams, loss: LossKind,
-                        weight_decay: float = 0.0) -> float:
-    """Mini-batch corrected-DR objective: mean over the batch of
-    (1 - o/p) e_bar + (o/p) l~(f, r), plus L2 on the embeddings."""
-    f = model.forward(u_idx, i_idx)
-    val = label_loss(loss, f, r, rho)
-    w = o / p_hat
-    obj = float(np.mean((1.0 - w) * e_bar + w * val))
+def _plus_decay(obj: float, model: FactorModel, weight_decay: float) -> float:
+    """A batch objective plus its L2 term on the embeddings."""
     if weight_decay > 0.0:
         obj += 0.5 * weight_decay * (
             float(np.sum(model.user_emb**2)) + float(np.sum(model.item_emb**2)))
     return obj
 
 
-def dr_grad_coefs(model: FactorModel, u_idx, i_idx, w, grad, size: int,
-                  imputed=None):
-    """d(objective)/d(score) on the given rows of a batch of `size` rows,
-    for the doubly-robust objective mean_b [(1 - w_b) l(f_b, e_b) +
-    w_b l_b(f_b)] of the sigmoid outputs f, given grad(f) = d l_b/d f and
-    imputed(f) = d l(f, e)/d f at the imputed target e, on those rows.
-
-    imputed=None drops the imputed term; then a row with w_b = 0 has
-    coefficient 0 and adds nothing to the step, so a caller leaves such rows
-    out and scores only the others: the observed rows, for a weight o/p_hat
-    with p_hat in (0, 1].
-    """
+def surrogate_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
+                        rho: ErrorParams, loss: LossKind,
+                        weight_decay: float = 0.0) -> float:
+    """Mini-batch corrected-DR objective: the batch mean of
+    losses.dr_term(o, p, l~(f, r), e_bar), plus L2 on the embeddings."""
     f = model.forward(u_idx, i_idx)
-    dldf = w * grad(f)
-    if imputed is not None:
-        dldf = (1.0 - w) * imputed(f) + dldf
-    return dldf * f * (1.0 - f) / size
+    val = label_loss(loss, f, r, rho)
+    return _plus_decay(float(np.mean(dr_term(o, p_hat, val, e_bar))), model,
+                       weight_decay)
+
+
+def dr_grad_coefs(f, o, p, g_obs, size: int, g_imp=None):
+    """d(objective)/d(score) on the given rows of a batch of `size` rows,
+    for the batch mean of losses.dr_term(o, p, l_b(f_b), l(f_b, e)) over
+    the sigmoid outputs f on those rows, given g_obs = d l_b/d f and
+    g_imp = d l(f, e)/d f at the imputed target e. The term is linear in
+    its losses, so its d/d f is dr_term of g_obs and g_imp.
+
+    g_imp=None drops the imputed term; then a row with o = 0 has
+    coefficient 0 and adds nothing to the step, so a caller leaves such rows
+    out and scores only the others: the observed rows, for p in (0, 1].
+    """
+    return dr_term(o, p, g_obs, g_imp) * f * (1.0 - f) / size
 
 
 def sgd_step_surrogate(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
@@ -297,28 +296,40 @@ def sgd_step_surrogate(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
     prediction-model gradient; so of the batch only the rows with a non-zero
     o/p, the live rows, are scored and stepped. e_bar is unused; it stays
     in the signature for existing positional callers."""
-    w = o / p_hat
-    at, size = np.flatnonzero(w), w.shape[0]
-    u_idx, i_idx, r, w = u_idx[at], i_idx[at], r[at], w[at]
-    coef = dr_grad_coefs(model, u_idx, i_idx, w,
-                         lambda f: label_loss_grad(loss, f, r, rho), size)
+    at, size = np.flatnonzero(o / p_hat), o.shape[0]
+    u_idx, i_idx = u_idx[at], i_idx[at]
+    f = model.forward(u_idx, i_idx)
+    coef = dr_grad_coefs(f, o[at], p_hat[at],
+                         label_loss_grad(loss, f, r[at], rho), size)
     factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
                     "non-finite gradient in prediction step", at, size)
     return model
 
 
+def _imputation_residual(model: FactorModel, u_idx, i_idx, r, pred,
+                         rho: ErrorParams, loss: LossKind) -> np.ndarray:
+    """e~ - e_bar: the surrogate loss of the predictions at the observed
+    labels minus the imputation model's scores."""
+    return label_loss(loss, pred, r, rho) - model.scores(u_idx, i_idx)
+
+
 def imputation_objective(model: FactorModel, u_idx, i_idx, o, r, p_hat,
                          pred, rho: ErrorParams, loss: LossKind,
                          weight_decay: float = 0.0) -> float:
-    """Mini-batch imputation loss: mean of o (e~ - e_bar)^2 / p over an
-    observed-set batch; e~ is the surrogate loss of the (frozen) predictions."""
-    target = label_loss(loss, pred, r, rho)
-    e_bar = model.scores(u_idx, i_idx)
-    obj = float(np.mean(o * (target - e_bar) ** 2 / p_hat))
-    if weight_decay > 0.0:
-        obj += 0.5 * weight_decay * (
-            float(np.sum(model.user_emb**2)) + float(np.sum(model.item_emb**2)))
-    return obj
+    """Mini-batch imputation loss: the batch mean of
+    losses.dr_term(o, p, (e~ - e_bar)^2) over an observed-set batch; e~ is
+    the surrogate loss of the (frozen) predictions."""
+    res = _imputation_residual(model, u_idx, i_idx, r, pred, rho, loss)
+    return _plus_decay(float(np.mean(dr_term(o, p_hat, res**2))), model,
+                       weight_decay)
+
+
+def imputation_grad_coefs(model: FactorModel, u_idx, i_idx, o, r, p_hat, pred,
+                          rho: ErrorParams, loss: LossKind) -> np.ndarray:
+    """d(imputation_objective)/d(score) per row: dr_term of
+    d(e~ - e_bar)^2/d e_bar = -2 (e~ - e_bar), over the batch size."""
+    res = _imputation_residual(model, u_idx, i_idx, r, pred, rho, loss)
+    return dr_term(o, p_hat, -2.0 * res) / u_idx.shape[0]
 
 
 def sgd_step_imputation(model: FactorModel, u_idx, i_idx, o, r, p_hat, pred,
@@ -328,9 +339,8 @@ def sgd_step_imputation(model: FactorModel, u_idx, i_idx, o, r, p_hat, pred,
     A non-finite prediction raises TrainingDivergence."""
     if not np.all(np.isfinite(pred)):
         raise TrainingDivergence("non-finite gradient in imputation step")
-    target = label_loss(loss, pred, r, rho)
-    e_bar = model.scores(u_idx, i_idx)
-    coef = -2.0 * o * (target - e_bar) / p_hat / u_idx.shape[0]
+    coef = imputation_grad_coefs(model, u_idx, i_idx, o, r, p_hat, pred, rho,
+                                 loss)
     factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
                     "non-finite gradient in imputation step")
     return model

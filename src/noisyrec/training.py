@@ -2,6 +2,9 @@
 corrected doubly-robust objective, extreme-pair refresh, flip-rate
 re-estimation from a pretrained noisy-rate model, and imputation-model steps,
 all on the squared loss `ALT_LOSS`, which no config changes.
+
+Every objective here, the pretraining ones too, is a batch mean of the one
+doubly-robust term `losses.dr_term`, stepped through `models.dr_grad_coefs`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .data import (
     ValidationError,
     make_rng,
 )
-from .losses import LossKind
+from .losses import LossKind, dr_term, label_loss_grad, soft_label_loss_grad
 from .models import (
     FactorModel,
     Optimizer,
@@ -36,6 +39,8 @@ from .noise import (NoisyRateModel, check_k_extreme, rates_at_extremes,
 PRETRAIN_METHODS = ("naive", "ips", "dr")
 TRAIN_METHODS = PRETRAIN_METHODS + ("eib",)
 ALT_LOSS = LossKind.squared()
+# eps_clip below EPS_OUT, so that no clipped sigmoid output is clipped again
+PRETRAIN_LOSS = LossKind.cross_entropy(eps_clip=1e-9)
 
 
 @dataclass
@@ -112,29 +117,25 @@ def _propensity_cells(dataset: RatingDataset, p_hat) -> np.ndarray:
 # Pretraining the noisy-rate model
 # ---------------------------------------------------------------------------
 
-def _xent_grad(pred, target):
-    """d/dpred of -t log f - (1-t) log(1-f) with soft targets."""
-    f = np.clip(pred, 1e-9, 1.0 - 1e-9)
-    return -target / f + (1.0 - target) / (1.0 - f)
-
-
 def train_noisy_factor_model(dataset: RatingDataset, method: str,
                              config: SgdConfig, d: int = 8,
                              p_hat: np.ndarray | None = None) -> FactorModel:
-    """Fit a factor model to the observed noisy ratings with cross-entropy,
-    debiased by the chosen method but with no noise correction.
+    """Fit a factor model to the observed noisy ratings with cross-entropy
+    (PRETRAIN_LOSS), debiased by the chosen method but with no noise
+    correction.
 
-    Every method descends mean[(1 - w) xent(f, r_bar) + w xent(f, r)]
-    through dr_grad_coefs, where r_bar is the observed positive rate. The
-    methods differ only in w and in whether the r_bar term is kept: naive
-    (w = o n_pairs / n_obs, the mean over the observed set) and ips
-    (w = o / p_hat) drop it; eib (w = o) and dr (w = o / p_hat) keep it.
+    Every method descends the batch mean of losses.dr_term(o, p, xent(f, r),
+    xent(f, r_bar)) through dr_grad_coefs, where r_bar is the dataset's
+    positive_rate, a soft label. The methods are the estimators' switches:
+    naive is ips at the observation rate, p = n_obs / (n*m), ips takes
+    p = p_hat, and both drop the r_bar term; eib takes p = 1 and dr
+    p = p_hat, and both keep it.
 
     A given p_hat must pass _propensity_cells, else ValidationError before
     any step. Let B = config.batch_of(n*m). eib and dr draw each epoch
     through epoch_batches over all n*m cells, one permutation per epoch,
     and divide each batch by its own size, a short last one too. naive and
-    ips keep no r_bar term, and their w is 0 exactly on the unobserved
+    ips keep no r_bar term, and their o/p is 0 exactly on the unobserved
     cells, which add nothing to the step; so they draw each epoch through
     epoch_batches over dataset.observed_index alone, one permutation of
     n_obs, in batches of b = max(1, round(B * n_obs / (n*m))) observed
@@ -157,16 +158,15 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     n_obs = dataset.n_observed
     if n_obs == 0:
         raise ValidationError("no observed pairs")
-    r_bar = float((o_flat * r_flat).sum() / n_obs)
     n_pairs = n * m
-    imputed = ((lambda f: _xent_grad(f, r_bar))
-               if method in ("eib", "dr") else None)
-    if imputed is None:
+    r_bar = dataset.positive_rate if method in ("eib", "dr") else None
+    p_const = {"naive": n_obs / n_pairs, "eib": 1.0}.get(method)
+    if r_bar is None:
         full = config.batch_of(n_pairs)
         live = replace(config, batch_size=max(
             1, round(full * n_obs / n_pairs)))
     for epoch in range(config.max_epochs):
-        if imputed is None:
+        if r_bar is None:
             batches = ((dataset.observed_index[b], full)
                        for b in epoch_batches(rng, n_obs, live))
         else:
@@ -174,16 +174,12 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
                        for b in epoch_batches(rng, n_pairs, config))
         for idx, size in batches:
             u, i = np.divmod(idx, m)
-            ob, rb = o_flat[idx], r_flat[idx]
-            if method == "naive":
-                # int8 ob times a Python int stays int8 and would overflow
-                w = ob * (n_pairs / n_obs)
-            elif method == "eib":
-                w = ob
-            else:
-                w = ob / p_flat[idx]
-            coef = dr_grad_coefs(model, u, i, w,
-                                 lambda f: _xent_grad(f, rb), size, imputed)
+            f = model.forward(u, i)
+            g_imp = (None if r_bar is None else
+                     soft_label_loss_grad(PRETRAIN_LOSS, f, r_bar))
+            coef = dr_grad_coefs(
+                f, o_flat[idx], p_flat[idx] if p_const is None else p_const,
+                label_loss_grad(PRETRAIN_LOSS, f, r_flat[idx]), size, g_imp)
             factor_sgd_step(
                 model, u, i, coef, config, opt,
                 f"noisy-rate pretraining diverged at epoch {epoch}")
@@ -255,6 +251,7 @@ def alternating_denoise_train(
     # held-out slice of the observed set for the validation objective
     val_idx = dataset.held_out_cells(rng)
     vu, vi = np.divmod(val_idx, m)
+    ov, rv, pv = o_flat[val_idx], r_flat[val_idx], p_flat[val_idx]
 
     rho = config.rho_init
     trace = TrainTrace()
@@ -282,11 +279,9 @@ def alternating_denoise_train(
                                 config.sgd_imputation, imp_opt)
 
         val_pred = pred_model.forward(vu, vi)
-        val_obj = float(np.mean(
-            np.square(val_pred - r_flat[val_idx]) / p_flat[val_idx]))
-        obj = surrogate_objective(
-            pred_model, vu, vi, o_flat[val_idx], r_flat[val_idx],
-            p_flat[val_idx], imp_model.scores(vu, vi), rho, ALT_LOSS)
+        val_obj = float(np.mean(dr_term(ov, pv, np.square(val_pred - rv))))
+        obj = surrogate_objective(pred_model, vu, vi, ov, rv, pv,
+                                  imp_model.scores(vu, vi), rho, ALT_LOSS)
         trace.append(TraceRecord(loop, rho.rho01, rho.rho10, obj, val_obj,
                                  clamped))
 

@@ -32,22 +32,23 @@ from noisyrec.estimators import (
     relative_error,
     true_inaccuracy,
 )
-from noisyrec.losses import (LossKind, label_loss, label_loss_grad,
-                             loss_curves, surrogate_curves)
+from noisyrec.losses import (LossKind, label_loss_grad, loss_curves,
+                             soft_label_loss_grad, surrogate_curves)
 from noisyrec.metrics import auc, ndcg_at_k, recall_at_k
 from noisyrec.models import (
     FactorModel,
     PropensityModel,
     SgdConfig,
     dr_grad_coefs,
+    imputation_grad_coefs,
     imputation_objective,
     propensity_objective,
     surrogate_objective,
 )
 from noisyrec.synthbench import PRED_KINDS, BenchmarkSpec, sample_instance
 from noisyrec.training import (
+    PRETRAIN_LOSS,
     AltTrainConfig,
-    _xent_grad,
     alternating_denoise_train,
     pretrain_noisy_model,
     train_noisy_factor_model,
@@ -389,8 +390,8 @@ def test_criterion_08_gradient_oracles():
         model.user_bias = rng.normal(size=n)
         model.item_bias = rng.normal(size=m)
         model.global_bias = float(rng.normal())
-        coef = dr_grad_coefs(model, u, i, o / p, lambda f:
-                             label_loss_grad(SQ, f, r, rho), batch)
+        f = model.forward(u, i)
+        coef = dr_grad_coefs(f, o, p, label_loss_grad(SQ, f, r, rho), batch)
         g = _kernels.factor_backward(u, i, model.user_emb, model.item_emb,
                                      coef)
         analytic = np.concatenate([g[0].ravel(), g[1].ravel(), g[2], g[3],
@@ -402,11 +403,14 @@ def test_criterion_08_gradient_oracles():
 
         # the pretraining objective, whose imputed term carries gradient:
         # mean[(1 - w) xent(f, r_bar) + w xent(f, r)], with dr's weight
-        # w = o/p and eib's w = o on alternate draws
+        # w = o/p and eib's w = o on alternate draws, stepped through the
+        # pretraining loss's soft-label derivative
         r_bar = float(np.mean(r))
-        w = o / p if draw % 2 else o
-        coef = dr_grad_coefs(model, u, i, w, lambda f: _xent_grad(f, r),
-                             batch, lambda f: _xent_grad(f, r_bar))
+        p_w = p if draw % 2 else 1.0
+        w = o / p_w
+        coef = dr_grad_coefs(f, o, p_w, label_loss_grad(PRETRAIN_LOSS, f, r),
+                             batch,
+                             soft_label_loss_grad(PRETRAIN_LOSS, f, r_bar))
         g = _kernels.factor_backward(u, i, model.user_emb, model.item_emb,
                                      coef)
         analytic = np.concatenate([g[0].ravel(), g[1].ravel(), g[2], g[3],
@@ -424,8 +428,7 @@ def test_criterion_08_gradient_oracles():
         imp.item_bias = rng.normal(size=m)
         imp.global_bias = float(rng.normal())
         pred_b = rng.uniform(0.1, 0.9, size=batch)
-        target = label_loss(SQ, pred_b, r, rho)
-        coef_i = -2.0 * o * (target - imp.scores(u, i)) / p / batch
+        coef_i = imputation_grad_coefs(imp, u, i, o, r, p, pred_b, rho, SQ)
         g = _kernels.factor_backward(u, i, imp.user_emb, imp.item_emb, coef_i)
         analytic = np.concatenate([g[0].ravel(), g[1].ravel(), g[2], g[3],
                                    [g[4]]])

@@ -548,7 +548,6 @@ UNREACHED_ALLOWED = {
                                    "propensity fit tests compare against",
     "models.load_model": "reads the checkpoint that train writes",
     "data.PropensityMatrix.clipped": "a public constructor",
-    "losses.LossKind.cross_entropy": "a public constructor",
 }
 
 
@@ -659,7 +658,6 @@ def unset_params(modules: dict, outside=()) -> list[str]:
 UNSET_ALLOWED = {
     "cli.main(argv)": "the entry point: the console script passes no "
                       "argv, and tests pass their own",
-    "losses.LossKind.cross_entropy(eps_clip)": "a public constructor",
     "data.PropensityMatrix.clipped(floor)": "a public constructor",
     "models.surrogate_objective(weight_decay)": "the reference objective "
                                                 "the gradient tests compare "

@@ -21,6 +21,7 @@ from noisyrec.models import (
     _propensity_objective_finite,
     dr_grad_coefs,
     epoch_batches,
+    imputation_grad_coefs,
     imputation_objective,
     load_model,
     propensity_objective,
@@ -223,7 +224,7 @@ class TestSurrogateStep:
         o, p = np.ones(1), np.ones(1)
         r = np.ones(1)
         f = model.forward(u, i)
-        coef = dr_grad_coefs(model, u, i, o / p, lambda f:
+        coef = dr_grad_coefs(f, o, p,
                              label_loss_grad(SQ, f, r, ErrorParams(0.0, 0.0)),
                              1)
         expected = 2.0 * (f - 1.0) * f * (1.0 - f)
@@ -240,8 +241,9 @@ class TestSurrogateStep:
             return surrogate_objective(m, u, i, o, r, p, e_bar, rho, SQ,
                                        weight_decay=wd)
 
-        coef = dr_grad_coefs(model, u, i, o / p, lambda f:
-                             label_loss_grad(SQ, f, r, rho), u.shape[0])
+        f = model.forward(u, i)
+        coef = dr_grad_coefs(f, o, p, label_loss_grad(SQ, f, r, rho),
+                             u.shape[0])
         analytic = analytic_factor_grad(model, u, i, coef)
         n_emb = model.user_emb.size + model.item_emb.size
         analytic[:n_emb] += wd * np.concatenate(
@@ -307,9 +309,7 @@ class TestImputationStep:
             return imputation_objective(m, u, i, o, r, p, pred, rho, SQ,
                                         weight_decay=wd)
 
-        target = label_loss(SQ, pred, r, rho)
-        e_bar = model.scores(u, i)
-        coef = -2.0 * o * (target - e_bar) / p / u.shape[0]
+        coef = imputation_grad_coefs(model, u, i, o, r, p, pred, rho, SQ)
         analytic = analytic_factor_grad(model, u, i, coef)
         n_emb = model.user_emb.size + model.item_emb.size
         analytic[:n_emb] += wd * np.concatenate(

@@ -31,7 +31,6 @@ from noisyrec.training import (
     AltTrainConfig,
     TrainTrace,
     TraceRecord,
-    _xent_grad,
     alternating_denoise_train,
     pretrain_noisy_model,
     train_noisy_factor_model,
@@ -445,7 +444,7 @@ def ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt, error):
 def ref_surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho, loss):
     f = ref_forward(model, u_idx, i_idx)
     dval = label_loss_grad(loss, f, r, rho)
-    return (o / p_hat) * dval * f * (1.0 - f) / u_idx.shape[0]
+    return o * dval / p_hat * f * (1.0 - f) / u_idx.shape[0]
 
 
 def ref_sgd_step_surrogate(model, u_idx, i_idx, o, r, p_hat, e_bar, rho,
@@ -454,6 +453,11 @@ def ref_sgd_step_surrogate(model, u_idx, i_idx, o, r, p_hat, e_bar, rho,
                                     loss)
     ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
                         "non-finite gradient in prediction step")
+
+
+def ref_xent_grad(f, t):
+    """d/df of -t log f - (1 - t) log(1 - f), at a soft label t."""
+    return t * (-1.0 / f) + (1.0 - t) * (1.0 / (1.0 - f))
 
 
 def ref_train_noisy_factor_model(dataset, method, config, d=8, p_hat=None):
@@ -484,19 +488,18 @@ def ref_train_noisy_factor_model(dataset, method, config, d=8, p_hat=None):
             u, i = np.divmod(idx, m)
             ob, rb = o_flat[idx], r_flat[idx]
             f = ref_forward(model, u, i)
-            g_obs = _xent_grad(f, rb)
+            g_obs = ref_xent_grad(f, rb)
             if method == "naive":
-                weight = ob * n_pairs / n_obs
-                dldf = weight * g_obs
+                dldf = ob * g_obs / (n_obs / n_pairs)
             elif method == "ips":
-                dldf = ob / p_flat[idx] * g_obs
+                dldf = ob * g_obs / p_flat[idx]
             elif method == "eib":
-                g_imp = _xent_grad(f, r_bar)
-                dldf = ob * g_obs + (1.0 - ob) * g_imp
+                g_imp = ref_xent_grad(f, r_bar)
+                dldf = (1.0 - ob) * g_imp + ob * g_obs
             else:
-                g_imp = _xent_grad(f, r_bar)
-                w = ob / p_flat[idx]
-                dldf = (1.0 - w) * g_imp + w * g_obs
+                g_imp = ref_xent_grad(f, r_bar)
+                dldf = ((1.0 - ob / p_flat[idx]) * g_imp
+                        + ob * g_obs / p_flat[idx])
             coef = dldf * f * (1.0 - f) / (full if live else idx.shape[0])
             ref_factor_sgd_step(
                 model, u, i, coef, config, opt,
@@ -557,9 +560,9 @@ def ref_alternating_denoise_train(dataset, p_hat, noisy_model, config):
         val_obj = float(np.mean(
             np.square(val_pred - r_flat[val_idx]) / p_flat[val_idx]))
         e_bar = imp_model.scores(vu, vi)
-        w = o_flat[val_idx] / p_flat[val_idx]
-        obj = float(np.mean((1.0 - w) * e_bar + w * label_loss(
-            ALT_LOSS, val_pred, r_flat[val_idx], rho)))
+        o_v, p_v = o_flat[val_idx], p_flat[val_idx]
+        obj = float(np.mean((1.0 - o_v / p_v) * e_bar + o_v * label_loss(
+            ALT_LOSS, val_pred, r_flat[val_idx], rho) / p_v))
         records.append(TraceRecord(loop, rho.rho01, rho.rho10, obj, val_obj,
                                    clamped))
     return pred_model, imp_model, records
@@ -604,6 +607,23 @@ class TestZeroCoefficientSkip:
                             optimizer=optimizer)
             got = train_noisy_factor_model(d, method, cfg, 4, p_hat=p_hat)
             want = ref_train_noisy_factor_model(d, method, cfg, 4, p_hat)
+            assert_same_model(got, want)
+
+    def test_naive_is_ips_at_the_observation_rate(self):
+        # naive's weight o/p at p = n_obs/(n*m), the mean over the observed
+        # set, is ips's at that constant p_hat
+        rng = make_rng(6)
+        mask = np.zeros(100, dtype=np.int8)
+        mask[rng.choice(100, size=7, replace=False)] = 1
+        ratings = (rng.random(100) < 0.5).astype(np.int8) * mask
+        d = RatingDataset(10, 10, mask.reshape(10, 10),
+                          ratings.reshape(10, 10))
+        for optimizer in ("sgd", "adam"):
+            cfg = SgdConfig(learning_rate=0.5, batch_size=0, max_epochs=3,
+                            seed=6, optimizer=optimizer)
+            got = train_noisy_factor_model(d, "naive", cfg)
+            want = train_noisy_factor_model(d, "ips", cfg,
+                                            p_hat=np.full(d.shape, 7 / 100))
             assert_same_model(got, want)
 
     @pytest.mark.parametrize("batch", [0, 64, 250])
@@ -658,9 +678,10 @@ class TestZeroCoefficientSkip:
             r = (rng.random(batch) < 0.5).astype(np.float64) * o
             p = rng.uniform(0.05, 1.0, size=batch)
             got, want = unit_model(seed, n, m), unit_model(seed, n, m)
+            f = got.forward(u, i)
             assert np.array_equal(
-                dr_grad_coefs(got, u, i, o / p, lambda f:
-                              label_loss_grad(loss, f, r, rho), batch),
+                dr_grad_coefs(f, o, p, label_loss_grad(loss, f, r, rho),
+                              batch),
                 ref_surrogate_grad_coefs(want, u, i, o, r, p, rho, loss))
             got_opt, want_opt = Optimizer(cfg), Optimizer(cfg)
             for _ in range(3):
