@@ -301,8 +301,10 @@ def cmd_train(args) -> int:
                   ["metric", "value"],
                   [["auc", f"{a:.10g}"], [f"ndcg@{k}", f"{ndcg:.10g}"],
                    [f"recall@{k}", f"{rec:.10g}"]],
-                  {"method": args.method, "seed": args.seed,
-                   "data": str(args.data)})
+                  {"method": args.method, "seed": args.seed, "k": k,
+                   "data": str(args.data), "pretrain_method": pretrain_method,
+                   "propensity_epochs": propensity_epochs,
+                   "config": dataclasses.asdict(alt_cfg)})
     print(f"wrote checkpoint and eval to {out}")
     return 0
 

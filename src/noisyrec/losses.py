@@ -49,6 +49,13 @@ class LossKind:
         return cls(LossVariant.CROSS_ENTROPY, eps_clip)
 
 
+def _square(d):
+    """d * d, in place in d when d is a fresh array. Not d ** 2: a float64
+    scalar's ** 2 goes through pow and can miss d * d by an ulp, while an
+    array's is d * d, so a scalar loss would differ from its array form."""
+    return np.square(d, out=d if d.ndim else None)
+
+
 def loss_curves(kind: LossKind, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise (l(pred, 1), l(pred, 0)) for predictions in (0, 1); any
     other prediction, NaN included, raises ValidationError."""
@@ -56,7 +63,7 @@ def loss_curves(kind: LossKind, pred: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if not inside_unit_interval(pred):
         raise ValidationError("predictions must lie strictly inside (0, 1)")
     if kind.variant is LossVariant.SQUARED_ERROR:
-        return (pred - 1.0) ** 2, pred**2
+        return _square(pred - 1.0), np.square(pred)
     eps = kind.eps_clip
     return -np.log(np.maximum(pred, eps)), -np.log(np.maximum(1.0 - pred, eps))
 
@@ -102,7 +109,7 @@ def label_loss(kind: LossKind, pred: np.ndarray, label,
     if not inside_unit_interval(pred):
         raise ValidationError("predictions must lie strictly inside (0, 1)")
     if kind.variant is LossVariant.SQUARED_ERROR:
-        return (pred - label) ** 2
+        return _square(pred - label)
     y = np.asarray(label)
     return -np.log(np.maximum(y * pred + (1.0 - y) * (1.0 - pred),
                               kind.eps_clip))

@@ -55,12 +55,12 @@ class SgdConfig:
         return min(self.batch_size or n, n)
 
 
-def epoch_batches(rng, n: int, config: SgdConfig):
-    """One epoch of n rows: rng.permutation(n) in slices of batch_of(n),
-    the last possibly shorter. The rows are positions: pretraining passes
-    n*m for all cells, or n_obs for positions in observed_index."""
+def epoch_batches(rng, n: int, batch: int):
+    """One epoch of n rows: rng.permutation(n) in slices of batch rows, the
+    last possibly shorter. The rows are positions: pretraining passes n*m
+    for all cells, or n_obs for positions in observed_index."""
     order = rng.permutation(n)
-    batch = max(config.batch_of(n), 1)  # over 0 rows, no batch and no error
+    batch = max(batch, 1)  # over 0 rows, no batch and no error
     return (order[start:start + batch] for start in range(0, n, batch))
 
 
@@ -214,18 +214,11 @@ class Optimizer:
 
 
 def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
-                    opt: Optimizer, error: str, at=None, size=None) -> None:
-    """One optimizer step on a batch whose objective has d/d(score) = coef
-    per example; L2 decay applies to embeddings only, not biases.
-
-    u_idx, i_idx and coef are the batch's rows, or with `at`, the rows at
-    positions `at` (ascending) of a batch of `size` rows whose other rows
-    have coefficient 0. The global-bias gradient is the pairwise sum of the
-    batch's whole coefficient vector, zeros in place, since a sum over fewer
-    terms can round differently: the backward kernel's sum unless `at`
-    leaves rows out. The backward kernel sees only the given rows; a
-    left-out row would add nothing to it, so the step is the whole batch's
-    bit for bit.
+                    opt: Optimizer, error: str) -> None:
+    """One optimizer step on the rows (u_idx, i_idx) of a batch whose
+    objective has d/d(score) = coef per row; L2 decay applies to embeddings
+    only, not biases. Every gradient, the global bias's too, is the backward
+    kernel's sum over the given rows.
 
     Raises TrainingDivergence(error) on a non-finite coef, and
     TrainingDivergence when the step leaves the global bias non-finite.
@@ -234,10 +227,6 @@ def factor_sgd_step(model: FactorModel, u_idx, i_idx, coef, config: SgdConfig,
         raise TrainingDivergence(error)
     g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
         u_idx, i_idx, model.user_emb, model.item_emb, coef)
-    if at is not None and coef.shape[0] < size:
-        batch = np.zeros(size)
-        batch[at] = coef
-        g_b0 = float(batch.sum())
     wd = config.weight_decay
     if wd > 0.0:
         g_ue = g_ue + wd * model.user_emb
@@ -282,27 +271,26 @@ def dr_grad_coefs(f, o, p, g_obs, size: int, g_imp=None):
     its losses, so its d/d f is dr_term of g_obs and g_imp.
 
     g_imp=None drops the imputed term; then a row with o = 0 has
-    coefficient 0 and adds nothing to the step, so a caller leaves such rows
-    out and scores only the others: the observed rows, for p in (0, 1].
+    coefficient 0 and would add nothing to the step, so the samplers pass
+    only the others, the observed rows, with the whole batch's size.
     """
     return dr_term(o, p, g_obs, g_imp) * f * (1.0 - f) / size
 
 
 def sgd_step_surrogate(model: FactorModel, u_idx, i_idx, o, r, p_hat, e_bar,
                        rho: ErrorParams, loss: LossKind, config: SgdConfig,
-                       opt: Optimizer) -> FactorModel:
+                       opt: Optimizer, size=None) -> FactorModel:
     """One gradient step on the mini-batch corrected-DR objective: weights
     o/p on the surrogate loss, and no imputed term, since that carries no
-    prediction-model gradient; so of the batch only the rows with a non-zero
-    o/p, the live rows, are scored and stepped. e_bar is unused; it stays
-    in the signature for existing positional callers."""
-    at, size = np.flatnonzero(o / p_hat), o.shape[0]
-    u_idx, i_idx = u_idx[at], i_idx[at]
+    prediction-model gradient. Every given row is scored and stepped, and
+    the mean is over `size` rows, by default the rows given; a sampler that
+    passes only a batch's observed rows passes the batch's size. e_bar is
+    unused; it stays in the signature for existing positional callers."""
     f = model.forward(u_idx, i_idx)
-    coef = dr_grad_coefs(f, o[at], p_hat[at],
-                         label_loss_grad(loss, f, r[at], rho), size)
+    coef = dr_grad_coefs(f, o, p_hat, label_loss_grad(loss, f, r, rho),
+                         u_idx.shape[0] if size is None else size)
     factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
-                    "non-finite gradient in prediction step", at, size)
+                    "non-finite gradient in prediction step")
     return model
 
 

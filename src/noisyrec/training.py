@@ -10,7 +10,7 @@ doubly-robust term `losses.dr_term`, stepped through `models.dr_grad_coefs`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .data import (
     ValidationError,
     make_rng,
 )
-from .losses import LossKind, dr_term, label_loss_grad, soft_label_loss_grad
+from .losses import (LossKind, dr_term, label_loss, label_loss_grad,
+                     soft_label_loss_grad)
 from .models import (
     FactorModel,
     Optimizer,
@@ -31,7 +32,6 @@ from .models import (
     factor_sgd_step,
     sgd_step_imputation,
     sgd_step_surrogate,
-    surrogate_objective,
 )
 from .noise import (NoisyRateModel, check_k_extreme, rates_at_extremes,
                     warn_if_flat)
@@ -107,7 +107,9 @@ def _cells(dataset: RatingDataset, a, what: str) -> np.ndarray:
 def _propensity_cells(dataset: RatingDataset, p_hat) -> np.ndarray:
     """p_hat as flat float64 cells, checked by estimation's rule: the
     dataset's shape, then every entry in (0, 1], with no floor. So o/p_hat
-    is finite everywhere and 0 exactly where o is."""
+    is finite everywhere and 0 exactly where o is: the observed cells, which
+    the samplers of naive/ips pretraining and of the prediction step keep,
+    are the only cells that carry weight when no imputed term does."""
     p = _cells(dataset, p_hat, "propensity")
     PropensityMatrix(p.reshape(dataset.shape), floor=0.0)
     return p
@@ -161,17 +163,15 @@ def train_noisy_factor_model(dataset: RatingDataset, method: str,
     n_pairs = n * m
     r_bar = dataset.positive_rate if method in ("eib", "dr") else None
     p_const = {"naive": n_obs / n_pairs, "eib": 1.0}.get(method)
-    if r_bar is None:
-        full = config.batch_of(n_pairs)
-        live = replace(config, batch_size=max(
-            1, round(full * n_obs / n_pairs)))
+    full = config.batch_of(n_pairs)
     for epoch in range(config.max_epochs):
         if r_bar is None:
             batches = ((dataset.observed_index[b], full)
-                       for b in epoch_batches(rng, n_obs, live))
+                       for b in epoch_batches(
+                           rng, n_obs, round(full * n_obs / n_pairs)))
         else:
             batches = ((b, b.shape[0])
-                       for b in epoch_batches(rng, n_pairs, config))
+                       for b in epoch_batches(rng, n_pairs, full))
         for idx, size in batches:
             u, i = np.divmod(idx, m)
             f = model.forward(u, i)
@@ -220,11 +220,15 @@ def alternating_denoise_train(
     from the frozen noisy-rate model, then imputation steps on the
     propensity-weighted squared residual against the surrogate loss.
 
-    p_hat must pass _propensity_cells, else ValidationError before any
-    step. Each prediction step draws batch_of(n*m) cells uniformly with
-    replacement from all cells, and each imputation step batch_of(n_obs)
-    cells uniformly with replacement from the observed cells, so a batch
-    may hold a cell twice, even a batch as large as its universe. Extreme
+    p_hat must pass _propensity_cells, and the dataset must have an
+    observed pair, else ValidationError before any step. Each prediction
+    step draws B = batch_of(n*m) cells uniformly with replacement from all
+    cells and steps on the drawn cells that are observed, the only ones
+    with a non-zero weight o/p_hat, as a batch of B; each imputation step
+    draws batch_of(n_obs) cells uniformly with replacement from the
+    observed cells. So a batch may hold a cell twice, even a batch as large
+    as its universe. The trace's objective and val_metric are batch means
+    of losses.dr_term over the held-out cells, scored once per loop. Extreme
     pairs are computed over all pairs from the dense
     predictions once per prediction phase (rather than per mini-batch),
     which is deterministic and matches the definition of the identification
@@ -233,6 +237,8 @@ def alternating_denoise_train(
     """
     n, m = dataset.shape
     p_flat = _propensity_cells(dataset, p_hat)
+    if dataset.n_observed == 0:
+        raise ValidationError("no observed pairs")
     q = _cells(dataset, noisy_model.q, "noisy-rate")
     check_k_extreme(config.k_extreme, n * m)
     warn_if_flat(q)
@@ -262,10 +268,11 @@ def alternating_denoise_train(
         # prediction phase
         for _ in range(config.steps_prediction):
             idx = rng.integers(n_pairs, size=batch_p)
+            idx = idx[o_flat[idx] != 0]
             u, i = np.divmod(idx, m)
             sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
                                p_flat[idx], None, rho, ALT_LOSS,
-                               config.sgd_prediction, pred_opt)
+                               config.sgd_prediction, pred_opt, size=batch_p)
         dense_pred = pred_model.predict_all()
 
         # imputation phase: refresh rho first, then step the imputation model
@@ -280,8 +287,9 @@ def alternating_denoise_train(
 
         val_pred = pred_model.forward(vu, vi)
         val_obj = float(np.mean(dr_term(ov, pv, np.square(val_pred - rv))))
-        obj = surrogate_objective(pred_model, vu, vi, ov, rv, pv,
-                                  imp_model.scores(vu, vi), rho, ALT_LOSS)
+        obj = float(np.mean(dr_term(ov, pv,
+                                    label_loss(ALT_LOSS, val_pred, rv, rho),
+                                    imp_model.scores(vu, vi))))
         trace.append(TraceRecord(loop, rho.rho01, rho.rho10, obj, val_obj,
                                  clamped))
 

@@ -559,6 +559,20 @@ class TestTrain:
         assert len(rows) == 4
         assert all(row[5] in ("0", "1") for row in rows[1:])
 
+    def test_report_hash_records_the_config(self, instance_dir, tmp_path):
+        # two runs that differ only in their config write different hashes
+        hashes = []
+        for text in ("sgd.max_epochs = 2\n",
+                     "sgd.max_epochs = 40\nsgd.learning_rate = 0.3\n"):
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"run{len(hashes)}"
+            assert main(["train", "--data", str(instance_dir), "--method",
+                         "naive", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            hashes.append((out / "eval.csv").read_text().splitlines()[0])
+        assert hashes[0] != hashes[1]
+
     def test_unset_options_keep_alt_config_defaults(
             self, instance_dir, tmp_path, monkeypatch):
         # the loop counts a config leaves out come from AltTrainConfig itself

@@ -319,6 +319,19 @@ class TestAlternatingTraining:
                     config.sgd_imputation, imp_opt)
         return pred_model
 
+    def test_no_observed_pairs_rejected(self):
+        # raised before any step, as pretraining does, and nothing warns
+        d = RatingDataset(6, 7, np.zeros((6, 7), dtype=np.int8),
+                          np.zeros((6, 7), dtype=np.int8))
+        noisy = NoisyRateModel(make_rng(3).uniform(0.1, 0.9, size=d.shape))
+        config = AltTrainConfig(rho_init=ErrorParams(0.1, 0.1), k_extreme=1,
+                                outer_loops=2, embedding_dim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no observed pairs"):
+                alternating_denoise_train(d, np.full(d.shape, 0.5), noisy,
+                                          config)
+
     def test_determinism(self):
         results = []
         for _ in range(2):
@@ -354,9 +367,10 @@ class TestTrace:
 
 
 class TestLoopEqualsReference:
-    """The alternating loop scores only the live rows of each prediction
-    batch and forms its dense predictions in place, yet gives the
-    reference loop's models and trace bit for bit."""
+    """The alternating loop steps only the observed rows of each prediction
+    batch and forms its dense predictions in place, yet gives the models
+    and trace of a reference loop that scores every drawn row bit for bit,
+    its global-bias gradient summed over the observed rows."""
 
     n, m = 30, 25
 
@@ -423,11 +437,15 @@ def ref_predict_all(model):
                    EPS_OUT, 1.0 - EPS_OUT)
 
 
-def ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt, error):
+def ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt, error,
+                        bias_rows=slice(None)):
+    """bias_rows picks the rows whose coefficients the global-bias gradient
+    sums, by default all of them."""
     if not np.all(np.isfinite(coef)):
         raise TrainingDivergence(error)
-    g_ue, g_ie, g_ub, g_ib, g_b0 = _kernels.factor_backward(
+    g_ue, g_ie, g_ub, g_ib, _ = _kernels.factor_backward(
         u_idx, i_idx, model.user_emb, model.item_emb, coef)
+    g_b0 = float(coef[bias_rows].sum())
     wd = config.weight_decay
     if wd > 0.0:
         g_ue = g_ue + wd * model.user_emb
@@ -448,11 +466,11 @@ def ref_surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho, loss):
 
 
 def ref_sgd_step_surrogate(model, u_idx, i_idx, o, r, p_hat, e_bar, rho,
-                           loss, config, opt):
+                           loss, config, opt, bias_rows=slice(None)):
     coef = ref_surrogate_grad_coefs(model, u_idx, i_idx, o, r, p_hat, rho,
                                     loss)
     ref_factor_sgd_step(model, u_idx, i_idx, coef, config, opt,
-                        "non-finite gradient in prediction step")
+                        "non-finite gradient in prediction step", bias_rows)
 
 
 def ref_xent_grad(f, t):
@@ -520,7 +538,8 @@ def ref_sgd_step_imputation(model, u_idx, i_idx, o, r, p_hat, pred, rho,
 
 def ref_alternating_denoise_train(dataset, p_hat, noisy_model, config):
     """The alternating loop as it was when every prediction batch went
-    whole through the prediction step."""
+    whole through the prediction step, but for the global-bias gradient,
+    which sums the coefficients of the batch's observed rows only."""
     n, m = dataset.shape
     p_flat = np.asarray(p_hat, dtype=np.float64).ravel()
     q = np.asarray(noisy_model.q, dtype=np.float64).ravel()
@@ -546,7 +565,8 @@ def ref_alternating_denoise_train(dataset, p_hat, noisy_model, config):
             u, i = np.divmod(idx, m)
             ref_sgd_step_surrogate(pred_model, u, i, o_flat[idx], r_flat[idx],
                                    p_flat[idx], None, rho, ALT_LOSS,
-                                   config.sgd_prediction, pred_opt)
+                                   config.sgd_prediction, pred_opt,
+                                   bias_rows=o_flat[idx] != 0)
         dense_pred = ref_predict_all(pred_model)
         rho, clamped = rates_at_extremes(q, config.k_extreme, dense_pred)
         for _ in range(config.steps_imputation):
@@ -591,9 +611,11 @@ def unit_model(seed, n, m, d=3):
 
 
 class TestZeroCoefficientSkip:
-    """naive/ips pretraining and the prediction step score and
-    back-propagate only the rows with a non-zero weight o/p, yet give the
-    reference bodies' models bit for bit."""
+    """naive/ips pretraining scores and back-propagates only the rows with
+    a non-zero weight o/p, yet gives the reference bodies' models bit for
+    bit; the prediction step scores every row it is given, and stepping a
+    batch's observed rows with the batch's size is the whole batch's step
+    but for the global-bias sum."""
 
     @pytest.mark.parametrize("obs_ratio", [0.05, 0.3, 1.0])
     @pytest.mark.parametrize("batch", [0, 64, 250])
@@ -689,6 +711,37 @@ class TestZeroCoefficientSkip:
                                    got_opt)
                 ref_sgd_step_surrogate(want, u, i, o, r, p, None, rho, loss,
                                        cfg, want_opt)
+                assert_same_model(got, want)
+
+    @pytest.mark.parametrize("loss", [LossKind.squared(),
+                                      LossKind.cross_entropy()],
+                             ids=["squared", "xent"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_observed_rows_with_batch_size_equal_whole_batch(self, loss,
+                                                             optimizer):
+        # the loop passes a batch's observed rows and the batch's size: the
+        # whole batch's step, its global-bias gradient summed over those rows
+        n, m, batch = 9, 11, 40
+        rho = ErrorParams(0.2, 0.1)
+        cfg = SgdConfig(learning_rate=0.7, weight_decay=1e-3,
+                        optimizer=optimizer)
+        for seed in range(20):
+            rng = make_rng(200 + seed)
+            u = rng.integers(0, n, size=batch)
+            i = rng.integers(0, m, size=batch)
+            # from no observed row to every row observed
+            o = (rng.random(batch) < seed / 19).astype(np.float64)
+            r = (rng.random(batch) < 0.5).astype(np.float64) * o
+            p = rng.uniform(0.05, 1.0, size=batch)
+            live = o != 0
+            got, want = unit_model(seed, n, m), unit_model(seed, n, m)
+            got_opt, want_opt = Optimizer(cfg), Optimizer(cfg)
+            for _ in range(3):
+                sgd_step_surrogate(got, u[live], i[live], o[live], r[live],
+                                   p[live], None, rho, loss, cfg, got_opt,
+                                   size=batch)
+                ref_sgd_step_surrogate(want, u, i, o, r, p, None, rho, loss,
+                                       cfg, want_opt, bias_rows=live)
                 assert_same_model(got, want)
 
     def test_batch_without_observed_rows(self):
@@ -839,16 +892,20 @@ class TestPretrainingMemory:
 
 class TestLoopSamplers:
     """Both samplers of the alternating loop draw uniformly with
-    replacement: a batch as large as its universe repeats a cell."""
+    replacement: a batch as large as its universe repeats a cell. The
+    prediction step is given only the drawn cells that are observed, with
+    the size of the whole draw."""
 
     def test_batches_repeat_cells(self, monkeypatch):
         d, p_hat = separable_instance(4, 0.2, 0.1, 0.3, n=30, m=25)
         rows = {"sgd_step_surrogate": [], "sgd_step_imputation": []}
+        sizes = []
         for name, seen in rows.items():
             def spy(model, u, i, *args, _fn=getattr(training, name),
-                    _seen=seen):
+                    _seen=seen, **kwargs):
                 _seen.append(u * d.n_items + i)
-                return _fn(model, u, i, *args)
+                sizes.extend(kwargs.values())
+                return _fn(model, u, i, *args, **kwargs)
             monkeypatch.setattr(training, name, spy)
         config = AltTrainConfig(
             rho_init=ErrorParams(0.0, 0.0), k_extreme=1, outer_loops=1,
@@ -860,7 +917,11 @@ class TestLoopSamplers:
         for name, batches in rows.items():
             assert len(batches) == 10
             for cells in batches:
-                assert cells.size == (d.n_observed if "imputation" in name
-                                      else d.n_users * d.n_items)
+                assert set(cells) <= observed
                 assert np.unique(cells).size < cells.size
-        assert all(set(c) <= observed for c in rows["sgd_step_imputation"])
+        assert all(c.size == d.n_observed
+                   for c in rows["sgd_step_imputation"])
+        # a draw of all n*m cells keeps about its observed share
+        assert all(0 < c.size < d.n_users * d.n_items
+                   for c in rows["sgd_step_surrogate"])
+        assert sizes == [d.n_users * d.n_items] * 10
